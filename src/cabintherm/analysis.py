@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comfort import ComfortSpec
+from .comfort import ComfortSpec, get_pmv_surrogate
 from .errors import ConfigError, DataError
 from .model_core import BusConfig
 from .radiant_geometry import CabinLayout
 from .scenario import ScenarioSet
 from .solver import (MODE_COOLING, MODE_HEATING, MODE_PASSIVE, ScenarioSweeper,
-                     SolveResult, ViewWeightsCache, default_layout, solve_best)
+                     SolveResult, ViewWeightsCache, default_layout)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class SensitivityEntry:
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _monthly_rows(results, sset: ScenarioSet) -> list[MonthlySummary]:
+def monthly_table(results, sset: ScenarioSet) -> list[MonthlySummary]:
+    """Monthly means; months without scenarios are flagged with ``n == 0``."""
     month_of = {s.id: s.month for s in sset}
     if len(results) != len(sset):
         raise DataError(f"{len(results)} results for {len(sset)} scenarios")
@@ -110,18 +111,13 @@ def _monthly_rows(results, sset: ScenarioSet) -> list[MonthlySummary]:
     return rows
 
 
-def monthly_table(results, sset: ScenarioSet) -> list[MonthlySummary]:
-    """Monthly means; months without scenarios are flagged with ``n == 0``."""
-    return _monthly_rows(results, sset)
-
-
 def aggregate_annual(results, sset: ScenarioSet) -> AnnualSummary:
     """Month-first annual aggregation.
 
     Every month must be represented; empty-bus scenarios contribute power
     but no PPD (there is nobody aboard to be dissatisfied).
     """
-    rows = _monthly_rows(results, sset)
+    rows = monthly_table(results, sset)
     missing = [r.month for r in rows if r.n == 0]
     if missing:
         raise DataError(f"months without scenarios: {missing}")
@@ -145,60 +141,60 @@ def aggregate_annual(results, sset: ScenarioSet) -> AnnualSummary:
 # ---------------------------------------------------------------------------
 
 def _solve_chunk(args):
-    scenarios, cfg, spec, windows, layout, seed = args
-    out = []
+    """results[scenario][concept][window] for one chunk of scenarios.
+
+    One view-weight cache serves every concept and window of the chunk.
+    """
+    scenarios, concepts, spec, windows, seed, method = args
     cache = ViewWeightsCache()
+    out = []
     for scn in scenarios:
-        sweeper = ScenarioSweeper(scn, cfg, spec, layout, seed, cache)
-        out.append([sweeper.solve(lo, hi) for lo, hi in windows])
+        per_concept = []
+        for cfg, layout in concepts:
+            sweeper = ScenarioSweeper(scn, cfg, spec, layout, seed, cache, method)
+            per_concept.append([sweeper.solve(lo, hi) for lo, hi in windows])
+        out.append(per_concept)
     return out
 
 
-def _run_windows(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
-                 windows, layout: CabinLayout | None, seed: int,
-                 jobs: int = 1, weights_cache: ViewWeightsCache | None = None
-                 ) -> list[list[SolveResult]]:
-    """Solve every scenario at every window; returns results[window][scenario]."""
+def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
+                 seed: int, jobs: int = 1, method: str = "rootfind"
+                 ) -> list[list[list[SolveResult]]]:
+    """Solve every scenario for every (config, layout) pair in ``concepts``
+    at every window; returns results[concept][window][scenario]."""
     scenarios = list(sset)
     if jobs <= 1:
-        cache = weights_cache or ViewWeightsCache()
-        per_scn = []
-        for scn in scenarios:
-            sweeper = ScenarioSweeper(scn, cfg, spec, layout, seed, cache)
-            per_scn.append([sweeper.solve(w[0], w[1]) for w in windows])
+        per_scn = _solve_chunk((scenarios, concepts, spec, windows, seed, method))
     else:
+        if method == "opt":
+            get_pmv_surrogate(spec)  # fitted once here, inherited by the workers
         chunks = max(1, math.ceil(len(scenarios) / (jobs * 4)))
         batches = [scenarios[i:i + chunks] for i in range(0, len(scenarios), chunks)]
         per_scn = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_solve_chunk,
-                                 [(b, cfg, spec, windows, layout, seed) for b in batches]):
+                                 [(b, concepts, spec, windows, seed, method)
+                                  for b in batches]):
                 per_scn.extend(part)
-    return [[per_scn[i][wi] for i in range(len(scenarios))]
-            for wi in range(len(windows))]
+    return [[[row[ci][wi] for row in per_scn] for wi in range(len(windows))]
+            for ci in range(len(concepts))]
 
 
 def solve_set(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
               layout: CabinLayout | None = None, seed: int = 0,
               jobs: int = 1, method: str = "rootfind") -> list[SolveResult]:
     """Solve every scenario at the window of ``spec``, in dataset order."""
-    if method == "rootfind":
-        return _run_windows(sset, cfg, spec, [(spec.psi_min, spec.psi_max)],
-                            layout, seed, jobs)[0]
-    return [solve_best(scn, cfg, spec, method=method, layout=layout, seed=seed)
-            for scn in sset]
+    return _run_windows(sset, [(cfg, layout)], spec, [(spec.psi_min, spec.psi_max)],
+                        seed, jobs, method)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Pareto sweeps and concept comparison
 # ---------------------------------------------------------------------------
 
-def pareto_sweep(sset: ScenarioSet, cfg: BusConfig, half_widths,
-                 spec: ComfortSpec | None = None,
-                 layout: CabinLayout | None = None, seed: int = 0,
-                 jobs: int = 1,
-                 weights_cache: ViewWeightsCache | None = None) -> list[ParetoPoint]:
-    """Annual power/discomfort trade-off over symmetric PMV windows."""
+def _fronts(sset: ScenarioSet, concepts, half_widths, spec: ComfortSpec | None,
+            seed: int, jobs: int) -> list[list[ParetoPoint]]:
+    """One Pareto front per (config, layout) pair over symmetric windows."""
     hw = [float(w) for w in half_widths]
     if not hw:
         raise ConfigError("half_widths must not be empty")
@@ -206,16 +202,26 @@ def pareto_sweep(sset: ScenarioSet, cfg: BusConfig, half_widths,
         raise ConfigError("window half-widths must lie in [0, 2]")
     if any(b < a for a, b in zip(hw, hw[1:])):
         raise ConfigError("half_widths must be sorted ascending")
-    spec = spec or ComfortSpec()
-    windows = [(-w, w) for w in hw]
-    results = _run_windows(sset, cfg, spec, windows, layout, seed, jobs, weights_cache)
-    points = []
-    for w, res in zip(hw, results):
-        summary = aggregate_annual(res, sset)
-        points.append(ParetoPoint(half_width=w,
-                                  annual_mean_P_tot=summary.annual_mean_P_tot,
-                                  annual_mean_ppd=summary.annual_mean_ppd))
-    return points
+    results = _run_windows(sset, concepts, spec or ComfortSpec(),
+                           [(-w, w) for w in hw], seed, jobs)
+    fronts = []
+    for per_window in results:
+        points = []
+        for w, res in zip(hw, per_window):
+            summary = aggregate_annual(res, sset)
+            points.append(ParetoPoint(half_width=w,
+                                      annual_mean_P_tot=summary.annual_mean_P_tot,
+                                      annual_mean_ppd=summary.annual_mean_ppd))
+        fronts.append(points)
+    return fronts
+
+
+def pareto_sweep(sset: ScenarioSet, cfg: BusConfig, half_widths,
+                 spec: ComfortSpec | None = None,
+                 layout: CabinLayout | None = None, seed: int = 0,
+                 jobs: int = 1) -> list[ParetoPoint]:
+    """Annual power/discomfort trade-off over symmetric PMV windows."""
+    return _fronts(sset, [(cfg, layout)], half_widths, spec, seed, jobs)[0]
 
 
 _CONCEPT_FIELDS_ALLOWED = {"cop_heating", "rh_enabled", "A_rh", "T_rh_tgt"}
@@ -242,14 +248,8 @@ def compare_concepts(sset: ScenarioSet, concepts: dict[str, BusConfig],
                 raise ConfigError(
                     f"concept {name!r} differs from {names[0]!r} in {fld!r}; only "
                     "the heating COP and RH configuration may vary")
-    cache = ViewWeightsCache()
-    curves = {}
-    for name in names:
-        cfg = concepts[name]
-        curves[name] = pareto_sweep(sset, cfg, half_widths, spec,
-                                    default_layout(cfg), seed, jobs,
-                                    weights_cache=cache if jobs <= 1 else None)
-    return curves
+    pairs = [(concepts[n], default_layout(concepts[n])) for n in names]
+    return dict(zip(names, _fronts(sset, pairs, half_widths, spec, seed, jobs)))
 
 
 # ---------------------------------------------------------------------------

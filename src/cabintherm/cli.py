@@ -8,8 +8,10 @@ outputs; rerunning with the same seed and inputs reproduces all CSV/JSON
 outputs byte-for-byte (the manifest's wall-clock duration is the one
 intentionally varying field).
 
-Exit codes: 0 success, 2 configuration/usage error, 3 data error,
-4 solver failure.
+Exit codes: 0 success; 2 configuration or usage error, among them
+``solve --psi-tgt`` with ``--rh auto`` on a bus with enabled radiant
+panels; 3 data error; 4 solver failure, including a non-finite evaluation
+of the heat balance or of the comfort model.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from .analysis import (DEFAULT_SENSITIVITY_PARAMS, aggregate_annual,
                        compare_concepts, monthly_table, oat_sensitivity,
                        pareto_sweep, solve_set)
 from .config import AppConfig, load_config
-from .errors import CabinThermError, ConfigError, DataError, SolverError
+from .errors import (CabinThermError, ConfigError, DataError, EvaluationError,
+                     SolverError)
 from .model_core import KELVIN, Scenario, c_to_k
 from .radiant_geometry import cabin_mean_radiant_set, place_passengers
 from .scenario import (ClimateProfile, ScenarioSet, load_scenarios_csv,
                        placement_seed, save_scenarios_csv, synthesize_dataset)
-from .solver import (balance_tolerance_report, solve_best, solve_window_opt,
-                     solve_window_rootfind)
+from .solver import (balance_tolerance_report, solve_best, solve_fixed_pmv,
+                     solve_window_opt, solve_window_rootfind)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,16 +142,19 @@ def cmd_solve(args) -> int:
         spec = spec.with_window(lo, hi)
     if args.psi_tgt is not None:
         spec = spec.with_target(args.psi_tgt)
+        if args.rh == "auto" and app.bus.rh_enabled and app.bus.A_rh > 0:
+            raise ConfigError("--psi-tgt fixes the comfort target, so the radiant "
+                              "heaters cannot be chosen automatically: pass "
+                              "--rh on or --rh off")
 
     t0 = time.perf_counter()
     solvers = ["rootfind", "opt"] if args.solver == "both" else [args.solver]
     results = []
     for method in solvers:
         if args.psi_tgt is not None:
-            from .solver import solve_fixed_pmv
             if method == "opt":
                 res = solve_window_opt(scn, app.bus, spec.with_window(
-                    args.psi_tgt, args.psi_tgt), True if args.rh == "on" else False,
+                    args.psi_tgt, args.psi_tgt), args.rh == "on",
                     app.layout, args.seed)
             else:
                 res = solve_fixed_pmv(scn, app.bus, spec,
@@ -292,18 +298,15 @@ def _cross_check_sample(sset, concepts, widths, app: AppConfig, args,
                         sample: int = 25) -> None:
     """Verify the optimization solver against root finding on a seeded sample."""
     sub = sset.subset(sample, seed=args.seed)
+    spec = app.comfort.with_window(-widths[0], widths[0])
     worst = 0.0
-    for name, cfg in concepts.items():
+    for cfg in concepts.values():
         from .solver import default_layout
         layout = default_layout(cfg)
-        for scn in sub:
-            for w in widths[:1]:
-                spec = app.comfort.with_window(-w, w)
-                a = solve_best(scn, cfg, spec, method="rootfind", layout=layout,
-                               seed=args.seed)
-                b = solve_best(scn, cfg, spec, method="opt", layout=layout,
-                               seed=args.seed)
-                worst = max(worst, abs(a.P_tot - b.P_tot) / max(a.P_tot, 1.0))
+        a = solve_set(sub, cfg, spec, layout, args.seed, args.jobs, "rootfind")
+        b = solve_set(sub, cfg, spec, layout, args.seed, args.jobs, "opt")
+        worst = max([worst] + [abs(x.P_tot - y.P_tot) / max(x.P_tot, 1.0)
+                               for x, y in zip(a, b)])
     print(f"solver cross-check on {len(sub)} scenarios: max relative deviation {worst:.2e}")
     if worst > 1e-4:
         raise SolverError(f"solver disagreement {worst:.2e} exceeds 1e-4")
@@ -472,7 +475,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SolverError as exc:
+    except (SolverError, EvaluationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except CabinThermError as exc:

@@ -69,32 +69,17 @@ class ComfortSpec:
         return replace(self, psi_tgt=psi_tgt)
 
 
-@dataclass(frozen=True)
-class ClothingModel:
-    """Ambient-temperature-dependent clothing insulation (clo).
+def clothing_insulation(T_inf: float, scale: float = 1.0) -> float:
+    """Clothing insulation worn at ambient temperature ``T_inf`` (clo).
 
     A monotone non-increasing cubic in the ambient temperature with a lower
     floor (people do not dress lighter than 0.3 clo in summer).  ``scale``
     multiplies the curve output before the floor is applied; sensitivity
     studies use it to perturb clothing without moving the floor.
     """
-
-    coeffs: tuple[float, float, float, float] = CLOTHING_CUBIC
-    floor: float = CLOTHING_FLOOR
-    scale: float = 1.0
-
-    def __call__(self, T_inf: float) -> float:
-        t = k_to_c(T_inf)
-        a, b, c, d = self.coeffs
-        raw = a + b * t + c * t * t + d * t ** 3
-        return max(self.floor, self.scale * raw)
-
-
-def clothing_insulation(T_inf: float, scale: float = 1.0,
-                        coeffs: tuple[float, float, float, float] = CLOTHING_CUBIC,
-                        floor: float = CLOTHING_FLOOR) -> float:
-    """Clothing insulation worn at ambient temperature ``T_inf`` (clo)."""
-    return ClothingModel(coeffs=coeffs, floor=floor, scale=scale)(T_inf)
+    t = k_to_c(T_inf)
+    a, b, c, d = CLOTHING_CUBIC
+    return max(CLOTHING_FLOOR, scale * (a + b * t + c * t * t + d * t ** 3))
 
 
 def _vapor_pressure_pa(ta_c, rh_pct):
@@ -246,14 +231,16 @@ def _exponents(degree: int) -> np.ndarray:
 
 def _monomials(x: np.ndarray, degree: int) -> np.ndarray:
     """Monomial design matrix via per-variable power tables (no Python loop
-    over terms)."""
+    over terms).
+
+    The running product builds ``x**d`` as ``x**(d-1) * x`` in one numpy
+    call; the optimizer evaluates single points, where a call per power
+    would dominate.
+    """
     exps = _exponents(degree)
-    n = len(x)
-    pows = np.empty((3, n, degree + 1))
-    pows[:, :, 0] = 1.0
-    for v in range(3):
-        for d in range(1, degree + 1):
-            pows[v, :, d] = pows[v, :, d - 1] * x[:, v]
+    factors = np.repeat(x.T[:, :, None], degree + 1, axis=2)
+    factors[:, :, 0] = 1.0
+    pows = np.multiply.accumulate(factors, axis=2)
     return pows[0][:, exps[:, 0]] * pows[1][:, exps[:, 1]] * pows[2][:, exps[:, 2]]
 
 

@@ -2,9 +2,12 @@
 
 The cabin is modelled as four thermal reservoirs: cabin air, radiant-heater
 (RH) panels, inner shell, and outer shell.  Each function below computes one
-signed heat flow in watts; ``balance_residuals`` assembles the reservoir
-energy-conservation rows.  All temperatures are kelvin internally; degrees
-Celsius appear only in configuration files and reports.
+signed heat flow in watts.  :func:`reservoir_balance` is the one place that
+assembles them into the reservoir energy-conservation rows and their
+analytic Jacobian: the reporting path (:func:`compute_heat_flows`,
+:func:`balance_residuals`), the Newton solver and the optimizer's equality
+constraints all evaluate it.  All temperatures are kelvin internally;
+degrees Celsius appear only in configuration files and reports.
 
 Sign conventions:
   * door/shell losses are positive when heat leaves the cabin,
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,8 +256,9 @@ def door_loss(T_cab: float, T_inf: float, zeta_door: float, cfg: BusConfig) -> f
     time fraction.
     """
     dt = T_cab - T_inf
-    pre = cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
-    return pre * math.sqrt(abs(dt) / T_inf) * dt * cfg.w_door_tot * zeta_door
+    pre = (cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
+           * cfg.w_door_tot * zeta_door)
+    return pre * math.sqrt(abs(dt)) * (1.0 / math.sqrt(T_inf)) * dt
 
 
 def irradiance_roof(beta: float, I_dni: float, I_dhi: float) -> float:
@@ -343,75 +348,89 @@ def hvac_power(Q_hvac: float, T_cab: float, T_inf: float, cfg: BusConfig) -> flo
     return abs(Q_hvac) / gamma
 
 
-def hvac_power_split(Q_hp: float, Q_ac: float, T_cab: float, T_inf: float,
-                     cfg: BusConfig) -> float:
-    """Electric power for separately metered heating and cooling heat (W).
-
-    Absolute-value-free reformulation used by the optimizer: ``Q_hp`` and
-    ``Q_ac`` are both non-negative and the net HVAC heat is their
-    difference.  Agrees with :func:`hvac_power` whenever one of them is
-    zero; simultaneous operation is never cheaper.
-    """
-    if Q_hp < 0 or Q_ac < 0:
-        raise ConfigError("Q_hp and Q_ac must be non-negative")
-    p = 0.0
-    if Q_hp > 0:
-        p += Q_hp / cfg.cop_heating(T_cab - T_inf)
-    if Q_ac > 0:
-        p += Q_ac / cfg.cop_cooling(T_inf - T_cab)
-    return p
-
-
 # ---------------------------------------------------------------------------
 # balance
 # ---------------------------------------------------------------------------
 
+class Loads(NamedTuple):
+    """Heat gains of one scenario that do not depend on the unknowns (W)."""
+
+    Q_pass: float
+    Q_sol_so: float
+    Q_sol_cab: float
+    Q_sol_si: float
+
+
+def scenario_loads(scn: Scenario, cfg: BusConfig) -> Loads:
+    return Loads(passenger_heat(scn.N_pass, cfg), *solar_heat_flows(scn, cfg))
+
+
+def reservoir_balance(T_cab: float, T_rh: float, T_si: float, T_so: float,
+                      Q_hvac: float, P_rh: float, scn: Scenario, loads: Loads,
+                      cfg: BusConfig, rh_on: bool) -> tuple[dict, list, list]:
+    """Energy-conservation rows of the reservoirs and their Jacobian.
+
+    Returns ``(flows, rows, jac)``: the state-dependent heat flows by
+    :class:`HeatFlows` name (W); the rows of cabin air, RH panel (only with
+    ``rh_on``), inner shell and outer shell (W, zero in steady state); and
+    one Jacobian list per row, with columns for the unknowns
+    ``[T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]`` with the panels on and
+    ``[T_cab, T_si, T_so, Q_hvac]`` without.  Without radiant heaters the
+    RH flows are zero and ``T_rh``/``P_rh`` are ignored.
+    """
+    T_inf = scn.T_inf
+    q_door = door_loss(T_cab, T_inf, scn.zeta_door, cfg)
+    q_h_si = convective_cabin_to_shell(T_cab, T_si, cfg)
+    q_k = conduction_shell(T_si, T_so, cfg)
+    q_h_so = convective_shell_to_ambient(T_so, T_inf, cfg)
+    q_r_so = radiative_loss_outer(T_so, T_inf, cfg)
+    dt = T_cab - T_inf
+    d_door = 1.5 * q_door / dt if dt != 0.0 else 0.0
+    a_in = cfg.h_in * (cfg.A_roof + cfg.A_wall)
+    k = cfg.k_body
+    d_so = -k - cfg.h_out * cfg.A_body - 4.0 * cfg.sigma * cfg.A_body * T_so ** 3
+    if rh_on:
+        q_r_rh = radiative_rh_to_shell(T_rh, T_si, cfg)
+        q_h_rh = convective_rh_to_cabin(T_rh, T_cab, cfg)
+        hr = cfg.h_rh * cfg.A_rh
+        rr_rh = 4.0 * cfg.sigma * cfg.A_rh * T_rh ** 3
+        rr_si = 4.0 * cfg.sigma * cfg.A_rh * T_si ** 3
+        rows = [loads.Q_pass + q_h_rh - q_h_si - q_door + loads.Q_sol_cab + Q_hvac,
+                P_rh - q_r_rh - q_h_rh,
+                q_r_rh + q_h_si + loads.Q_sol_si - q_k,
+                q_k - q_h_so - q_r_so + loads.Q_sol_so]
+        jac = [[-hr - a_in - d_door, hr, a_in, 0.0, 1.0, 0.0],
+               [hr, -rr_rh - hr, rr_si, 0.0, 0.0, 1.0],
+               [a_in, rr_rh, -rr_si - a_in - k, k, 0.0, 0.0],
+               [0.0, 0.0, k, d_so, 0.0, 0.0]]
+    else:
+        q_r_rh = q_h_rh = 0.0
+        rows = [loads.Q_pass - q_h_si - q_door + loads.Q_sol_cab + Q_hvac,
+                q_h_si + loads.Q_sol_si - q_k,
+                q_k - q_h_so - q_r_so + loads.Q_sol_so]
+        jac = [[-a_in - d_door, a_in, 0.0, 1.0],
+               [a_in, -a_in - k, k, 0.0],
+               [0.0, k, d_so, 0.0]]
+    flows = {"Q_door": q_door, "Q_r_so": q_r_so, "Q_r_rh": q_r_rh, "Q_h_rh": q_h_rh,
+             "Q_h_si": q_h_si, "Q_h_so": q_h_so, "Q_k": q_k}
+    return flows, rows, jac
+
+
+def _evaluate(state: ThermalState, scn: Scenario, cfg: BusConfig,
+              rh_on: bool) -> tuple[HeatFlows, list]:
+    loads = scenario_loads(scn, cfg)
+    flows, rows, _ = reservoir_balance(state.T_cab, state.T_rh, state.T_si, state.T_so,
+                                       state.Q_hvac, state.P_rh, scn, loads, cfg, rh_on)
+    p_rh = state.P_rh if rh_on else 0.0
+    p_hvac = hvac_power(state.Q_hvac, state.T_cab, scn.T_inf, cfg)
+    return HeatFlows(**loads._asdict(), **flows, Q_hvac=state.Q_hvac, P_rh=p_rh,
+                     P_hvac=p_hvac, P_tot=p_rh + p_hvac), rows
+
+
 def compute_heat_flows(state: ThermalState, scn: Scenario, cfg: BusConfig,
                        rh_on: bool) -> HeatFlows:
     """Evaluate every heat flow of ``state`` under scenario ``scn``."""
-    q_sol_so, q_sol_cab, q_sol_si = solar_heat_flows(scn, cfg)
-    if rh_on:
-        q_r_rh = radiative_rh_to_shell(state.T_rh, state.T_si, cfg)
-        q_h_rh = convective_rh_to_cabin(state.T_rh, state.T_cab, cfg)
-        p_rh = state.P_rh
-    else:
-        q_r_rh = q_h_rh = p_rh = 0.0
-    p_hvac = hvac_power(state.Q_hvac, state.T_cab, scn.T_inf, cfg)
-    return HeatFlows(
-        Q_pass=passenger_heat(scn.N_pass, cfg),
-        Q_door=door_loss(state.T_cab, scn.T_inf, scn.zeta_door, cfg),
-        Q_sol_cab=q_sol_cab,
-        Q_sol_si=q_sol_si,
-        Q_sol_so=q_sol_so,
-        Q_r_so=radiative_loss_outer(state.T_so, scn.T_inf, cfg),
-        Q_r_rh=q_r_rh,
-        Q_h_rh=q_h_rh,
-        Q_h_si=convective_cabin_to_shell(state.T_cab, state.T_si, cfg),
-        Q_h_so=convective_shell_to_ambient(state.T_so, scn.T_inf, cfg),
-        Q_k=conduction_shell(state.T_si, state.T_so, cfg),
-        Q_hvac=state.Q_hvac,
-        P_rh=p_rh,
-        P_hvac=p_hvac,
-        P_tot=p_rh + p_hvac,
-    )
-
-
-def residuals_from_flows(f: HeatFlows, rh_on: bool) -> np.ndarray:
-    """Reservoir balance residuals (W) from precomputed flows.
-
-    Rows: cabin air, RH panel (only when ``rh_on``), inner shell, outer
-    shell.  A residual of zero means the reservoir is in steady state.
-    """
-    for name, val in f.as_dict().items():
-        if not math.isfinite(val):
-            raise EvaluationError(f"non-finite heat flow {name} = {val}")
-    cab = f.Q_pass + f.Q_h_rh - f.Q_h_si - f.Q_door + f.Q_sol_cab + f.Q_hvac
-    si = f.Q_r_rh + f.Q_h_si + f.Q_sol_si - f.Q_k
-    so = f.Q_k - f.Q_h_so - f.Q_r_so + f.Q_sol_so
-    if rh_on:
-        rh = f.P_rh - f.Q_r_rh - f.Q_h_rh
-        return np.array([cab, rh, si, so])
-    return np.array([cab, si, so])
+    return _evaluate(state, scn, cfg, rh_on)[0]
 
 
 def balance_residuals(state: ThermalState, scn: Scenario, cfg: BusConfig,
@@ -419,9 +438,14 @@ def balance_residuals(state: ThermalState, scn: Scenario, cfg: BusConfig,
     """Energy-conservation residuals of the reservoirs (W).
 
     Four rows with radiant heaters active, three without (the RH row is
-    removed and the RH flows are zero).
+    removed and the RH flows are zero).  Raises :class:`EvaluationError`
+    naming the first non-finite heat flow.
     """
-    return residuals_from_flows(compute_heat_flows(state, scn, cfg, rh_on), rh_on)
+    flows, rows = _evaluate(state, scn, cfg, rh_on)
+    for name, val in flows.as_dict().items():
+        if not math.isfinite(val):
+            raise EvaluationError(f"non-finite heat flow {name} = {val}")
+    return np.array(rows)
 
 
 def max_abs_flow(f: HeatFlows) -> float:

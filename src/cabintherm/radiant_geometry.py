@@ -405,6 +405,12 @@ def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
     return np.clip(weighted / total_area, 0.0, 1.0)
 
 
+def mixed_radiant_temperature(b, T_si, T_rh):
+    """Mean radiant temperature (K) behind panel view weight ``b``:
+    ``((1 - b) T_si^4 + b T_rh^4)^(1/4)``, broadcasting over arrays."""
+    return ((1.0 - b) * T_si ** 4 + b * T_rh ** 4) ** 0.25
+
+
 def mean_radiant_temperature(p: PassengerCuboid, layout: CabinLayout,
                              T_si: float, T_rh: float) -> float:
     """Mean radiant temperature (K) perceived by one passenger.
@@ -414,10 +420,10 @@ def mean_radiant_temperature(p: PassengerCuboid, layout: CabinLayout,
     The result always lies between ``T_si`` and ``T_rh``.
     """
     b = float(panel_view_weights([p], layout)[0])
-    return ((1.0 - b) * T_si ** 4 + b * T_rh ** 4) ** 0.25
+    return mixed_radiant_temperature(b, T_si, T_rh)
 
 
 def cabin_mean_radiant_set(layout: CabinLayout, T_si: float, T_rh: float) -> np.ndarray:
     """Per-passenger mean radiant temperatures (K), in passenger-list order."""
-    b = panel_view_weights(layout.passengers, layout)
-    return ((1.0 - b) * T_si ** 4 + b * T_rh ** 4) ** 0.25
+    return mixed_radiant_temperature(panel_view_weights(layout.passengers, layout),
+                                     T_si, T_rh)

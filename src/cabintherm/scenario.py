@@ -154,9 +154,10 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
 
     The header must carry either a ``beta_deg`` column or the
     timestamp/latitude/longitude triple.  Rows violating the scenario
-    invariants abort the load with their line numbers; the one tolerated
-    inconsistency is nonzero irradiance with the sun below the horizon,
-    which is zeroed with a warning.
+    invariants, and rows repeating an earlier row's id, abort the load with
+    their line numbers; the one tolerated inconsistency is nonzero
+    irradiance with the sun below the horizon, which is zeroed with a
+    warning.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -175,7 +176,13 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
 
         scenarios = []
         errors = []
+        line_of_id: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
+            first = line_of_id.setdefault(row["id"], lineno)
+            if first != lineno:
+                errors.append(f"line {lineno}: duplicate scenario id {row['id']!r} "
+                              f"(first on line {first})")
+                continue
             try:
                 scenarios.append(_parse_row(row, lineno, "beta_deg" in fields))
             except DataError as exc:

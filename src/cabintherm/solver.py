@@ -15,9 +15,12 @@ Two independent routes produce the same operating points:
   the solution meets the requested window, so reported comfort is always
   exact.
 
-Radiant heaters are handled by solving once with the panels held at their
-target temperature and once with them removed, keeping whichever needs
-less total electric power.
+Both routes share one radiant-heater branch selector,
+:class:`ScenarioSweeper`: it solves once with the panels held at their
+target temperature and once with them removed, by the route it was built
+for, and keeps whichever needs less total electric power.  The routes also
+share the heat balance (:func:`model_core.reservoir_balance`) and the
+per-branch result assembly.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .comfort import (ComfortSpec, clothing_insulation, get_pmv_surrogate,
                       mean_pmv, pmv_array, ppd as ppd_of)
 from .errors import ConfigError, SolverError
 from .model_core import (BusConfig, HeatFlows, KELVIN, Scenario, ThermalState,
-                         compute_heat_flows, passenger_heat,
-                         residuals_from_flows, solar_heat_flows)
+                         compute_heat_flows, reservoir_balance, scenario_loads)
 from .radiant_geometry import (CabinLayout, ceiling_panel_strip,
-                               panel_view_weights, place_passengers)
+                               mixed_radiant_temperature, panel_view_weights,
+                               place_passengers)
 from .scenario import placement_seed
 
 MAX_NEWTON_ITER = 100
@@ -51,6 +54,9 @@ T_BOX = (210.0, 400.0)  # K, Newton iterate clamp
 MODE_HEATING = "heating"
 MODE_COOLING = "cooling"
 MODE_PASSIVE = "passive"
+
+# solve route -> ``SolveResult.solver``
+SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ class _BranchModel:
     """Heat balance of one scenario with the RH branch fixed on or off.
 
     Precomputes everything that does not depend on the unknowns: solar
-    gains, passenger heat, clothing insulation, door-flow prefactor, and
-    per-passenger panel view weights.
+    gains, passenger heat, clothing insulation, and per-passenger panel
+    view weights.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -133,14 +139,8 @@ class _BranchModel:
         self.cfg = cfg
         self.spec = spec
         self.rh_on = rh_on and cfg.A_rh > 0
-        self.q_sol_so, self.q_sol_cab, self.q_sol_si = solar_heat_flows(scn, cfg)
-        self.q_pass = passenger_heat(scn.N_pass, cfg)
-        self.r_clo = clothing_insulation(scn.T_inf, scale=getattr(spec, "clo_scale", 1.0))
-        self.a_in = cfg.h_in * (cfg.A_roof + cfg.A_wall)
-        self.door_pre = (cfg.rho_inf * cfg.c_p_a * cfg.C_d
-                         * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
-                         * cfg.w_door_tot * scn.zeta_door)
-        self.inv_sqrt_tinf = 1.0 / math.sqrt(scn.T_inf)
+        self.loads = scenario_loads(scn, cfg)
+        self.r_clo = clothing_insulation(scn.T_inf, scale=spec.clo_scale)
         if self.rh_on and scn.N_pass > 0:
             layout = layout if layout is not None else default_layout(cfg)
             if abs(layout.panel_area - cfg.A_rh) > 1e-6:
@@ -162,16 +162,6 @@ class _BranchModel:
         self._passive_psi: float | None = None
         self._last_pinned: np.ndarray | None = None
 
-    # -- heat flow pieces ---------------------------------------------------
-
-    def _door(self, t_cab: float) -> float:
-        dt = t_cab - self.scn.T_inf
-        return self.door_pre * math.sqrt(abs(dt)) * self.inv_sqrt_tinf * dt
-
-    def _door_deriv(self, t_cab: float) -> float:
-        dt = t_cab - self.scn.T_inf
-        return 1.5 * self.door_pre * math.sqrt(abs(dt)) * self.inv_sqrt_tinf
-
     # -- exact comfort ------------------------------------------------------
 
     def mean_psi_batch(self, t_cab, t_si, t_rh) -> np.ndarray:
@@ -183,10 +173,9 @@ class _BranchModel:
             return pmv_array(t_cab - KELVIN, t_si - KELVIN, self.r_clo,
                              self.spec.v_cab, self.spec.phi_cab * 100.0,
                              self.spec.met)
-        b = self.b_weights[None, :]
-        tmr4 = (1.0 - b) * t_si[:, None] ** 4 + b * t_rh[:, None] ** 4
-        tmr_c = tmr4 ** 0.25 - KELVIN
-        vals = pmv_array(t_cab[:, None] - KELVIN, tmr_c, self.r_clo,
+        tmr = mixed_radiant_temperature(self.b_weights[None, :], t_si[:, None],
+                                        t_rh[:, None])
+        vals = pmv_array(t_cab[:, None] - KELVIN, tmr - KELVIN, self.r_clo,
                          self.spec.v_cab, self.spec.phi_cab * 100.0, self.spec.met)
         return vals.mean(axis=1)
 
@@ -218,9 +207,8 @@ class _BranchModel:
                                   self.r_clo, self.spec.v_cab,
                                   self.spec.phi_cab * 100.0, self.spec.met))
             return np.full(self.scn.N_pass, min(3.0, max(-3.0, val)))
-        b = self.b_weights
-        tmr4 = (1.0 - b) * state.T_si ** 4 + b * state.T_rh ** 4
-        vals = pmv_array(state.T_cab - KELVIN, tmr4 ** 0.25 - KELVIN, self.r_clo,
+        tmr = mixed_radiant_temperature(self.b_weights, state.T_si, state.T_rh)
+        vals = pmv_array(state.T_cab - KELVIN, tmr - KELVIN, self.r_clo,
                          self.spec.v_cab, self.spec.phi_cab * 100.0, self.spec.met)
         return np.clip(vals, -3.0, 3.0)
 
@@ -237,90 +225,48 @@ class _BranchModel:
             return x[0], x[2], x[1]
         return x[0], x[1], x[1]
 
+    def _balance(self, x: np.ndarray):
+        # Python floats: the same IEEE arithmetic as numpy scalars, faster
+        if self.rh_on:
+            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = x.tolist()
+        else:
+            t_cab, t_si, t_so, q_hvac = x.tolist()
+            t_rh, p_rh = t_cab, 0.0
+        return (*reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh, self.scn,
+                                   self.loads, self.cfg, self.rh_on), q_hvac, p_rh)
+
     def residual(self, x: np.ndarray, psi_tgt: float | None,
                  psi_val: float | None = None) -> tuple[np.ndarray, float]:
         """Residual rows and the flow magnitude used for relative tolerance.
 
-        ``psi_val`` lets callers reuse an already computed exact mean PMV;
-        absent, it is evaluated here.
+        The reservoir rows are followed by the panel-temperature pin (RH on)
+        and the PMV row (with a target).  ``psi_val`` lets callers reuse an
+        already computed exact mean PMV; absent, it is evaluated here.
         """
-        cfg = self.cfg
-        scn = self.scn
+        f, rows, _, q_hvac, p_rh = self._balance(x)
         if self.rh_on:
-            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = x
-        else:
-            t_cab, t_si, t_so, q_hvac = x
-            t_rh, p_rh = t_cab, 0.0
-        q_door = self._door(t_cab)
-        q_h_si = self.a_in * (t_cab - t_si)
-        q_k = cfg.k_body * (t_si - t_so)
-        q_h_so = cfg.h_out * cfg.A_body * (t_so - scn.T_inf)
-        q_r_so = cfg.sigma * cfg.A_body * (t_so ** 4 - scn.T_inf ** 4)
-        if self.rh_on:
-            q_r_rh = cfg.sigma * cfg.A_rh * (t_rh ** 4 - t_si ** 4)
-            q_h_rh = cfg.h_rh * cfg.A_rh * (t_rh - t_cab)
-        else:
-            q_r_rh = q_h_rh = 0.0
-
-        rows = [self.q_pass + q_h_rh - q_h_si - q_door + self.q_sol_cab + q_hvac]
-        if self.rh_on:
-            rows.append(p_rh - q_r_rh - q_h_rh)
-        rows.append(q_r_rh + q_h_si + self.q_sol_si - q_k)
-        rows.append(q_k - q_h_so - q_r_so + self.q_sol_so)
-        if self.rh_on:
-            rows.append(t_rh - cfg.T_rh_tgt)
+            rows.append(x[1] - self.cfg.T_rh_tgt)
         if psi_tgt is not None:
             if psi_val is None:
-                t_rh_eff = t_rh if self.rh_on else t_si
-                psi_val = self.mean_psi(t_cab, t_si, t_rh_eff)
+                psi_val = self.mean_psi(*self._unpack_temps(x))
             rows.append(psi_val - psi_tgt)
-        scale = max(1.0, abs(self.q_pass), abs(q_door), abs(q_h_si), abs(q_k),
-                    abs(q_h_so), abs(q_r_so), abs(q_r_rh), abs(q_h_rh),
-                    abs(q_hvac), abs(p_rh), self.q_sol_so)
+        loads = self.loads
+        scale = max(1.0, abs(loads.Q_pass), abs(f["Q_door"]), abs(f["Q_h_si"]),
+                    abs(f["Q_k"]), abs(f["Q_h_so"]), abs(f["Q_r_so"]), abs(f["Q_r_rh"]),
+                    abs(f["Q_h_rh"]), abs(q_hvac), abs(p_rh), loads.Q_sol_so)
         return np.array(rows), scale
 
     def jacobian(self, x: np.ndarray, psi_tgt: float | None,
                  psi_grad: np.ndarray | None) -> np.ndarray:
-        cfg = self.cfg
-        scn = self.scn
+        jac = self._balance(x)[2]
         if self.rh_on:
-            t_cab, t_rh, t_si, t_so = x[0], x[1], x[2], x[3]
-        else:
-            t_cab, t_si, t_so = x[0], x[1], x[2]
-            t_rh = t_cab
-        d_door = self._door_deriv(t_cab)
-        a_in = self.a_in
-        k = cfg.k_body
-        h_so = cfg.h_out * cfg.A_body
-        r_so = 4.0 * cfg.sigma * cfg.A_body * t_so ** 3
-        if self.rh_on:
-            hr = cfg.h_rh * cfg.A_rh
-            rr_rh = 4.0 * cfg.sigma * cfg.A_rh * t_rh ** 3
-            rr_si = 4.0 * cfg.sigma * cfg.A_rh * t_si ** 3
-            n = 6 if psi_tgt is not None else 5
-            jac = np.zeros((n, 6))
-            # cabin air: q_pass + q_h_rh - q_h_si - q_door + q_sol_cab + q_hvac
-            jac[0] = [-hr - a_in - d_door, hr, a_in, 0.0, 1.0, 0.0]
-            # panel: p_rh - q_r_rh - q_h_rh
-            jac[1] = [hr, -rr_rh - hr, rr_si, 0.0, 0.0, 1.0]
-            # inner shell: q_r_rh + q_h_si + q_sol_si - q_k
-            jac[2] = [a_in, rr_rh, -rr_si - a_in - k, k, 0.0, 0.0]
-            # outer shell: q_k - q_h_so - q_r_so + q_sol_so
-            jac[3] = [0.0, 0.0, k, -k - h_so - r_so, 0.0, 0.0]
-            # panel temperature pin
-            jac[4] = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+            jac.append([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])      # panel temperature pin
             if psi_tgt is not None:
-                jac[5] = [psi_grad[0], psi_grad[2], psi_grad[1], 0.0, 0.0, 0.0]
-            return jac
-        n = 4 if psi_tgt is not None else 3
-        jac = np.zeros((n, 4))
-        jac[0] = [-a_in - d_door, a_in, 0.0, 1.0]
-        jac[1] = [a_in, -a_in - k, k, 0.0]
-        jac[2] = [0.0, k, -k - h_so - r_so, 0.0]
-        if psi_tgt is not None:
+                jac.append([psi_grad[0], psi_grad[2], psi_grad[1], 0.0, 0.0, 0.0])
+        elif psi_tgt is not None:
             # no panels: T_mr tracks the inner shell only
-            jac[3] = [psi_grad[0], psi_grad[1], 0.0, 0.0]
-        return jac
+            jac.append([psi_grad[0], psi_grad[1], 0.0, 0.0])
+        return np.array(jac)
 
     def row_weights(self, psi_tgt: float | None) -> np.ndarray:
         w = [1e-3]                       # balance rows counted in kW
@@ -526,6 +472,20 @@ def _finalize(model: _BranchModel, state: ThermalState, solver_name: str,
     )
 
 
+def _solve_branch(model: _BranchModel, method: str, psi_min: float,
+                  psi_max: float) -> SolveResult:
+    """One RH branch at one PMV window by either route.  An empty bus has
+    no comfort constraint, so the optimization route returns the passive
+    solution without running the optimizer."""
+    if method == "rootfind":
+        state, iters = model.window(psi_min, psi_max)
+    elif model.scn.N_pass == 0:
+        state, iters = model.passive()
+    else:
+        state, iters = _opt_solve_branch(model, psi_min, psi_max)
+    return _finalize(model, state, SOLVER_NAMES[method], iters)
+
+
 # ---------------------------------------------------------------------------
 # public solves: root finding
 # ---------------------------------------------------------------------------
@@ -553,9 +513,8 @@ def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                           rh_on: bool, layout: CabinLayout | None = None,
                           seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via the passive-first logic."""
-    model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
-    state, iters = model.window(spec.psi_min, spec.psi_max)
-    return _finalize(model, state, "rootfind", iters)
+    return _solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed), "rootfind",
+                         spec.psi_min, spec.psi_max)
 
 
 # ---------------------------------------------------------------------------
@@ -596,36 +555,21 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
         if model.uniform_tmr:
             return float(surr.evaluate(t_cab - KELVIN, t_si - KELVIN, model.r_clo))
         t_rh = z[idx_trh] if rh_on else t_si
-        tmr4 = (1.0 - b) * t_si ** 4 + b * t_rh ** 4
-        tmr_c = tmr4 ** 0.25 - KELVIN
+        tmr_c = mixed_radiant_temperature(b, t_si, t_rh) - KELVIN
         vals = surr.evaluate(np.full_like(tmr_c, t_cab - KELVIN), tmr_c, model.r_clo)
         return float(np.mean(vals))
 
     def equalities(z):
-        t_cab, t_si, t_so = z[idx_tc], z[idx_tsi], z[idx_tso]
-        q_hvac = (z[idx_hp] - z[idx_ac]) * 1000.0
-        q_door = model._door(t_cab)
-        q_h_si = model.a_in * (t_cab - t_si)
-        q_k = cfg.k_body * (t_si - t_so)
-        q_h_so = cfg.h_out * cfg.A_body * (t_so - scn.T_inf)
-        q_r_so = cfg.sigma * cfg.A_body * (t_so ** 4 - scn.T_inf ** 4)
+        """Reservoir rows in kW, then (RH on) the panel-temperature pin."""
+        v = z.tolist()
+        p_rh = v[idx_prh] * 1000.0 if rh_on else 0.0
+        rows = reservoir_balance(v[idx_tc], v[idx_trh], v[idx_tsi], v[idx_tso],
+                                 (v[idx_hp] - v[idx_ac]) * 1000.0, p_rh, scn,
+                                 model.loads, cfg, rh_on)[1]
+        eq = [r * 1e-3 for r in rows]
         if rh_on:
-            t_rh = z[idx_trh]
-            p_rh = z[idx_prh] * 1000.0
-            q_r_rh = cfg.sigma * cfg.A_rh * (t_rh ** 4 - t_si ** 4)
-            q_h_rh = cfg.h_rh * cfg.A_rh * (t_rh - t_cab)
-            return np.array([
-                (model.q_pass + q_h_rh - q_h_si - q_door + model.q_sol_cab + q_hvac) * 1e-3,
-                (p_rh - q_r_rh - q_h_rh) * 1e-3,
-                (q_r_rh + q_h_si + model.q_sol_si - q_k) * 1e-3,
-                (q_k - q_h_so - q_r_so + model.q_sol_so) * 1e-3,
-                t_rh - cfg.T_rh_tgt,
-            ])
-        return np.array([
-            (model.q_pass - q_h_si - q_door + model.q_sol_cab + q_hvac) * 1e-3,
-            (q_h_si + model.q_sol_si - q_k) * 1e-3,
-            (q_k - q_h_so - q_r_so + model.q_sol_so) * 1e-3,
-        ])
+            eq.append(v[idx_trh] - cfg.T_rh_tgt)
+        return np.array(eq)
 
     def objective(z):
         t_cab = z[idx_tc]
@@ -741,12 +685,8 @@ def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                      rh_on: bool, layout: CabinLayout | None = None,
                      seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via constrained optimization."""
-    model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
-    if scn.N_pass == 0:
-        state, iters = model.passive()
-        return _finalize(model, state, "optimization", iters)
-    state, iters = _opt_solve_branch(model, spec.psi_min, spec.psi_max)
-    return _finalize(model, state, "optimization", iters)
+    return _solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed), "opt",
+                         spec.psi_min, spec.psi_max)
 
 
 # ---------------------------------------------------------------------------
@@ -755,46 +695,31 @@ def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
 
 def solve_best(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                method: str = "rootfind", layout: CabinLayout | None = None,
-               seed: int = 0,
-               weights_cache: ViewWeightsCache | None = None) -> SolveResult:
+               seed: int = 0) -> SolveResult:
     """Solve with and (when available) without radiant heaters, keep the
     cheaper operating point.  Ties go to the simpler RH-off actuation."""
-    if method == "rootfind":
-        off_model = _BranchModel(scn, cfg, spec, False, layout, seed, weights_cache)
-        st, iters = off_model.window(spec.psi_min, spec.psi_max)
-        result_off = _finalize(off_model, st, "rootfind", iters)
-    elif method == "opt":
-        result_off = solve_window_opt(scn, cfg, spec, False, layout, seed)
-    else:
-        raise ConfigError(f"unknown solver method {method!r}")
-
-    if not (cfg.rh_enabled and cfg.A_rh > 0):
-        return result_off
-
-    if method == "rootfind":
-        on_model = _BranchModel(scn, cfg, spec, True, layout, seed, weights_cache)
-        st, iters = on_model.window(spec.psi_min, spec.psi_max)
-        result_on = _finalize(on_model, st, "rootfind", iters)
-    else:
-        result_on = solve_window_opt(scn, cfg, spec, True, layout, seed)
-
-    if result_on.P_tot < result_off.P_tot - 1e-9:
-        return result_on
-    return result_off
+    return ScenarioSweeper(scn, cfg, spec, layout, seed, method=method).solve(
+        spec.psi_min, spec.psi_max)
 
 
 class ScenarioSweeper:
-    """Reusable per-scenario solver for window sweeps.
+    """The radiant-heater branch selector of both solve routes.
 
-    Keeps the passive solutions, placement view weights, and the last
-    pinned iterate alive across windows so a Pareto sweep pays the
-    scenario-level setup once.
+    Builds the RH-off branch and, when the bus has enabled panels, the
+    RH-on branch of one scenario; :meth:`solve` solves both by ``method``
+    ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.
+    The branches keep their passive solutions, placement view weights and
+    last pinned iterate across windows, so a sweep pays the scenario-level
+    setup once.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                  layout: CabinLayout | None = None, seed: int = 0,
-                 weights_cache: ViewWeightsCache | None = None):
-        self.cfg = cfg
+                 weights_cache: ViewWeightsCache | None = None,
+                 method: str = "rootfind"):
+        if method not in SOLVER_NAMES:
+            raise ConfigError(f"unknown solver method {method!r}")
+        self.method = method
         self.models = [_BranchModel(scn, cfg, spec, False, layout, seed, weights_cache)]
         if cfg.rh_enabled and cfg.A_rh > 0:
             self.models.append(_BranchModel(scn, cfg, spec, True, layout, seed,
@@ -803,8 +728,7 @@ class ScenarioSweeper:
     def solve(self, psi_min: float, psi_max: float) -> SolveResult:
         best = None
         for model in self.models:
-            st, iters = model.window(psi_min, psi_max)
-            res = _finalize(model, st, "rootfind", iters)
+            res = _solve_branch(model, self.method, psi_min, psi_max)
             if best is None or res.P_tot < best.P_tot - 1e-9:
                 best = res
         return best

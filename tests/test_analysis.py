@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from cabintherm import analysis, solver
 from cabintherm.analysis import (DEFAULT_SENSITIVITY_PARAMS, AnnualSummary,
                                  aggregate_annual, compare_concepts,
                                  monthly_table, oat_sensitivity, pareto_sweep,
@@ -120,6 +122,58 @@ class TestAggregateAnnual:
 @pytest.fixture(scope="module")
 def year_set():
     return synthesize_dataset(360, seed=21)
+
+
+@pytest.fixture(scope="module")
+def two_per_month(year_set):
+    """The first two scenarios of every month of ``year_set``."""
+    picked = []
+    for m in range(1, 13):
+        picked += [s for s in year_set if s.month == m][:2]
+    return ScenarioSet(tuple(picked))
+
+
+def comparable(results):
+    return [(r.scenario_id, r.state, r.flows, r.per_passenger_pmv, r.mode, r.solver)
+            for r in results]
+
+
+class TestPool:
+    def test_opt_route_runs_in_the_pool(self, two_per_month, hp_cfg, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        sub = ScenarioSet(two_per_month.scenarios[:8])
+        spec = ComfortSpec(psi_min=-0.5, psi_max=0.5)
+        pooled = solve_set(sub, hp_cfg, spec, jobs=2, method="opt")
+        assert pools == [2]
+        serial = solve_set(sub, hp_cfg, spec, jobs=1, method="opt")
+        assert comparable(pooled) == comparable(serial)
+        assert {r.solver for r in pooled} == {"optimization"}
+
+    def test_concepts_share_view_weights_in_the_pool(self, two_per_month,
+                                                      ptc_rh_cfg, hp_rh_cfg,
+                                                      tmp_path, monkeypatch):
+        # the workers are forked, so they count into a file
+        log = tmp_path / "calls"
+        log.write_text("")
+        original = solver.panel_view_weights
+
+        def counting(passengers, layout):
+            with open(log, "a") as fh:
+                fh.write("x")
+            return original(passengers, layout)
+
+        monkeypatch.setattr(solver, "panel_view_weights", counting)
+        compare_concepts(two_per_month, {"PTC-AC+RH": ptc_rh_cfg,
+                                         "HP-AC+RH": hp_rh_cfg}, [0.5, 1.0], jobs=2)
+        with_passengers = sum(1 for s in two_per_month if s.N_pass > 0)
+        assert len(log.read_text()) == with_passengers
 
 
 class TestParetoSweep:

@@ -211,6 +211,29 @@ class TestErrors:
         rc = main(["monthly", "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 3
 
+    def test_psi_tgt_needs_explicit_rh_with_panels(self, tmp_path, capsys):
+        cfg = tmp_path / "rh.yaml"
+        cfg.write_text("radiant_heaters: {enabled: true}\n", encoding="utf-8")
+        args = ["solve", "--t-inf-c", "-8", "--n-pass", "30", "--month", "1",
+                "--psi-tgt", "-0.5"]
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert "--rh on or --rh off" in capsys.readouterr().err
+        assert main(args + ["--config", str(cfg), "--rh", "off"]) == 0
+        # without panels there is no branch to choose: auto means off
+        assert main(args) == 0
+
+    def test_evaluation_error_is_solver_failure(self, monkeypatch, capsys):
+        from cabintherm import cli
+        from cabintherm.errors import EvaluationError
+
+        def failing(*args, **kwargs):
+            raise EvaluationError("PMV iteration did not converge")
+
+        monkeypatch.setattr(cli, "solve_best", failing)
+        rc = main(["solve", "--t-inf-c", "-8", "--n-pass", "30", "--month", "1"])
+        assert rc == 4
+        assert "solver failure" in capsys.readouterr().err
+
     def test_env_var_config(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "env.yaml"
         cfg.write_text("comfort: {psi_min: -0.5, psi_max: 0.5}\n", encoding="utf-8")

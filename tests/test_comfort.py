@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cabintherm.comfort import (ClothingModel, ComfortSpec, clothing_insulation,
+from cabintherm.comfort import (ComfortSpec, clothing_insulation,
                                 fit_pmv_surrogate, get_pmv_surrogate, mean_pmv,
                                 pmv, pmv_array, ppd)
 from cabintherm.errors import ConfigError, EvaluationError
@@ -47,10 +47,6 @@ class TestClothing:
         assert clothing_insulation(c_to_k(30.0), scale=0.5) == 0.3
         cold = clothing_insulation(c_to_k(-8.0))
         assert clothing_insulation(c_to_k(-8.0), scale=1.1) == pytest.approx(1.1 * cold)
-
-    def test_model_object(self):
-        m = ClothingModel()
-        assert m(c_to_k(30.0)) == 0.3
 
 
 class TestPmv:

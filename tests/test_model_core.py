@@ -6,12 +6,11 @@ import pytest
 from cabintherm.errors import ConfigError, EvaluationError
 from cabintherm.model_core import (BusConfig, CopCurve, HeatFlows, Scenario,
                                    ThermalState, balance_residuals, c_to_k,
-                                   compute_heat_flows, door_loss, hvac_power,
-                                   hvac_power_split, irradiance_roof,
+                                   door_loss, hvac_power, irradiance_roof,
                                    irradiance_wall_directional,
                                    irradiance_wall_mean, passenger_heat,
                                    radiative_loss_outer, radiative_rh_to_shell,
-                                   residuals_from_flows, solar_heat_flows)
+                                   solar_heat_flows)
 
 
 class TestPassengerHeat:
@@ -185,42 +184,6 @@ class TestHvacPower:
         cfg = hp_cfg.with_changes(cop_cooling=CopCurve.constant(2.0))
         assert hvac_power(-3000.0, 300.0, 305.0, cfg) == pytest.approx(1500.0)
 
-    def test_split_trivials(self, hp_cfg):
-        assert hvac_power_split(0.0, 0.0, 290.0, 280.0, hp_cfg) == 0.0
-        cfg = hp_cfg.with_changes(cop_heating=CopCurve.constant(2.5))
-        assert hvac_power_split(5000.0, 0.0, 290.0, 280.0, cfg) == pytest.approx(2000.0)
-
-    def test_split_matches_signed_form_one_sided(self, hp_cfg):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            t_cab = rng.uniform(270, 310)
-            t_inf = rng.uniform(250, 320)
-            q = rng.uniform(0, 20000)
-            if rng.random() < 0.5:
-                split = hvac_power_split(q, 0.0, t_cab, t_inf, hp_cfg)
-                direct = hvac_power(q, t_cab, t_inf, hp_cfg)
-            else:
-                split = hvac_power_split(0.0, q, t_cab, t_inf, hp_cfg)
-                direct = hvac_power(-q, t_cab, t_inf, hp_cfg)
-            assert split == pytest.approx(direct, rel=1e-12, abs=1e-9)
-
-    def test_simultaneous_never_cheaper(self, hp_cfg):
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            t_cab = rng.uniform(270, 310)
-            t_inf = rng.uniform(250, 320)
-            q_hp = rng.uniform(0, 10000)
-            q_ac = rng.uniform(0, 10000)
-            both = hvac_power_split(q_hp, q_ac, t_cab, t_inf, hp_cfg)
-            net = hvac_power(q_hp - q_ac, t_cab, t_inf, hp_cfg)
-            assert both >= net - 1e-9
-            if min(q_hp, q_ac) == 0.0:
-                assert both == pytest.approx(net)
-
-    def test_split_rejects_negative(self, hp_cfg):
-        with pytest.raises(ConfigError):
-            hvac_power_split(-1.0, 0.0, 290.0, 280.0, hp_cfg)
-
 
 class TestCopCurve:
     def test_interpolation(self):
@@ -275,13 +238,10 @@ class TestBalance:
         assert r[0] < 0.0  # cabin-air row: more door and shell losses
 
     def test_nonfinite_flow_named(self, hp_cfg, winter_scn):
-        flows = compute_heat_flows(
-            ThermalState(T_cab=290.0, T_rh=290.0, T_si=285.0, T_so=270.0,
-                         Q_hvac=0.0, P_rh=0.0), winter_scn, hp_cfg, False)
-        import dataclasses
-        bad = dataclasses.replace(flows, Q_door=float("nan"))
+        bad = ThermalState(T_cab=float("nan"), T_rh=290.0, T_si=285.0, T_so=270.0,
+                           Q_hvac=0.0, P_rh=0.0)
         with pytest.raises(EvaluationError, match="Q_door"):
-            residuals_from_flows(bad, False)
+            balance_residuals(bad, winter_scn, hp_cfg, False)
 
 
 class TestValidation:

@@ -60,6 +60,17 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="no data rows"):
             load_scenarios_csv(path)
 
+    def test_duplicate_id_rejected_with_both_lines(self, tmp_path):
+        # a June and a December hour under one id would otherwise both be
+        # filed under December by the month-first aggregation
+        path = write(tmp_path, HEADER
+                     + "a,1,-5.0,0,0,-10,12,0.1,0.45\n"
+                     + "dup,6,22.5,600,90,40,25,0.08,0.25\n"
+                     + "dup,12,-2.0,0,0,-10,12,0.1,0.45\n")
+        with pytest.raises(DataError, match=r"line 4: duplicate scenario id 'dup' "
+                                            r"\(first on line 3\)"):
+            load_scenarios_csv(path)
+
     def test_non_numeric_field(self, tmp_path):
         path = write(tmp_path, HEADER + "a,1,cold,0,0,-10,12,0.1,0.45\n")
         with pytest.raises(DataError, match="non-numeric"):
