@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .comfort import ComfortSpec, get_pmv_surrogate
-from .errors import ConfigError, DataError
+from .errors import CabinThermError, ConfigError, DataError
 from .model_core import BusConfig
 from .radiant_geometry import CabinLayout
 from .scenario import ScenarioSet
 from .solver import (MODE_COOLING, MODE_HEATING, MODE_PASSIVE, ScenarioSweeper,
-                     SolveResult, ViewWeightsCache, default_layout)
+                     SolveResult, ViewWeightsCache, default_layout, settle)
 
 
 @dataclass(frozen=True)
@@ -140,20 +140,43 @@ def aggregate_annual(results, sset: ScenarioSet) -> AnnualSummary:
 # batch solving
 # ---------------------------------------------------------------------------
 
+# Scenarios of a chunk solved side by side at most: bounds the suspended
+# solves held at once and the size of one PMV kernel call, whose fixed cost
+# is already negligible at this many rows.
+_LOCKSTEP_SCENARIOS = 256
+
+
 def _solve_chunk(args):
     """results[scenario][concept][window] for one chunk of scenarios.
 
-    One view-weight cache serves every concept and window of the chunk.
+    The chunk goes in slices of up to ``_LOCKSTEP_SCENARIOS`` scenarios.
+    Every (scenario, concept) pair of a slice is solved at one window at a
+    time in lockstep (:func:`solver.settle`), so a Newton round of the slice
+    makes one batched PMV kernel call.  The results are then taken from
+    :meth:`ScenarioSweeper.solve` in scenario-major order, so a failing
+    chunk raises the error of its first failing scenario in dataset order,
+    and a scenario whose sweeper cannot be built raises only after the
+    scenarios before it.  One view-weight cache serves every concept and
+    window of the chunk.
     """
     scenarios, concepts, spec, windows, seed, method = args
     cache = ViewWeightsCache()
     out = []
-    for scn in scenarios:
-        per_concept = []
-        for cfg, layout in concepts:
-            sweeper = ScenarioSweeper(scn, cfg, spec, layout, seed, cache, method)
-            per_concept.append([sweeper.solve(lo, hi) for lo, hi in windows])
-        out.append(per_concept)
+    for start in range(0, len(scenarios), _LOCKSTEP_SCENARIOS):
+        rows: list[list[ScenarioSweeper]] = []
+        build_error = None
+        try:
+            for scn in scenarios[start:start + _LOCKSTEP_SCENARIOS]:
+                rows.append([])
+                for cfg, layout in concepts:
+                    rows[-1].append(ScenarioSweeper(scn, cfg, spec, layout, seed, cache,
+                                                    method))
+        except CabinThermError as err:
+            build_error = err
+        settle([sw for row in rows for sw in row], windows)
+        out += [[[sw.solve(lo, hi) for lo, hi in windows] for sw in row] for row in rows]
+        if build_error is not None:
+            raise build_error
     return out
 
 
@@ -162,8 +185,10 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
                  ) -> list[list[list[SolveResult]]]:
     """Solve every scenario for every (config, layout) pair in ``concepts``
     at every window; returns results[concept][window][scenario]."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     scenarios = list(sset)
-    if jobs <= 1:
+    if jobs == 1 or not scenarios:
         per_scn = _solve_chunk((scenarios, concepts, spec, windows, seed, method))
     else:
         if method == "opt":
@@ -171,7 +196,7 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
         chunks = max(1, math.ceil(len(scenarios) / (jobs * 4)))
         batches = [scenarios[i:i + chunks] for i in range(0, len(scenarios), chunks)]
         per_scn = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
             for part in pool.map(_solve_chunk,
                                  [(b, concepts, spec, windows, seed, method)
                                   for b in batches]):

@@ -404,6 +404,13 @@ def cmd_gen(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cabintherm",
@@ -415,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenarios", default=None, help="scenario CSV path")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                         help="concurrent scenario solves")
     common.add_argument("--solver", choices=["opt", "rootfind", "both"],
                         default="rootfind")

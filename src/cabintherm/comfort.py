@@ -93,11 +93,17 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
     Implements the iterative clothing-surface-temperature balance; raises
     :class:`EvaluationError` if it fails to converge within 150 steps.
     Inputs in Celsius/clo; broadcasting follows numpy rules.
+
+    Every point stops at its own convergence step, so its value does not
+    depend on the other points of the call: it is bit for bit the same
+    alone (0-d or 1-element), inside any batch and inside any sub-batch.
+    Callers may therefore gather the points of many solves into one call.
     """
-    ta = np.asarray(ta_c, dtype=float)
-    tr = np.asarray(tr_c, dtype=float)
-    clo = np.asarray(clo, dtype=float)
-    ta, tr, clo = np.broadcast_arrays(ta, tr, clo)
+    ta, tr, clo = np.broadcast_arrays(np.asarray(ta_c, dtype=float),
+                                      np.asarray(tr_c, dtype=float),
+                                      np.asarray(clo, dtype=float))
+    shape = ta.shape
+    ta, tr, clo = ta.ravel(), tr.ravel(), clo.ravel()
 
     pa = _vapor_pressure_pa(ta, rh_pct)
     icl = 0.155 * clo
@@ -115,6 +121,11 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
     p4 = p1 * taa
     p5 = 308.7 - 0.028 * mw + p2 * (tra / 100.0) ** 4
 
+    # fixed point on the points still iterating (``live``); a point's xn and
+    # hc are kept from the first step at which it meets the tolerance
+    xn_done = np.empty(ta.size)
+    hc_done = np.empty(ta.size)
+    live = np.arange(ta.size)
     xn = tcla / 100.0
     xf = xn / 2.0
     for _ in range(_MAX_TCL_ITER):
@@ -122,10 +133,18 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
         hcn = 2.38 * np.abs(100.0 * xf - taa) ** 0.25
         hc = np.maximum(hcf, hcn)
         xn = (p5 + p4 * hc - p2 * xf ** 4) / (100.0 + p3 * hc)
-        if np.max(np.abs(xn - xf)) < _TCL_TOL:
+        done = np.abs(xn - xf) < _TCL_TOL
+        if done.any():
+            xn_done[live[done]] = xn[done]
+            hc_done[live[done]] = hc[done]
+            go = ~done
+            live, xf, xn = live[go], xf[go], xn[go]
+            taa, p2, p3, p4, p5 = taa[go], p2[go], p3[go], p4[go], p5[go]
+        if not live.size:
             break
     else:
         raise EvaluationError("clothing surface temperature iteration did not converge")
+    xn, hc = xn_done, hc_done
 
     tcl = 100.0 * xn - 273.0
     hl1 = 3.05e-3 * (5733.0 - 6.99 * mw - pa)
@@ -135,7 +154,8 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
     hl5 = 3.96 * fcl * (xn ** 4 - (tra / 100.0) ** 4)
     hl6 = fcl * hc * (tcl - ta)
     ts = 0.303 * math.exp(-0.036 * m) + 0.028
-    return ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6)
+    out = ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6)
+    return out.reshape(shape) if shape else out[0]
 
 
 def pmv(T_cab: float, T_mr: float, R_clo: float, spec: ComfortSpec,

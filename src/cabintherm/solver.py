@@ -21,19 +21,38 @@ target temperature and once with them removed, by the route it was built
 for, and keeps whichever needs less total electric power.  The routes also
 share the heat balance (:func:`model_core.reservoir_balance`) and the
 per-branch result assembly.
+
+Exact PMV values are evaluated in lockstep.  Every solve is written as
+*solve steps*: a generator that yields a PMV request -- the kernel points
+of one scenario, from a Newton residual, a forward-difference gradient, a
+passive-state check or the per-passenger report of a settled state --
+whenever it needs exact PMV values, is sent the values back, and returns
+its result.  The scheduler :func:`_lockstep` advances many solves side by
+side and answers all their pending requests of one round with a single
+:func:`comfort.pmv_array` call, so a sweep pays the kernel's fixed cost
+once per Newton round of many scenarios rather than once per scenario.  The arithmetic
+of each solve (Newton steps, line search, restarts, warm starts) stays its
+own and does not depend on what it runs beside: the kernel converges point
+by point, so a value is the same in any batch.  :func:`settle` runs many
+sweepers (:class:`ScenarioSweeper`) window by window; a single solve runs
+the same scheduler with one task.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
+from collections.abc import Generator
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import TypeVar
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .comfort import (ComfortSpec, clothing_insulation, get_pmv_surrogate,
                       mean_pmv, pmv_array, ppd as ppd_of)
-from .errors import ConfigError, SolverError
+from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
 from .model_core import (BusConfig, HeatFlows, KELVIN, Scenario, ThermalState,
                          compute_heat_flows, reservoir_balance, scenario_loads)
 from .radiant_geometry import (CabinLayout, ceiling_panel_strip,
@@ -57,6 +76,10 @@ MODE_PASSIVE = "passive"
 
 # solve route -> ``SolveResult.solver``
 SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
+
+_T = TypeVar("_T")
+# solve steps returning a _T: yield (model, ta_c, tr_c), are sent PMV values
+_Steps = Generator[tuple, np.ndarray, _T]
 
 
 @dataclass(frozen=True)
@@ -121,6 +144,83 @@ class ViewWeightsCache:
 
 
 # ---------------------------------------------------------------------------
+# lockstep PMV scheduler
+# ---------------------------------------------------------------------------
+
+def _batch_pmv(requests: list, vel: float, rh_pct: float, met: float) -> list:
+    """PMV values of every ``(model, ta_c, tr_c)`` request by one kernel call.
+
+    When a point does not converge, each request is evaluated alone (a
+    point's value does not depend on its batch) and the requests that fail
+    get an :class:`EvaluationError` naming their scenario.
+    """
+    sizes = [ta.size for _, ta, _ in requests]
+    try:
+        if len(requests) == 1:  # no copies for a lone solve
+            model, ta, tr = requests[0]
+            return [pmv_array(ta, tr, model.r_clo, vel, rh_pct, met)]
+        vals = pmv_array(np.concatenate([ta for _, ta, _ in requests]),
+                         np.concatenate([tr for _, _, tr in requests]),
+                         np.repeat([model.r_clo for model, _, _ in requests], sizes),
+                         vel, rh_pct, met)
+    except EvaluationError:
+        out = []
+        for model, ta, tr in requests:
+            try:
+                out.append(pmv_array(ta, tr, model.r_clo, vel, rh_pct, met))
+            except EvaluationError as err:
+                out.append(EvaluationError(f"{err} (scenario {model.scn.id!r})"))
+        return out
+    return [vals[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+
+
+def _lockstep(tasks: list[_Steps]) -> list:
+    """Run solve steps side by side; per task its result or its error.
+
+    A task is a generator that yields ``(model, ta_c, tr_c)`` -- 1-D air and
+    radiant temperatures (C) of kernel points at the clothing of ``model`` --
+    whenever it needs exact PMV values, is sent their values, and returns
+    its result.  Each round answers the pending requests of every task with
+    one :func:`pmv_array` call per comfort setting.  A task that raises a
+    :class:`CabinThermError` stops with it; the others carry on.
+    """
+    out: list = [None] * len(tasks)
+    pending: dict[int, tuple] = {}
+
+    def advance(i, resume, value):
+        try:
+            pending[i] = resume(value)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except CabinThermError as err:
+            out[i] = err
+
+    for i, task in enumerate(tasks):
+        advance(i, task.send, None)
+    while pending:
+        batch, pending = pending, {}
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for i, (model, _, _) in batch.items():
+            spec = model.spec
+            groups[(spec.v_cab, spec.phi_cab * 100.0, spec.met)].append(i)
+        for setting, idx in groups.items():
+            for i, vals in zip(idx, _batch_pmv([batch[i] for i in idx], *setting)):
+                if isinstance(vals, EvaluationError):
+                    advance(i, tasks[i].throw, vals)
+                else:
+                    advance(i, tasks[i].send, vals)
+    return out
+
+
+def _run(task: _Steps[_T]) -> _T:
+    """Result of one task of solve steps; raises its error."""
+    out = _lockstep([task])[0]
+    if isinstance(out, CabinThermError):
+        raise out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-scenario model with precomputed disturbances
 # ---------------------------------------------------------------------------
 
@@ -129,7 +229,8 @@ class _BranchModel:
 
     Precomputes everything that does not depend on the unknowns: solar
     gains, passenger heat, clothing insulation, and per-passenger panel
-    view weights.
+    view weights.  The methods that need exact PMV values are solve steps
+    (generators for :func:`_lockstep`, see the module docstring).
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -162,54 +263,52 @@ class _BranchModel:
         self._passive_psi: float | None = None
         self._last_pinned: np.ndarray | None = None
 
-    # -- exact comfort ------------------------------------------------------
+    # -- exact comfort (solve steps) ----------------------------------------
 
-    def mean_psi_batch(self, t_cab, t_si, t_rh) -> np.ndarray:
+    def mean_psi_batch(self, t_cab, t_si, t_rh) -> _Steps[np.ndarray]:
         """Unclamped mean PMV for batched states (arrays of equal length)."""
         t_cab = np.atleast_1d(np.asarray(t_cab, float))
         t_si = np.atleast_1d(np.asarray(t_si, float))
         t_rh = np.atleast_1d(np.asarray(t_rh, float))
         if self.uniform_tmr:
-            return pmv_array(t_cab - KELVIN, t_si - KELVIN, self.r_clo,
-                             self.spec.v_cab, self.spec.phi_cab * 100.0,
-                             self.spec.met)
+            return (yield self, t_cab - KELVIN, t_si - KELVIN)
         tmr = mixed_radiant_temperature(self.b_weights[None, :], t_si[:, None],
                                         t_rh[:, None])
-        vals = pmv_array(t_cab[:, None] - KELVIN, tmr - KELVIN, self.r_clo,
-                         self.spec.v_cab, self.spec.phi_cab * 100.0, self.spec.met)
-        return vals.mean(axis=1)
+        ta = np.broadcast_to(t_cab[:, None] - KELVIN, tmr.shape)
+        vals = yield self, ta.ravel(), (tmr - KELVIN).ravel()
+        return vals.reshape(tmr.shape).mean(axis=1)
 
-    def mean_psi(self, t_cab: float, t_si: float, t_rh: float) -> float:
-        return float(self.mean_psi_batch([t_cab], [t_si], [t_rh])[0])
+    def mean_psi(self, t_cab: float, t_si: float, t_rh: float) -> _Steps[float]:
+        """Unclamped mean PMV at one state."""
+        return float((yield from self.mean_psi_batch([t_cab], [t_si], [t_rh]))[0])
 
     def psi_gradient(self, t_cab: float, t_si: float, t_rh: float,
-                     base: float) -> np.ndarray:
+                     base: float) -> _Steps[np.ndarray]:
         """d(mean PMV)/d(T_cab, T_si, T_rh) by vectorized forward differences
         around an already-known base value."""
         h = PSI_FD_STEP
         if self.rh_on:
-            vals = self.mean_psi_batch([t_cab + h, t_cab, t_cab],
-                                       [t_si, t_si + h, t_si],
-                                       [t_rh, t_rh, t_rh + h])
+            vals = yield from self.mean_psi_batch([t_cab + h, t_cab, t_cab],
+                                                  [t_si, t_si + h, t_si],
+                                                  [t_rh, t_rh, t_rh + h])
         else:
-            vals = self.mean_psi_batch([t_cab + h, t_cab],
-                                       [t_si, t_si + h],
-                                       [t_rh, t_rh])
+            vals = yield from self.mean_psi_batch([t_cab + h, t_cab],
+                                                  [t_si, t_si + h],
+                                                  [t_rh, t_rh])
             vals = np.array([vals[0], vals[1], base])
         return (vals - base) / h
 
-    def per_passenger_pmv(self, state: ThermalState) -> np.ndarray:
+    def per_passenger_pmv(self, state: ThermalState) -> _Steps[np.ndarray]:
         """Exact per-passenger PMV, clamped to the reporting range."""
-        if self.scn.N_pass == 0:
+        n = self.scn.N_pass
+        if n == 0:
             return np.zeros(0)
         if self.uniform_tmr:
-            val = float(pmv_array(state.T_cab - KELVIN, state.T_si - KELVIN,
-                                  self.r_clo, self.spec.v_cab,
-                                  self.spec.phi_cab * 100.0, self.spec.met))
-            return np.full(self.scn.N_pass, min(3.0, max(-3.0, val)))
+            vals = yield (self, np.array([state.T_cab - KELVIN]),
+                          np.array([state.T_si - KELVIN]))
+            return np.full(n, min(3.0, max(-3.0, float(vals[0]))))
         tmr = mixed_radiant_temperature(self.b_weights, state.T_si, state.T_rh)
-        vals = pmv_array(state.T_cab - KELVIN, tmr - KELVIN, self.r_clo,
-                         self.spec.v_cab, self.spec.phi_cab * 100.0, self.spec.met)
+        vals = yield self, np.full(n, state.T_cab - KELVIN), tmr - KELVIN
         return np.clip(vals, -3.0, 3.0)
 
     # -- residual system ----------------------------------------------------
@@ -225,40 +324,47 @@ class _BranchModel:
             return x[0], x[2], x[1]
         return x[0], x[1], x[1]
 
-    def _balance(self, x: np.ndarray):
+    def _system(self, x: np.ndarray, psi_tgt: float | None,
+                psi_val: float | None) -> tuple[np.ndarray, float, list]:
+        """Residual rows, the flow magnitude used for relative tolerance,
+        and the Jacobian rows of the reservoir balance, from one kernel call.
+
+        The reservoir rows are followed by the panel-temperature pin (RH on)
+        and, with a target, the PMV row at the exact mean PMV ``psi_val``.
+        """
         # Python floats: the same IEEE arithmetic as numpy scalars, faster
         if self.rh_on:
             t_cab, t_rh, t_si, t_so, q_hvac, p_rh = x.tolist()
         else:
             t_cab, t_si, t_so, q_hvac = x.tolist()
             t_rh, p_rh = t_cab, 0.0
-        return (*reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh, self.scn,
-                                   self.loads, self.cfg, self.rh_on), q_hvac, p_rh)
-
-    def residual(self, x: np.ndarray, psi_tgt: float | None,
-                 psi_val: float | None = None) -> tuple[np.ndarray, float]:
-        """Residual rows and the flow magnitude used for relative tolerance.
-
-        The reservoir rows are followed by the panel-temperature pin (RH on)
-        and the PMV row (with a target).  ``psi_val`` lets callers reuse an
-        already computed exact mean PMV; absent, it is evaluated here.
-        """
-        f, rows, _, q_hvac, p_rh = self._balance(x)
+        f, rows, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh,
+                                         self.scn, self.loads, self.cfg, self.rh_on)
         if self.rh_on:
             rows.append(x[1] - self.cfg.T_rh_tgt)
         if psi_tgt is not None:
-            if psi_val is None:
-                psi_val = self.mean_psi(*self._unpack_temps(x))
             rows.append(psi_val - psi_tgt)
         loads = self.loads
         scale = max(1.0, abs(loads.Q_pass), abs(f["Q_door"]), abs(f["Q_h_si"]),
                     abs(f["Q_k"]), abs(f["Q_h_so"]), abs(f["Q_r_so"]), abs(f["Q_r_rh"]),
                     abs(f["Q_h_rh"]), abs(q_hvac), abs(p_rh), loads.Q_sol_so)
-        return np.array(rows), scale
+        return np.array(rows), scale, jac
 
-    def jacobian(self, x: np.ndarray, psi_tgt: float | None,
+    def residual(self, x: np.ndarray, psi_tgt: float | None,
+                 psi_val: float | None = None) -> tuple[np.ndarray, float]:
+        """Residual rows and the flow magnitude used for relative tolerance.
+
+        ``psi_val`` lets callers reuse an already computed exact mean PMV;
+        absent, it is evaluated here.
+        """
+        if psi_tgt is not None and psi_val is None:
+            psi_val = _run(self.mean_psi(*self._unpack_temps(x)))
+        return self._system(x, psi_tgt, psi_val)[:2]
+
+    def jacobian(self, balance_jac: list, psi_tgt: float | None,
                  psi_grad: np.ndarray | None) -> np.ndarray:
-        jac = self._balance(x)[2]
+        """Full Jacobian from the reservoir rows ``_system`` returned."""
+        jac = list(balance_jac)
         if self.rh_on:
             jac.append([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])      # panel temperature pin
             if psi_tgt is not None:
@@ -316,13 +422,15 @@ class _BranchModel:
     # -- damped Newton ------------------------------------------------------
 
     def newton(self, x0: np.ndarray, psi_tgt: float | None,
-               frozen_q: float | None = None) -> tuple[np.ndarray, int]:
-        """Damped Newton on the square system.
+               frozen_q: float | None = None) -> _Steps[tuple[np.ndarray, int]]:
+        """Damped Newton on the square system (solve steps); returns
+        ``(x, iterations)``.
 
         ``frozen_q`` removes Q_hvac from the unknowns and holds it at the
         given value (passive solves use 0).  Backtracking line search on the
         weighted residual norm; up to 5 restarts from perturbed starting
-        points on stagnation.
+        points on stagnation.  The Jacobian of an iterate reuses the
+        reservoir rows evaluated with its residual.
         """
         nfull = self.n_unknowns()
         q_idx = 4 if self.rh_on else 3
@@ -335,12 +443,8 @@ class _BranchModel:
         last_x = None
 
         def evaluate(xv):
-            if use_psi:
-                psi = self.mean_psi(*self._unpack_temps(xv))
-                rv, sv = self.residual(xv, psi_tgt, psi)
-                return rv, sv, psi
-            rv, sv = self.residual(xv, None)
-            return rv, sv, None
+            psi = (yield from self.mean_psi(*self._unpack_temps(xv))) if use_psi else None
+            return (*self._system(xv, psi_tgt, psi), psi)
 
         for attempt in range(MAX_RESTARTS + 1):
             x = x0.copy()
@@ -350,15 +454,16 @@ class _BranchModel:
                 rng = np.random.default_rng(1000 + attempt)
                 x[:n_temps] += rng.uniform(-5.0, 5.0, n_temps)
             psi_grad = None
-            r, scale, psi_val = evaluate(x)
+            r, scale, bal_jac, psi_val = yield from evaluate(x)
             norm = float(np.linalg.norm(r * weights))
             for it in range(MAX_NEWTON_ITER):
                 if self.converged(r, scale, psi_tgt):
                     return x, total_iters
                 total_iters += 1
                 if use_psi and (psi_grad is None or it % 4 == 0):
-                    psi_grad = self.psi_gradient(*self._unpack_temps(x), psi_val)
-                jac = self.jacobian(x, psi_tgt, psi_grad)[:, cols]
+                    psi_grad = yield from self.psi_gradient(*self._unpack_temps(x),
+                                                            psi_val)
+                jac = self.jacobian(bal_jac, psi_tgt, psi_grad)[:, cols]
                 try:
                     dx = np.linalg.solve(jac, -r)
                 except np.linalg.LinAlgError:
@@ -370,10 +475,11 @@ class _BranchModel:
                     for ci, col in enumerate(cols):
                         x_new[col] += step * dx[ci]
                     np.clip(x_new[:n_temps], T_BOX[0], T_BOX[1], out=x_new[:n_temps])
-                    r_new, scale_new, psi_new = evaluate(x_new)
+                    r_new, scale_new, jac_new, psi_new = yield from evaluate(x_new)
                     norm_new = float(np.linalg.norm(r_new * weights))
                     if norm_new < norm or not math.isfinite(norm):
-                        x, r, scale, norm, psi_val = x_new, r_new, scale_new, norm_new, psi_new
+                        x, r, scale, norm = x_new, r_new, scale_new, norm_new
+                        bal_jac, psi_val = jac_new, psi_new
                         improved = True
                         break
                     step *= LINESEARCH_FACTOR
@@ -387,52 +493,53 @@ class _BranchModel:
             f"(rh_on={self.rh_on}, psi_tgt={psi_tgt})",
             last_x=last_x, last_residuals=last_r)
 
-    # -- branch-level solves ------------------------------------------------
+    # -- branch-level solves (solve steps) ----------------------------------
 
-    def passive(self) -> tuple[ThermalState, int]:
+    def passive(self) -> _Steps[tuple[ThermalState, int]]:
         """Zero-HVAC-heat solution (panels, when on, still at target)."""
         if self._passive is None:
-            x, iters = self.newton(self.init_vector(None), None, frozen_q=0.0)
+            x, iters = yield from self.newton(self.init_vector(None), None, frozen_q=0.0)
             self._passive = (self.state_from(x, frozen_q=0.0), iters)
         return self._passive
 
-    def passive_psi(self) -> float:
+    def passive_psi(self) -> _Steps[float]:
         if self._passive_psi is None:
-            st, _ = self.passive()
+            st, _ = yield from self.passive()
             t_rh = st.T_rh if self.rh_on else st.T_si
-            self._passive_psi = self.mean_psi(st.T_cab, st.T_si, t_rh)
+            self._passive_psi = yield from self.mean_psi(st.T_cab, st.T_si, t_rh)
         return self._passive_psi
 
-    def pinned(self, psi_tgt: float) -> tuple[ThermalState, int]:
+    def pinned(self, psi_tgt: float) -> _Steps[tuple[ThermalState, int]]:
         """Solve with the mean PMV pinned to ``psi_tgt``."""
         x0 = self._last_pinned if self._last_pinned is not None else self.init_vector(psi_tgt)
         try:
-            x, iters = self.newton(x0.copy(), psi_tgt)
+            x, iters = yield from self.newton(x0.copy(), psi_tgt)
         except SolverError:
-            x, iters = self.newton(self.init_vector(psi_tgt), psi_tgt)
+            x, iters = yield from self.newton(self.init_vector(psi_tgt), psi_tgt)
         self._last_pinned = x
         return self.state_from(x), iters
 
-    def balance_with_q(self, q_hvac: float, x0: np.ndarray | None = None) -> tuple[ThermalState, int]:
+    def balance_with_q(self, q_hvac: float, x0: np.ndarray | None = None
+                       ) -> _Steps[tuple[ThermalState, int]]:
         """Solve temperatures (and panel power) for a prescribed HVAC heat."""
         x0 = x0 if x0 is not None else self.init_vector(None)
-        x, iters = self.newton(x0, None, frozen_q=q_hvac)
+        x, iters = yield from self.newton(x0, None, frozen_q=q_hvac)
         return self.state_from(x, frozen_q=q_hvac), iters
 
-    def window(self, psi_min: float, psi_max: float) -> tuple[ThermalState, int]:
+    def window(self, psi_min: float, psi_max: float) -> _Steps[tuple[ThermalState, int]]:
         """Passive-first window logic; pin to the violated limit if needed.
 
         The vote saturates at +/-3, so a window bound at the end of the
         scale never binds: the comparison uses the clamped passive PMV.
         """
-        st, iters = self.passive()
+        st, iters = yield from self.passive()
         if self.scn.N_pass == 0:
             return st, iters
-        psi_pass = min(3.0, max(-3.0, self.passive_psi()))
+        psi_pass = min(3.0, max(-3.0, (yield from self.passive_psi())))
         if psi_min - 1e-12 <= psi_pass <= psi_max + 1e-12:
             return st, iters
         tgt = psi_min if psi_pass < psi_min else psi_max
-        st2, iters2 = self.pinned(tgt)
+        st2, iters2 = yield from self.pinned(tgt)
         return st2, iters + iters2
 
 
@@ -441,9 +548,10 @@ class _BranchModel:
 # ---------------------------------------------------------------------------
 
 def _finalize(model: _BranchModel, state: ThermalState, solver_name: str,
-              iterations: int) -> SolveResult:
+              iterations: int) -> _Steps[SolveResult]:
+    """The :class:`SolveResult` of a solved state."""
     flows = compute_heat_flows(state, model.scn, model.cfg, model.rh_on)
-    per_pax = model.per_passenger_pmv(state)
+    per_pax = yield from model.per_passenger_pmv(state)
     if per_pax.size:
         psi = float(np.clip(mean_pmv(per_pax), -3.0, 3.0))
         dissat = ppd_of(psi)
@@ -473,17 +581,17 @@ def _finalize(model: _BranchModel, state: ThermalState, solver_name: str,
 
 
 def _solve_branch(model: _BranchModel, method: str, psi_min: float,
-                  psi_max: float) -> SolveResult:
+                  psi_max: float) -> _Steps[SolveResult]:
     """One RH branch at one PMV window by either route.  An empty bus has
     no comfort constraint, so the optimization route returns the passive
     solution without running the optimizer."""
     if method == "rootfind":
-        state, iters = model.window(psi_min, psi_max)
+        state, iters = yield from model.window(psi_min, psi_max)
     elif model.scn.N_pass == 0:
-        state, iters = model.passive()
+        state, iters = yield from model.passive()
     else:
-        state, iters = _opt_solve_branch(model, psi_min, psi_max)
-    return _finalize(model, state, SOLVER_NAMES[method], iters)
+        state, iters = yield from _opt_solve_branch(model, psi_min, psi_max)
+    return (yield from _finalize(model, state, SOLVER_NAMES[method], iters))
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +610,23 @@ def solve_fixed_pmv(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
     if spec.psi_tgt is None:
         raise ConfigError("solve_fixed_pmv requires spec.psi_tgt")
     model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
-    if scn.N_pass == 0:
-        state, iters = model.passive()
-        return _finalize(model, state, "rootfind", iters)
-    state, iters = model.pinned(spec.psi_tgt)
-    return _finalize(model, state, "rootfind", iters)
+
+    def steps() -> _Steps[SolveResult]:
+        if scn.N_pass == 0:
+            state, iters = yield from model.passive()
+        else:
+            state, iters = yield from model.pinned(spec.psi_tgt)
+        return (yield from _finalize(model, state, "rootfind", iters))
+
+    return _run(steps())
 
 
 def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                           rh_on: bool, layout: CabinLayout | None = None,
                           seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via the passive-first logic."""
-    return _solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed), "rootfind",
-                         spec.psi_min, spec.psi_max)
+    return _run(_solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed),
+                              "rootfind", spec.psi_min, spec.psi_max))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +638,7 @@ _OPT_PSI_TOL = 1e-7
 
 
 def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
-                      psi_max: float | None) -> tuple[ThermalState, int]:
+                      psi_max: float | None) -> _Steps[tuple[ThermalState, int]]:
     """SLSQP minimization of electric power for one RH branch.
 
     Decision vector (scaled): temperatures in K, heat/power in kW.  The PMV
@@ -643,12 +755,12 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
             x0[2], x0[3] = z[idx_tsi], z[idx_tso]
         else:
             x0[1], x0[2] = z[idx_tsi], z[idx_tso]
-        state, iters_polish = model.balance_with_q(q_hvac, x0)
+        state, iters_polish = yield from model.balance_with_q(q_hvac, x0)
 
         if not (use_lo or use_hi):
             break
         t_rh_eff = state.T_rh if rh_on else state.T_si
-        psi_e = model.mean_psi(state.T_cab, state.T_si, t_rh_eff)
+        psi_e = yield from model.mean_psi(state.T_cab, state.T_si, t_rh_eff)
         if pin_equal:
             if abs(psi_e - psi_min) <= _OPT_PSI_TOL:
                 break
@@ -685,8 +797,8 @@ def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                      rh_on: bool, layout: CabinLayout | None = None,
                      seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via constrained optimization."""
-    return _solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed), "opt",
-                         spec.psi_min, spec.psi_max)
+    return _run(_solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed),
+                              "opt", spec.psi_min, spec.psi_max))
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +836,40 @@ class ScenarioSweeper:
         if cfg.rh_enabled and cfg.A_rh > 0:
             self.models.append(_BranchModel(scn, cfg, spec, True, layout, seed,
                                             weights_cache))
+        # (window, result or error) solved by settle(), in window order
+        self._settled: deque = deque()
 
-    def solve(self, psi_min: float, psi_max: float) -> SolveResult:
+    def steps(self, psi_min: float, psi_max: float) -> _Steps[SolveResult]:
+        """Solve steps of :meth:`solve`."""
         best = None
         for model in self.models:
-            res = _solve_branch(model, self.method, psi_min, psi_max)
+            res = yield from _solve_branch(model, self.method, psi_min, psi_max)
             if best is None or res.P_tot < best.P_tot - 1e-9:
                 best = res
         return best
+
+    def solve(self, psi_min: float, psi_max: float) -> SolveResult:
+        """The cheaper branch at one window: the next outcome :func:`settle`
+        kept, when it is for this window, else solved now."""
+        if self._settled and self._settled[0][0] == (psi_min, psi_max):
+            out = self._settled.popleft()[1]
+        else:
+            out = _lockstep([self.steps(psi_min, psi_max)])[0]
+        if isinstance(out, CabinThermError):
+            raise out
+        return out
+
+
+def settle(sweepers: list[ScenarioSweeper], windows) -> None:
+    """Solve every sweeper at every window, in lockstep across sweepers.
+
+    The windows go one position at a time, in their order (a repeated
+    window is solved again, from the state the earlier one left).  Each
+    sweeper keeps its outcomes for its next :meth:`ScenarioSweeper.solve`
+    calls; once it fails, its later windows are left to those calls.
+    """
+    for lo, hi in windows:
+        live = [sw for sw in sweepers
+                if not (sw._settled and isinstance(sw._settled[-1][1], CabinThermError))]
+        for sw, out in zip(live, _lockstep([sw.steps(lo, hi) for sw in live])):
+            sw._settled.append(((lo, hi), out))

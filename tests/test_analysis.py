@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from cabintherm.analysis import (DEFAULT_SENSITIVITY_PARAMS, AnnualSummary,
                                  aggregate_annual, compare_concepts,
                                  monthly_table, oat_sensitivity, pareto_sweep,
                                  solve_set)
-from cabintherm.comfort import ComfortSpec, ppd
-from cabintherm.errors import ConfigError, DataError
+from cabintherm.comfort import ComfortSpec, clothing_insulation, ppd
+from cabintherm.errors import ConfigError, DataError, EvaluationError, SolverError
 from cabintherm.model_core import (BusConfig, CopCurve, HeatFlows, Scenario,
                                    ThermalState, c_to_k)
 from cabintherm.scenario import ScenarioSet, synthesize_dataset
@@ -174,6 +175,143 @@ class TestPool:
                                          "HP-AC+RH": hp_rh_cfg}, [0.5, 1.0], jobs=2)
         with_passengers = sum(1 for s in two_per_month if s.N_pass > 0)
         assert len(log.read_text()) == with_passengers
+
+
+    def test_pool_workers_never_exceed_batches(self, two_per_month, hp_cfg, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Runs the chunks in this process, so no worker is started."""
+
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+        sub = ScenarioSet(two_per_month.scenarios[:3])
+        spec = ComfortSpec(psi_min=-0.5, psi_max=0.5)
+        pooled = solve_set(sub, hp_cfg, spec, jobs=8)
+        assert pools == [3]
+        assert comparable(pooled) == comparable(solve_set(sub, hp_cfg, spec, jobs=1))
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, two_per_month, hp_cfg, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            solve_set(two_per_month, hp_cfg, ComfortSpec(), jobs=jobs)
+
+
+class TestLockstep:
+    """A sweep chunk solves its scenarios side by side with batched PMV."""
+
+    WINDOWS = [(-0.5, 0.5), (-1.0, 1.0), (0.0, 0.0), (-0.5, 0.5)]
+
+    @pytest.fixture(scope="class")
+    def mixed(self, two_per_month):
+        empty = [replace(s, N_pass=0, id=f"{s.id}-empty")
+                 for s in two_per_month.scenarios[::6]]
+        return ScenarioSet(two_per_month.scenarios + tuple(empty))
+
+    @pytest.mark.parametrize("slice_size", [None, 5])
+    def test_same_as_one_scenario_at_a_time(self, mixed, hp_cfg, ptc_rh_cfg, hp_rh_cfg,
+                                            slice_size, monkeypatch):
+        if slice_size is not None:
+            monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", slice_size)
+        assert any(s.N_pass == 0 for s in mixed)
+        concepts = [(c, solver.default_layout(c)) for c in (hp_cfg, ptc_rh_cfg, hp_rh_cfg)]
+        spec = ComfortSpec()
+        swept = analysis._run_windows(mixed, concepts, spec, self.WINDOWS, seed=3)
+        for ci, (cfg, layout) in enumerate(concepts):
+            for scn_i, scn in enumerate(mixed):
+                # one sweeper per scenario keeps its warm starts across windows
+                alone = solver.ScenarioSweeper(scn, cfg, spec, layout, 3)
+                for wi, (lo, hi) in enumerate(self.WINDOWS):
+                    got = swept[ci][wi][scn_i]
+                    want = alone.solve(lo, hi)
+                    assert comparable([got]) == comparable([want])
+                    assert got.iterations == want.iterations
+                first = solver.solve_best(scn, cfg, spec.with_window(*self.WINDOWS[0]),
+                                          layout=layout, seed=3)
+                assert comparable([swept[ci][0][scn_i]]) == comparable([first])
+        assert any(r.rh_used for per_w in swept[1] for r in per_w)
+
+    def test_pool_same_as_serial_with_panels(self, two_per_month, ptc_rh_cfg, hp_rh_cfg):
+        concepts = {"PTC-AC+RH": ptc_rh_cfg, "HP-AC+RH": hp_rh_cfg}
+        pooled = compare_concepts(two_per_month, concepts, [0.0, 1.0], jobs=2)
+        assert pooled == compare_concepts(two_per_month, concepts, [0.0, 1.0], jobs=1)
+
+    @pytest.mark.parametrize("slice_size", [None, 3])
+    def test_first_failure_in_dataset_order(self, two_per_month, hp_cfg, slice_size,
+                                            monkeypatch):
+        if slice_size is not None:
+            monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", slice_size)
+        scenarios = [s for s in two_per_month if s.N_pass > 0][:6]
+        late, early = scenarios[1].id, scenarios[3].id
+        original = solver._BranchModel.converged
+
+        def converged(model, r, scale, psi_tgt):
+            # ``early`` fails at the first window (passive), ``late`` only
+            # when pinned at the second: the sweep meets ``early`` first
+            if model.scn.id == early or (model.scn.id == late and psi_tgt is not None):
+                return False
+            return original(model, r, scale, psi_tgt)
+
+        monkeypatch.setattr(solver._BranchModel, "converged", converged)
+        windows = [(-3.0, 3.0), (0.0, 0.0)]
+        with pytest.raises(SolverError, match=f"scenario {late!r}"):
+            analysis._run_windows(ScenarioSet(tuple(scenarios)), [(hp_cfg, None)],
+                                  ComfortSpec(), windows, seed=0)
+
+    @pytest.mark.parametrize("overfull_first", [True, False])
+    def test_unbuildable_scenario_keeps_dataset_order(self, hp_rh_cfg, overfull_first,
+                                                      monkeypatch):
+        # a bus too full to seat: its panel sweeper cannot be built
+        overfull = fake_scenario("overfull", 1, n_pass=10_000)
+        failing = fake_scenario("failing", 1)
+        scenarios = [fake_scenario("ok", 1)]
+        scenarios += [overfull, failing] if overfull_first else [failing, overfull]
+        original = solver._BranchModel.converged
+
+        def converged(model, r, scale, psi_tgt):
+            return model.scn.id != "failing" and original(model, r, scale, psi_tgt)
+
+        monkeypatch.setattr(solver._BranchModel, "converged", converged)
+        expected = ConfigError if overfull_first else SolverError
+        with pytest.raises(expected):
+            analysis._run_windows(ScenarioSet(tuple(scenarios)),
+                                  [(hp_rh_cfg, solver.default_layout(hp_rh_cfg))],
+                                  ComfortSpec(), [(-0.5, 0.5)], seed=0)
+
+    def test_kernel_failure_names_its_scenario(self, hp_cfg, monkeypatch):
+        scenarios = [fake_scenario(f"s{i}", 1) for i in range(4)]
+        bad = replace(scenarios[2], T_inf=c_to_k(-12.0), id="cold")
+        scenarios[2] = bad
+        windows = [(-0.5, 0.5)]
+        spec = ComfortSpec()
+        clean = [solver.ScenarioSweeper(s, hp_cfg, spec).solve(*windows[0])
+                 for s in scenarios if s is not bad]
+        bad_clo = clothing_insulation(bad.T_inf)
+        original = solver.pmv_array
+
+        def failing(ta, tr, clo, *args):
+            if np.any(np.asarray(clo) == bad_clo):
+                raise EvaluationError("clothing surface temperature iteration did not converge")
+            return original(ta, tr, clo, *args)
+
+        monkeypatch.setattr(solver, "pmv_array", failing)
+        sweepers = [solver.ScenarioSweeper(s, hp_cfg, spec) for s in scenarios]
+        solver.settle(sweepers, windows)
+        with pytest.raises(EvaluationError, match="scenario 'cold'"):
+            sweepers[2].solve(*windows[0])
+        others = [sw.solve(*windows[0]) for i, sw in enumerate(sweepers) if i != 2]
+        assert comparable(others) == comparable(clean)
 
 
 class TestParetoSweep:

@@ -222,6 +222,13 @@ class TestErrors:
         # without panels there is no branch to choose: auto means off
         assert main(args) == 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_code(self, tmp_path, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monthly", "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_evaluation_error_is_solver_failure(self, monkeypatch, capsys):
         from cabintherm import cli
         from cabintherm.errors import EvaluationError

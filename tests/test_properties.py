@@ -1,4 +1,5 @@
-"""Property tests on randomized states, scenarios and configurations.
+"""Property tests on randomized states, scenarios, configurations and
+PMV kernel batches.
 
 Examples are derandomized so every run checks the same draws; each test
 stays within a few seconds.
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cabintherm.comfort import ComfortSpec
+from cabintherm.comfort import ComfortSpec, pmv_array
 from cabintherm.model_core import (BusConfig, CopCurve, Scenario,
                                    balance_residuals, c_to_k, max_abs_flow,
                                    reservoir_balance, scenario_loads)
@@ -89,3 +90,26 @@ def test_rootfind_closes_the_balance(scn, cfg, half_width):
     r = balance_residuals(res.state, scn, cfg, res.rh_used)
     assert float(np.max(np.abs(r))) <= 1e-6 * max(1.0, max_abs_flow(res.flows))
 
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_value_does_not_depend_on_its_batch(data):
+    n = data.draw(st.integers(1, 40))
+    points = data.draw(st.lists(st.tuples(st.floats(-20.0, 50.0), st.floats(-20.0, 70.0),
+                                          st.floats(0.0, 2.0)),
+                                min_size=n, max_size=n))
+    ta, tr, clo = (np.array(col) for col in zip(*points))
+    setting = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
+               data.draw(st.floats(0.8, 2.0)))
+    batch = pmv_array(ta, tr, clo, *setting)
+    for i in range(n):
+        assert _bits(pmv_array(ta[i:i + 1], tr[i:i + 1], clo[i:i + 1], *setting)) \
+            == _bits(batch[i:i + 1])
+        assert _bits(pmv_array(ta[i], tr[i], clo[i], *setting)) == _bits(batch[i])
+    sub = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    assert _bits(pmv_array(ta[sub], tr[sub], clo[sub], *setting)) == _bits(batch[sub])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cabintherm import solver
 from cabintherm.comfort import ComfortSpec
 from cabintherm.errors import ConfigError
 from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
@@ -203,3 +204,25 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             solve_window_rootfind(winter_scn, ptc_rh_cfg, window_spec, rh_on=True,
                                   layout=bad_layout)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("rh_on", [False, True])
+    @pytest.mark.parametrize("psi_tgt", [None, -1.0])
+    def test_one_balance_evaluation_per_iterate(self, hp_rh_cfg, winter_scn, rh_on,
+                                                psi_tgt, monkeypatch):
+        calls = []
+        original = solver.reservoir_balance
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "reservoir_balance", counting)
+        model = solver._BranchModel(winter_scn, hp_rh_cfg, ComfortSpec(), rh_on)
+        frozen_q = 0.0 if psi_tgt is None else None
+        _, iters = solver._run(model.newton(model.init_vector(psi_tgt), psi_tgt, frozen_q))
+        # every step here is a full Newton step: the Jacobian of an iterate
+        # comes with its residual, so the start plus one balance per iterate
+        assert iters > 0
+        assert len(calls) == iters + 1
