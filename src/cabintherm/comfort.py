@@ -218,13 +218,14 @@ class PmvSurrogate:
 
     def evaluate(self, ta_c, tr_c, clo):
         """Surrogate PMV; inputs in Celsius/clo, broadcastable."""
-        ta, tr, cl = np.broadcast_arrays(np.asarray(ta_c, float),
-                                         np.asarray(tr_c, float),
-                                         np.asarray(clo, float))
-        pts = np.stack([ta.ravel(), tr.ravel(), cl.ravel()], axis=1)
-        m = _monomials(_normalize(pts, self.lo, self.hi), self.degree)
+        shape = np.broadcast(ta_c, tr_c, clo).shape
+        pts = np.empty(shape + (3,))
+        pts[..., 0] = ta_c
+        pts[..., 1] = tr_c
+        pts[..., 2] = clo
+        m = _monomials(_normalize(pts.reshape(-1, 3), self.lo, self.hi), self.degree)
         out = m @ self.coeffs
-        return out.reshape(ta.shape) if ta.shape else float(out[0])
+        return out.reshape(shape) if shape else float(out[0])
 
 
 def _normalize(pts: np.ndarray, lo, hi) -> np.ndarray:
@@ -233,35 +234,39 @@ def _normalize(pts: np.ndarray, lo, hi) -> np.ndarray:
     return 2.0 * (pts - lo) / (hi - lo) - 1.0
 
 
-_exponent_cache: dict[int, np.ndarray] = {}
+_exponent_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
 
-def _exponents(degree: int) -> np.ndarray:
-    """(n_terms, 3) exponent rows of all trivariate monomials up to ``degree``."""
+def _exponents(degree: int) -> tuple[np.ndarray, ...]:
+    """Per-variable exponent columns of all trivariate monomials up to
+    ``degree``, one contiguous index array per variable."""
     exps = _exponent_cache.get(degree)
     if exps is None:
         rows = [(0, 0, 0)]
         for d in range(1, degree + 1):
             for combo in combinations_with_replacement(range(3), d):
                 rows.append(tuple(combo.count(i) for i in range(3)))
-        exps = np.array(rows, dtype=np.intp)
+        exps = tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
         _exponent_cache[degree] = exps
     return exps
 
 
 def _monomials(x: np.ndarray, degree: int) -> np.ndarray:
-    """Monomial design matrix via per-variable power tables (no Python loop
-    over terms).
+    """Monomial design matrix of the ``(n, 3)`` points ``x`` via per-variable
+    power tables (no Python loop over terms).
 
     The running product builds ``x**d`` as ``x**(d-1) * x`` in one numpy
     call; the optimizer evaluates single points, where a call per power
-    would dominate.
+    would dominate.  The matrix is Fortran-ordered: ``m @ coeffs`` then
+    sums in the order the surrogate was fitted and evaluated with.
     """
-    exps = _exponents(degree)
-    factors = np.repeat(x.T[:, :, None], degree + 1, axis=2)
-    factors[:, :, 0] = 1.0
-    pows = np.multiply.accumulate(factors, axis=2)
-    return pows[0][:, exps[:, 0]] * pows[1][:, exps[:, 1]] * pows[2][:, exps[:, 2]]
+    e0, e1, e2 = _exponents(degree)
+    pows = np.empty((3, degree + 1, x.shape[0]))
+    pows[:, 0] = 1.0
+    pows[:, 1:] = x.T[:, None, :]
+    np.multiply.accumulate(pows, axis=1, out=pows)
+    return (pows[0].take(e0, axis=0) * pows[1].take(e1, axis=0)
+            * pows[2].take(e2, axis=0)).T
 
 
 def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:

@@ -156,9 +156,6 @@ def _batch_pmv(requests: list, vel: float, rh_pct: float, met: float) -> list:
     """
     sizes = [ta.size for _, ta, _ in requests]
     try:
-        if len(requests) == 1:  # no copies for a lone solve
-            model, ta, tr = requests[0]
-            return [pmv_array(ta, tr, model.r_clo, vel, rh_pct, met)]
         vals = pmv_array(np.concatenate([ta for _, ta, _ in requests]),
                          np.concatenate([tr for _, _, tr in requests]),
                          np.repeat([model.r_clo for model, _, _ in requests], sizes),
@@ -349,17 +346,6 @@ class _BranchModel:
                     abs(f["Q_k"]), abs(f["Q_h_so"]), abs(f["Q_r_so"]), abs(f["Q_r_rh"]),
                     abs(f["Q_h_rh"]), abs(q_hvac), abs(p_rh), loads.Q_sol_so)
         return np.array(rows), scale, jac
-
-    def residual(self, x: np.ndarray, psi_tgt: float | None,
-                 psi_val: float | None = None) -> tuple[np.ndarray, float]:
-        """Residual rows and the flow magnitude used for relative tolerance.
-
-        ``psi_val`` lets callers reuse an already computed exact mean PMV;
-        absent, it is evaluated here.
-        """
-        if psi_tgt is not None and psi_val is None:
-            psi_val = _run(self.mean_psi(*self._unpack_temps(x)))
-        return self._system(x, psi_tgt, psi_val)[:2]
 
     def jacobian(self, balance_jac: list, psi_tgt: float | None,
                  psi_grad: np.ndarray | None) -> np.ndarray:

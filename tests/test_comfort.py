@@ -147,6 +147,24 @@ class TestSurrogate:
                 vals = surr.evaluate(ta, np.full_like(ta, tr), clo)
                 assert np.all(np.diff(vals) > 0)
 
+    def test_evaluate_broadcasts(self):
+        surr = get_pmv_surrogate(ComfortSpec())
+        ta = np.array([[10.0, 20.0, 30.0], [15.0, 25.0, 35.0]])
+        vals = surr.evaluate(ta, np.array([18.0, 22.0, 26.0]), 0.9)
+        assert vals.shape == (2, 3)
+        one = surr.evaluate(25.0, 22.0, 0.9)
+        assert isinstance(one, float)
+        assert one == pytest.approx(vals[1, 1], abs=1e-12)
+
+    def test_design_matrix_terms(self):
+        from cabintherm.comfort import _exponents, _monomials
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 3))
+        exps = np.stack(_exponents(3), axis=1)
+        expect = np.prod(x[:, None, :] ** exps[None, :, :], axis=2)
+        m = _monomials(x, 3)
+        assert m.shape == (7, 20) and m.flags.f_contiguous
+        np.testing.assert_allclose(m, expect, rtol=1e-13)
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ConfigError):
             fit_pmv_surrogate(ComfortSpec(), temperature_grid=np.array([20.0]),

@@ -49,8 +49,8 @@ class TestFixedPmv:
         m_off = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(psi_tgt=-1.0), False)
         assert m_on.n_unknowns() == 6
         assert m_off.n_unknowns() == 4
-        r_on, _ = m_on.residual(m_on.init_vector(-1.0), -1.0)
-        r_off, _ = m_off.residual(m_off.init_vector(-1.0), -1.0)
+        r_on = m_on._system(m_on.init_vector(-1.0), -1.0, 0.0)[0]
+        r_off = m_off._system(m_off.init_vector(-1.0), -1.0, 0.0)[0]
         assert len(r_on) == 6
         assert len(r_off) == 4
 
