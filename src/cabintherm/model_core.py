@@ -74,6 +74,19 @@ class CopCurve:
                 return c0 + w * (c1 - c0)
         return pts[-1][1]  # unreachable
 
+    def slope(self, delta_t: float) -> float:
+        """d(COP)/d(delta_T) of the curve :meth:`__call__` evaluates: zero
+        on the flat ends, and at a breakpoint the slope of the side
+        :meth:`__call__` interpolates on (the segment to its left, the flat
+        end at either extreme)."""
+        pts = self.breakpoints
+        if delta_t <= pts[0][0] or delta_t >= pts[-1][0]:
+            return 0.0
+        for (d0, c0), (d1, c1) in zip(pts, pts[1:]):
+            if delta_t <= d1:
+                return (c1 - c0) / (d1 - d0)
+        return 0.0  # unreachable
+
     def scaled(self, factor: float) -> "CopCurve":
         """Curve with every COP value multiplied by ``factor``."""
         return CopCurve(tuple((d, c * factor) for d, c in self.breakpoints))

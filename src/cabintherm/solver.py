@@ -11,8 +11,11 @@ Two independent routes produce the same operating points:
 * **optimization** -- a constrained nonlinear program over separately
   metered heating/cooling heat and panel power, with the balance as
   equality constraints and the PMV window as inequalities on a polynomial
-  PMV surrogate.  The surrogate bound is nudged until the *exact* PMV of
-  the solution meets the requested window, so reported comfort is always
+  PMV surrogate, solved by SLSQP with the exact gradient of every function
+  (COP-curve slopes, the balance kernel's Jacobian, the surrogate's
+  monomial derivatives).  The active surrogate bound is moved by a secant
+  step on its (bound, exact PMV) pairs until the *exact* PMV of the
+  solution meets the requested window, so reported comfort is always
   exact.
 
 Both routes share one radiant-heater branch selector,
@@ -373,7 +376,8 @@ class _BranchModel:
 
     def converged(self, r: np.ndarray, scale: float, psi_tgt: float | None) -> bool:
         nb = 4 if self.rh_on else 3
-        if np.max(np.abs(r[:nb])) > BALANCE_RTOL * scale:
+        # a Python max over floats: numpy's reduction wrapper costs more here
+        if max(map(abs, r[:nb].tolist())) > BALANCE_RTOL * scale:
             return False
         idx = nb
         if self.rh_on:
@@ -623,71 +627,181 @@ _OPT_REFINE_MAX = 10
 _OPT_PSI_TOL = 1e-7
 
 
+def _next_bound(pairs: list, bound: float, target: float, psi_e: float) -> float:
+    """The surrogate bound of the next refinement round.
+
+    ``pairs`` holds this bound's earlier (bound, exact PMV) pairs and gets
+    the current one.  While the bound is active the exact PMV follows it
+    with a slope near 1 (the surrogate's error changes slowly along the
+    optimum), so the secant through the last two pairs aims the exact PMV
+    at ``target``.  On the first round, or when the secant slope is outside
+    [0.5, 2] (the bound was not active in both rounds), the bound is
+    shifted by the plain difference ``target - psi_e``.
+    """
+    pairs.append((bound, psi_e))
+    step = target - psi_e
+    if len(pairs) > 1:
+        (b0, p0), (b1, p1) = pairs[-2:]
+        if b1 != b0:
+            slope = (p1 - p0) / (b1 - b0)
+            if 0.5 <= slope <= 2.0:
+                step /= slope
+    return bound + step
+
+
+class _OptProgram:
+    """The nonlinear program of the optimization route for one RH branch.
+
+    Decision vector ``z`` (scaled): the temperatures in K, in the column
+    order of the kernel's Jacobian (``[T_cab, T_rh, T_si, T_so]`` with the
+    panels on, ``[T_cab, T_si, T_so]`` without), then heating and cooling
+    heat and (RH on) panel power in kW.  Every function comes with its
+    exact gradient: the objective through :meth:`CopCurve.slope`, the
+    balance equalities through the Jacobian rows of
+    :func:`model_core.reservoir_balance`, and the surrogate mean PMV
+    through its monomial derivatives (:meth:`PmvSurrogate.value_and_grad`)
+    and, with panel view weights, the chain rule through each passenger's
+    mean radiant temperature.
+    """
+
+    def __init__(self, model: _BranchModel):
+        self.model = model
+        self.surr = get_pmv_surrogate(model.spec)
+        rh_on = model.rh_on
+        self.n_temps = 4 if rh_on else 3
+        self.nvar = 7 if rh_on else 5
+        if rh_on:
+            self.tc, self.trh, self.tsi, self.tso = range(4)
+        else:
+            self.tc, self.tsi, self.tso = range(3)
+            self.trh = self.tc            # ignored by the kernel without panels
+        self.hp, self.ac = self.n_temps, self.n_temps + 1
+        self.prh = 6                      # panel power, RH on only
+
+    def start(self) -> np.ndarray:
+        """The cold start: no HVAC heat, panels at their target."""
+        t_inf = self.model.scn.T_inf
+        z = np.zeros(self.nvar)
+        z[self.tc] = min(max(t_inf, 285.0), 299.0)
+        z[self.tsi] = t_inf
+        z[self.tso] = t_inf
+        if self.model.rh_on:
+            z[self.trh] = self.model.cfg.T_rh_tgt
+        return z
+
+    def bounds(self) -> list:
+        n_powers = self.nvar - self.n_temps
+        return [(T_BOX[0], T_BOX[1])] * self.n_temps + [(0.0, 500.0)] * n_powers
+
+    def psi(self, z) -> float:
+        """Surrogate mean PMV (view weights exist only with the panels on,
+        else ``uniform_tmr``)."""
+        model = self.model
+        t_cab, t_si = z[self.tc], z[self.tsi]
+        if model.uniform_tmr:
+            return float(self.surr.evaluate(t_cab - KELVIN, t_si - KELVIN, model.r_clo))
+        tmr_c = mixed_radiant_temperature(model.b_weights, t_si, z[self.trh]) - KELVIN
+        vals = self.surr.evaluate(np.full_like(tmr_c, t_cab - KELVIN), tmr_c, model.r_clo)
+        return float(np.mean(vals))
+
+    def psi_grad(self, z) -> np.ndarray:
+        """d(psi)/dz; per passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``
+        and ``dT_mr/dT_rh = b T_rh^3 / T_mr^3``."""
+        model = self.model
+        g = np.zeros(self.nvar)
+        t_cab, t_si = z[self.tc], z[self.tsi]
+        if model.uniform_tmr:
+            d = self.surr.value_and_grad(t_cab - KELVIN, t_si - KELVIN, model.r_clo)[1]
+            g[self.tc], g[self.tsi] = d[0], d[1]
+            return g
+        b = model.b_weights
+        t_rh = z[self.trh]
+        tmr = mixed_radiant_temperature(b, t_si, t_rh)
+        d = self.surr.value_and_grad(np.full_like(tmr, t_cab - KELVIN), tmr - KELVIN,
+                                     model.r_clo)[1]
+        d_tmr = d[:, 1] / tmr ** 3
+        g[self.tc] = np.mean(d[:, 0])
+        g[self.tsi] = np.mean(d_tmr * (1.0 - b)) * t_si ** 3
+        g[self.trh] = np.mean(d_tmr * b) * t_rh ** 3
+        return g
+
+    def _balance(self, z) -> tuple[list, list, list]:
+        model = self.model
+        v = z.tolist()
+        p_rh = v[self.prh] * 1000.0 if model.rh_on else 0.0
+        _, rows, jac = reservoir_balance(v[self.tc], v[self.trh], v[self.tsi], v[self.tso],
+                                         (v[self.hp] - v[self.ac]) * 1000.0, p_rh,
+                                         model.scn, model.loads, model.cfg, model.rh_on)
+        return v, rows, jac
+
+    def equalities(self, z) -> np.ndarray:
+        """Reservoir rows in kW, then (RH on) the panel-temperature pin."""
+        v, rows, _ = self._balance(z)
+        eq = [r * 1e-3 for r in rows]
+        if self.model.rh_on:
+            eq.append(v[self.trh] - self.model.cfg.T_rh_tgt)
+        return np.array(eq)
+
+    def equalities_jac(self, z) -> np.ndarray:
+        """The kernel's Jacobian on ``z``: temperature columns x 1e-3 (rows
+        in kW); ``Q_hvac = 1000 (z_hp - z_ac)`` and ``P_rh = 1000 z_prh``, so
+        their columns enter as they are, Q_hvac's with +1 for ``z_hp`` and
+        -1 for ``z_ac``; then the panel-pin row."""
+        jac = np.array(self._balance(z)[2])
+        nb, nt = len(jac), self.n_temps
+        rh_on = self.model.rh_on
+        out = np.zeros((nb + rh_on, self.nvar))
+        out[:nb, :nt] = jac[:, :nt] * 1e-3
+        out[:nb, self.hp] = jac[:, nt]
+        out[:nb, self.ac] = -jac[:, nt]
+        if rh_on:
+            out[:nb, self.prh] = jac[:, 5]
+            out[nb, self.trh] = 1.0
+        return out
+
+    def objective(self, z) -> float:
+        """Electric power in kW."""
+        cfg, t_inf = self.model.cfg, self.model.scn.T_inf
+        t_cab = z[self.tc]
+        p = z[self.hp] / cfg.cop_heating(t_cab - t_inf)
+        p += z[self.ac] / cfg.cop_cooling(t_inf - t_cab)
+        if self.model.rh_on:
+            p += z[self.prh]
+        return p
+
+    def objective_grad(self, z) -> np.ndarray:
+        cfg = self.model.cfg
+        dt_heat = z[self.tc] - self.model.scn.T_inf
+        cop_h = cfg.cop_heating(dt_heat)
+        cop_c = cfg.cop_cooling(-dt_heat)
+        g = np.zeros(self.nvar)
+        g[self.tc] = (z[self.ac] * cfg.cop_cooling.slope(-dt_heat) / cop_c ** 2
+                      - z[self.hp] * cfg.cop_heating.slope(dt_heat) / cop_h ** 2)
+        g[self.hp] = 1.0 / cop_h
+        g[self.ac] = 1.0 / cop_c
+        if self.model.rh_on:
+            g[self.prh] = 1.0
+        return g
+
+
 def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
                       psi_max: float | None) -> _Steps[tuple[ThermalState, int]]:
     """SLSQP minimization of electric power for one RH branch.
 
-    Decision vector (scaled): temperatures in K, heat/power in kW.  The PMV
-    window constrains the polynomial surrogate; an outer loop shifts the
-    surrogate bounds until the exact PMV of the polished solution is within
-    ``_OPT_PSI_TOL`` of the requested window.
+    The program and its exact gradients are :class:`_OptProgram`'s.  The
+    PMV window constrains the polynomial surrogate; an outer loop moves the
+    active surrogate bound, by a secant step on its last two (bound, exact
+    PMV) pairs (see :func:`_next_bound`), until the exact PMV of the
+    polished solution is within ``_OPT_PSI_TOL`` of the requested window.
+    A run whose equalities are violated by 1e-6 or more is repeated from
+    the cold start; the run kept must violate them by at most 1e-4.
     """
-    cfg = model.cfg
     scn = model.scn
-    spec = model.spec
     rh_on = model.rh_on
-    surr = get_pmv_surrogate(spec)
-    b = model.b_weights
+    prog = _OptProgram(model)
     use_psi = psi_min is not None and scn.N_pass > 0
-
-    if rh_on:
-        idx_tc, idx_trh, idx_tsi, idx_tso, idx_hp, idx_ac, idx_prh = range(7)
-        nvar = 7
-    else:
-        idx_tc, idx_tsi, idx_tso, idx_hp, idx_ac = range(5)
-        idx_trh = idx_tc
-        nvar = 5
-
-    def surrogate_psi(z):
-        t_cab, t_si = z[idx_tc], z[idx_tsi]
-        if model.uniform_tmr:
-            return float(surr.evaluate(t_cab - KELVIN, t_si - KELVIN, model.r_clo))
-        t_rh = z[idx_trh] if rh_on else t_si
-        tmr_c = mixed_radiant_temperature(b, t_si, t_rh) - KELVIN
-        vals = surr.evaluate(np.full_like(tmr_c, t_cab - KELVIN), tmr_c, model.r_clo)
-        return float(np.mean(vals))
-
-    def equalities(z):
-        """Reservoir rows in kW, then (RH on) the panel-temperature pin."""
-        v = z.tolist()
-        p_rh = v[idx_prh] * 1000.0 if rh_on else 0.0
-        rows = reservoir_balance(v[idx_tc], v[idx_trh], v[idx_tsi], v[idx_tso],
-                                 (v[idx_hp] - v[idx_ac]) * 1000.0, p_rh, scn,
-                                 model.loads, cfg, rh_on)[1]
-        eq = [r * 1e-3 for r in rows]
-        if rh_on:
-            eq.append(v[idx_trh] - cfg.T_rh_tgt)
-        return np.array(eq)
-
-    def objective(z):
-        t_cab = z[idx_tc]
-        p = z[idx_hp] / cfg.cop_heating(t_cab - scn.T_inf)
-        p += z[idx_ac] / cfg.cop_cooling(scn.T_inf - t_cab)
-        if rh_on:
-            p += z[idx_prh]
-        return p
-
-    t_inf = scn.T_inf
-    z0 = np.zeros(nvar)
-    z0[idx_tc] = min(max(t_inf, 285.0), 299.0)
-    z0[idx_tsi] = t_inf
-    z0[idx_tso] = t_inf
-    if rh_on:
-        z0[idx_trh] = cfg.T_rh_tgt
-
-    bounds = [(T_BOX[0], T_BOX[1])] * (4 if rh_on else 3) + [(0.0, 500.0)] * 2
-    if rh_on:
-        bounds.append((0.0, 500.0))
+    z0 = prog.start()
+    bounds = prog.bounds()
 
     # the vote saturates at +/-3: a window bound on the end of the scale
     # never binds and is dropped from the program
@@ -695,52 +809,53 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
     use_hi = use_psi and psi_max < 3.0 - 1e-12
     pin_equal = use_lo and use_hi and (psi_max - psi_min) < 1e-12
     lo, hi = psi_min, psi_max
+    lo_pairs: list = []
+    hi_pairs: list = []
     total_nit = 0
     z_start = z0
     state = None
     iters_polish = 0
 
     for _ in range(_OPT_REFINE_MAX):
-        cons = [{"type": "eq", "fun": equalities}]
+        cons = [{"type": "eq", "fun": prog.equalities, "jac": prog.equalities_jac}]
         if pin_equal:
-            cons.append({"type": "eq", "fun": lambda z, b=lo: surrogate_psi(z) - b})
-        else:
-            if use_lo:
-                cons.append({"type": "ineq",
-                             "fun": lambda z, lo_=lo: surrogate_psi(z) - lo_})
-            if use_hi:
-                cons.append({"type": "ineq",
-                             "fun": lambda z, hi_=hi: hi_ - surrogate_psi(z)})
-        res = None
+            cons.append({"type": "eq", "fun": lambda z, c=lo: prog.psi(z) - c,
+                         "jac": prog.psi_grad})
+        elif use_lo or use_hi:
+            # one surrogate evaluation serves both rows: psi - lo, hi - psi
+            sign = np.array([1.0] * use_lo + [-1.0] * use_hi)
+            bound = np.array([lo] * use_lo + [hi] * use_hi)
+            cons.append({"type": "ineq",
+                         "fun": lambda z, s=sign, c=bound: s * (prog.psi(z) - c),
+                         "jac": lambda z, s=sign: np.outer(s, prog.psi_grad(z))})
         for start in (z_start, z0):
-            res = minimize(objective, start, method="SLSQP", bounds=bounds,
-                           constraints=cons,
+            res = minimize(prog.objective, start, method="SLSQP", jac=prog.objective_grad,
+                           bounds=bounds, constraints=cons,
                            options={"maxiter": 300, "ftol": 1e-12})
-            viol = float(np.max(np.abs(equalities(res.x))))
+            viol = float(np.max(np.abs(prog.equalities(res.x))))
             if viol < 1e-6:
                 break
-        if res is None or float(np.max(np.abs(equalities(res.x)))) > 1e-4:
+        if viol > 1e-4:
             raise SolverError(
                 f"optimization failed for scenario {scn.id!r} (rh_on={rh_on}): "
-                f"{res.message if res is not None else 'no result'}",
-                last_x=None if res is None else res.x)
+                f"{res.message}", last_x=res.x)
         total_nit += int(res.nit)
         z = res.x.copy()
 
         # simultaneous heating and cooling is never optimal; cancel overlap
-        m = min(z[idx_hp], z[idx_ac])
+        m = min(z[prog.hp], z[prog.ac])
         if m > 0:
-            z[idx_hp] -= m
-            z[idx_ac] -= m
+            z[prog.hp] -= m
+            z[prog.ac] -= m
 
         # polish the balance exactly with the decided HVAC heat
-        q_hvac = (z[idx_hp] - z[idx_ac]) * 1000.0
+        q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
         x0 = model.init_vector(None)
-        x0[0] = z[idx_tc]
+        x0[0] = z[prog.tc]
         if rh_on:
-            x0[2], x0[3] = z[idx_tsi], z[idx_tso]
+            x0[2], x0[3] = z[prog.tsi], z[prog.tso]
         else:
-            x0[1], x0[2] = z[idx_tsi], z[idx_tso]
+            x0[1], x0[2] = z[prog.tsi], z[prog.tso]
         state, iters_polish = yield from model.balance_with_q(q_hvac, x0)
 
         if not (use_lo or use_hi):
@@ -750,28 +865,28 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
         if pin_equal:
             if abs(psi_e - psi_min) <= _OPT_PSI_TOL:
                 break
-            lo += psi_min - psi_e
-            z_start = z
-            continue
-        lo_ok = not use_lo or psi_e >= psi_min - _OPT_PSI_TOL
-        hi_ok = not use_hi or psi_e <= psi_max + _OPT_PSI_TOL
-        if lo_ok and hi_ok:
-            # exact feasibility; also pin the active bound tightly
-            s_psi = surrogate_psi(z)
-            if use_lo and abs(s_psi - lo) < 1e-6 and abs(psi_e - psi_min) > _OPT_PSI_TOL:
-                lo += psi_min - psi_e
-                z_start = z
-                continue
-            if use_hi and abs(hi - s_psi) < 1e-6 and abs(psi_e - psi_max) > _OPT_PSI_TOL:
-                hi += psi_max - psi_e
-                z_start = z
-                continue
-            break
-        # exact PMV outside the window: shift the violated surrogate bound
-        if not lo_ok:
-            lo += psi_min - psi_e
+            move_lo = True
         else:
-            hi += psi_max - psi_e
+            lo_ok = not use_lo or psi_e >= psi_min - _OPT_PSI_TOL
+            hi_ok = not use_hi or psi_e <= psi_max + _OPT_PSI_TOL
+            if lo_ok and hi_ok:
+                # exact feasibility; also pin the active bound tightly
+                s_psi = prog.psi(z)
+                miss_lo = abs(psi_e - psi_min) > _OPT_PSI_TOL
+                miss_hi = abs(psi_e - psi_max) > _OPT_PSI_TOL
+                if use_lo and abs(s_psi - lo) < 1e-6 and miss_lo:
+                    move_lo = True
+                elif use_hi and abs(hi - s_psi) < 1e-6 and miss_hi:
+                    move_lo = False
+                else:
+                    break
+            else:
+                # exact PMV outside the window: move the violated bound
+                move_lo = not lo_ok
+        if move_lo:
+            lo = _next_bound(lo_pairs, lo, psi_min, psi_e)
+        else:
+            hi = _next_bound(hi_pairs, hi, psi_max, psi_e)
         z_start = z
     else:
         raise SolverError(f"surrogate refinement did not settle for scenario {scn.id!r}")

@@ -195,6 +195,12 @@ class TestCopCurve:
         assert c(-5.0) == 3.0
         assert c(50.0) == 2.0
 
+    def test_slope(self):
+        c = CopCurve(((10.0, 3.0), (20.0, 2.0), (30.0, 1.5)))
+        assert [c.slope(d) for d in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0)] \
+            == pytest.approx([0.0, 0.0, -0.1, -0.1, -0.05, 0.0, 0.0])
+        assert CopCurve.constant(2.0).slope(0.0) == 0.0
+
     def test_scaled(self):
         c = CopCurve(((10.0, 3.0),)).scaled(1.1)
         assert c(10.0) == pytest.approx(3.3)

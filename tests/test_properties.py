@@ -1,5 +1,6 @@
 """Property tests on randomized states, scenarios, configurations and
-PMV kernel batches.
+PMV kernel batches, and of the optimization route's exact gradients
+against central differences.
 
 Examples are derandomized so every run checks the same draws; each test
 stays within a few seconds.
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cabintherm.comfort import ComfortSpec, pmv_array
+from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
+                                ComfortSpec, get_pmv_surrogate, pmv_array)
 from cabintherm.model_core import (BusConfig, CopCurve, Scenario,
                                    balance_residuals, c_to_k, max_abs_flow,
                                    reservoir_balance, scenario_loads)
-from cabintherm.solver import solve_best
+from cabintherm.solver import _BranchModel, _OptProgram, solve_best
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -113,3 +115,129 @@ def test_pmv_value_does_not_depend_on_its_batch(data):
         assert _bits(pmv_array(ta[i], tr[i], clo[i], *setting)) == _bits(batch[i])
     sub = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     assert _bits(pmv_array(ta[sub], tr[sub], clo[sub], *setting)) == _bits(batch[sub])
+
+
+# ---------------------------------------------------------------------------
+# exact gradients of the optimization route
+# ---------------------------------------------------------------------------
+
+def central_differences(fun, x, steps):
+    """Columns d(fun)/dx_j by central differences with per-column steps."""
+    cols = []
+    for j, h in enumerate(steps):
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        cols.append((np.asarray(fun(up)) - np.asarray(fun(down))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def decision_vector(data, prog, t_lo=240.0, t_hi=380.0):
+    """A random decision vector of ``prog`` (temperatures in K, powers in kW)."""
+    z = np.zeros(prog.nvar)
+    for j in range(prog.n_temps):
+        z[j] = data.draw(st.floats(t_lo, t_hi))
+    for j in range(prog.n_temps, prog.nvar):
+        z[j] = data.draw(st.floats(0.0, 20.0))
+    return z
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_surrogate_gradient_matches_central_differences(data):
+    surr = get_pmv_surrogate(ComfortSpec())
+    p = np.array([data.draw(st.floats(lo, hi))
+                  for lo, hi in zip(SURROGATE_DOMAIN_LO, SURROGATE_DOMAIN_HI)])
+    value, grad = surr.value_and_grad(*p)
+    assert value == surr.evaluate(*p)
+    fd = central_differences(lambda q: surr.evaluate(*q), p, [1e-4, 1e-4, 1e-5])
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * max(1.0, np.max(np.abs(fd))))
+    # a batch gives each point the gradient it has alone
+    vals, grads = surr.value_and_grad(np.full(3, p[0]), np.full(3, p[1]), p[2])
+    assert grads.shape == (3, 3)
+    np.testing.assert_allclose(grads, np.tile(grad, (3, 1)), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(vals, value, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("rh_on", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_equality_jacobian_matches_central_differences(rh_on, data):
+    scn = data.draw(scenarios())
+    cfg = data.draw(configs(rh=rh_on))
+    prog = _OptProgram(_BranchModel(scn, cfg, ComfortSpec(), rh_on))
+    z = decision_vector(data, prog)
+    # the door flow's |dT|^1.5 cusp at T_cab = T_inf
+    assume(abs(z[prog.tc] - scn.T_inf) > 0.5)
+    jac = prog.equalities_jac(z)
+    fd = central_differences(prog.equalities, z, [1e-3] * prog.nvar)
+    assert jac.shape == fd.shape == (len(prog.equalities(z)), prog.nvar)
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.max(np.abs(jac))))
+
+
+@pytest.mark.parametrize("view_weights", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_constraint_gradient_matches_central_differences(view_weights, data):
+    scn = data.draw(scenarios().filter(lambda s: s.N_pass > 0))
+    cfg = data.draw(configs(rh=view_weights))
+    model = _BranchModel(scn, cfg, ComfortSpec(), view_weights)
+    if view_weights:
+        # random per-passenger panel view weights, in place of the placement's
+        model.b_weights = np.array(data.draw(st.lists(
+            st.floats(0.0, 0.6), min_size=scn.N_pass, max_size=scn.N_pass)))
+        model.uniform_tmr = False
+    prog = _OptProgram(model)
+    z = decision_vector(data, prog, 265.0, 320.0)
+    if view_weights:
+        z[prog.trh] = data.draw(st.floats(z[prog.tsi], 370.0))
+    grad = prog.psi_grad(z)
+    fd = central_differences(prog.psi, z, [1e-3] * prog.nvar)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * max(1.0, np.max(np.abs(fd))))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_objective_gradient_matches_central_differences(data):
+    scn = data.draw(scenarios())
+    cfg = data.draw(st.one_of(configs(rh=False), configs(rh=True)))
+    prog = _OptProgram(_BranchModel(scn, cfg, ComfortSpec(), cfg.rh_enabled))
+    z = decision_vector(data, prog)
+    h = 1e-3
+    # away from the COP breakpoints, where the curve has no derivative
+    dt = z[prog.tc] - scn.T_inf
+    assume(all(abs(dt - d) > 2 * h for d, _ in cfg.cop_heating.breakpoints))
+    assume(all(abs(-dt - d) > 2 * h for d, _ in cfg.cop_cooling.breakpoints))
+    grad = prog.objective_grad(z)
+    fd = central_differences(prog.objective, z, [1e-3] * prog.nvar)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+@st.composite
+def cop_curves(draw):
+    n = draw(st.integers(1, 5))
+    deltas = sorted(draw(st.lists(st.floats(-10.0, 50.0), min_size=n, max_size=n,
+                                  unique=True)))
+    assume(all(b - a > 0.1 for a, b in zip(deltas, deltas[1:])))
+    cops = draw(st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n))
+    return CopCurve(tuple(zip(deltas, cops)))
+
+
+@PROPERTY_SETTINGS
+@given(curve=cop_curves())
+def test_cop_slope_on_each_side_of_a_breakpoint(curve):
+    pts = curve.breakpoints
+    eps = 1e-4
+    # slope of each piece: flat ends, then the segments
+    seg = [(c1 - c0) / (d1 - d0) for (d0, c0), (d1, c1) in zip(pts, pts[1:])]
+    left = [0.0] + seg
+    right = seg + [0.0]
+    for k, (d, _) in enumerate(pts):
+        assert curve.slope(d - eps) == pytest.approx(left[k], abs=1e-12)
+        assert curve.slope(d + eps) == pytest.approx(right[k], abs=1e-12)
+        for side, s in ((-1.0, left[k]), (1.0, right[k])):
+            quotient = (curve(d + side * 2 * eps) - curve(d + side * eps)) / (side * eps)
+            assert quotient == pytest.approx(s, abs=1e-6)
+        # at the breakpoint itself the side __call__ interpolates on: the
+        # segment to the left, or the flat end at either extreme
+        assert curve.slope(d) == (0.0 if k in (0, len(pts) - 1) else left[k])

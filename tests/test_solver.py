@@ -141,6 +141,44 @@ class TestWindowOpt:
         assert a.mean_psi == pytest.approx(0.0, abs=1e-4)
         assert abs(a.P_tot - b.P_tot) / max(a.P_tot, 1.0) <= 1e-4
 
+    def test_slow_tail_needs_few_slsqp_runs(self, hp_cfg, monkeypatch):
+        # with the surrogate bound moved by the plain shift and finite-
+        # differenced constraints this solve ran SLSQP 5 times for 313
+        # iterations, one run ending at the 300-iteration limit
+        scn = next(s for s in synthesize_dataset(7500, 2303) if s.id == "syn-2303-07140")
+        spec = ComfortSpec(psi_min=-1.0, psi_max=1.0)
+        runs = []
+        original = solver.minimize
+
+        def counting(*args, **kwargs):
+            res = original(*args, **kwargs)
+            runs.append(int(res.nit))
+            return res
+
+        monkeypatch.setattr(solver, "minimize", counting)
+        b = solve_window_opt(scn, hp_cfg, spec, rh_on=False)
+        a = solve_window_rootfind(scn, hp_cfg, spec, rh_on=False)
+        assert len(runs) <= 3, runs
+        assert abs(a.P_tot - b.P_tot) / max(a.P_tot, 1.0) <= 1e-4
+
+
+class TestSurrogateBoundStep:
+    def test_first_round_shifts_by_the_miss(self):
+        pairs = []
+        assert solver._next_bound(pairs, -1.0, -1.0, -1.02) == pytest.approx(-0.98)
+        assert pairs == [(-1.0, -1.02)]
+
+    def test_secant_through_the_last_two_pairs(self):
+        # exact PMV = 1.1 * bound + 0.08: the secant lands on the target
+        pairs = [(-1.0, -1.02)]
+        nxt = solver._next_bound(pairs, -0.98, -1.0, 1.1 * -0.98 + 0.08)
+        assert 1.1 * nxt + 0.08 == pytest.approx(-1.0, abs=1e-12)
+
+    def test_far_slope_falls_back_to_the_shift(self):
+        # the bound was inactive in the first round: the exact PMV did not move
+        pairs = [(0.5, 0.52)]
+        assert solver._next_bound(pairs, 0.48, 0.5, 0.52) == pytest.approx(0.46)
+
 
 class TestSolveBest:
     def test_summer_never_uses_rh(self, ptc_rh_cfg, summer_scn, window_spec):
