@@ -140,43 +140,41 @@ def aggregate_annual(results, sset: ScenarioSet) -> AnnualSummary:
 # batch solving
 # ---------------------------------------------------------------------------
 
-# Scenarios of a chunk solved side by side at most, to bound the memory of
-# the suspended solves: unsliced, the 3 x 7500 concept comparison at jobs=1
-# peaked at 352 MB, with these slices at 138 MB.
+# Scenarios solved side by side at most: the batch of a pool worker and the
+# slice of a serial run, so that the suspended solves stay small in memory
+# (unsliced, the 3 x 7500 concept comparison at jobs=1 peaked at 352 MB,
+# with 256-scenario slices at 138 MB).
 _LOCKSTEP_SCENARIOS = 256
 
 
 def _solve_chunk(args):
-    """results[scenario][concept][window] for one chunk of scenarios.
+    """results[scenario][concept][window] for one slice of scenarios.
 
-    The chunk goes in slices of up to ``_LOCKSTEP_SCENARIOS`` scenarios.
-    Every (scenario, concept) pair of a slice is solved at one window at a
-    time in lockstep (:func:`solver.settle`), so a Newton round of the slice
-    makes one batched PMV kernel call.  The results are then taken from
+    Every (scenario, concept) pair of the slice is solved at one window at
+    a time in lockstep (:func:`solver.settle`), so a Newton round of the
+    slice is one array Newton per branch shape and one batched PMV kernel
+    call per evaluation.  The results are then taken from
     :meth:`ScenarioSweeper.solve` in scenario-major order, so a failing
-    chunk raises the error of its first failing scenario in dataset order,
+    slice raises the error of its first failing scenario in dataset order,
     and a scenario whose sweeper cannot be built raises only after the
     scenarios before it.  One view-weight cache serves every concept and
-    window of the chunk.
+    window of the slice.
     """
     scenarios, concepts, spec, windows, seed, method = args
     cache = ViewWeightsCache()
-    out = []
-    for start in range(0, len(scenarios), _LOCKSTEP_SCENARIOS):
-        rows: list[list[ScenarioSweeper]] = []
-        build_error = None
-        try:
-            for scn in scenarios[start:start + _LOCKSTEP_SCENARIOS]:
-                rows.append([])
-                for cfg, layout in concepts:
-                    rows[-1].append(ScenarioSweeper(scn, cfg, spec, layout, seed, cache,
-                                                    method))
-        except CabinThermError as err:
-            build_error = err
-        settle([sw for row in rows for sw in row], windows)
-        out += [[[sw.solve(lo, hi) for lo, hi in windows] for sw in row] for row in rows]
-        if build_error is not None:
-            raise build_error
+    rows: list[list[ScenarioSweeper]] = []
+    build_error = None
+    try:
+        for scn in scenarios:
+            rows.append([])
+            for cfg, layout in concepts:
+                rows[-1].append(ScenarioSweeper(scn, cfg, spec, layout, seed, cache, method))
+    except CabinThermError as err:
+        build_error = err
+    settle([sw for row in rows for sw in row], windows)
+    out = [[[sw.solve(lo, hi) for lo, hi in windows] for sw in row] for row in rows]
+    if build_error is not None:
+        raise build_error
     return out
 
 
@@ -184,23 +182,31 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
                  seed: int, jobs: int = 1, method: str = "rootfind"
                  ) -> list[list[list[SolveResult]]]:
     """Solve every scenario for every (config, layout) pair in ``concepts``
-    at every window; returns results[concept][window][scenario]."""
+    at every window; returns results[concept][window][scenario].
+
+    A layout of None is the configuration's :func:`solver.default_layout`,
+    built once here.  The scenarios go in slices of
+    ``min(_LOCKSTEP_SCENARIOS, ceil(n / jobs))``: one after the other with
+    ``jobs=1``, else over a pool of up to ``jobs`` workers, one slice a task.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    concepts = [(cfg, default_layout(cfg) if layout is None else layout)
+                for cfg, layout in concepts]
     scenarios = list(sset)
-    if jobs == 1 or not scenarios:
-        per_scn = _solve_chunk((scenarios, concepts, spec, windows, seed, method))
+    size = max(1, min(_LOCKSTEP_SCENARIOS, math.ceil(len(scenarios) / jobs)))
+    tasks = [(scenarios[i:i + size], concepts, spec, windows, seed, method)
+             for i in range(0, len(scenarios), size)]
+    per_scn = []
+    if jobs == 1 or len(tasks) < 2:
+        for task in tasks:
+            per_scn += _solve_chunk(task)
     else:
         if method == "opt":
             get_pmv_surrogate(spec)  # fitted once here, inherited by the workers
-        chunks = max(1, math.ceil(len(scenarios) / (jobs * 4)))
-        batches = [scenarios[i:i + chunks] for i in range(0, len(scenarios), chunks)]
-        per_scn = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            for part in pool.map(_solve_chunk,
-                                 [(b, concepts, spec, windows, seed, method)
-                                  for b in batches]):
-                per_scn.extend(part)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            for part in pool.map(_solve_chunk, tasks):
+                per_scn += part
     return [[[row[ci][wi] for row in per_scn] for wi in range(len(windows))]
             for ci in range(len(concepts))]
 

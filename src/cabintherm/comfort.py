@@ -135,7 +135,7 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
         hc = np.maximum(hcf, hcn)
         xn = (p5 + p4 * hc - p2 * xf ** 4) / (100.0 + p3 * hc)
         done = np.abs(xn - xf) < _TCL_TOL
-        if done.any():
+        if np.count_nonzero(done):     # cheaper than done.any() on small arrays
             xn_done[live[done]] = xn[done]
             hc_done[live[done]] = hc[done]
             go = ~done

@@ -2,12 +2,16 @@
 
 The cabin is modelled as four thermal reservoirs: cabin air, radiant-heater
 (RH) panels, inner shell, and outer shell.  Each function below computes one
-signed heat flow in watts.  :func:`reservoir_balance` is the one place that
-assembles them into the reservoir energy-conservation rows and their
-analytic Jacobian: the reporting path (:func:`compute_heat_flows`,
-:func:`balance_residuals`), the Newton solver and the optimizer's equality
-constraints all evaluate it.  All temperatures are kelvin internally;
-degrees Celsius appear only in configuration files and reports.
+signed heat flow in watts for one operating point.  :func:`reservoir_balance`
+is the one place that assembles the flows into the reservoir
+energy-conservation rows and their analytic Jacobian, for one row of
+unknowns or a stack of rows: it evaluates the same formulas from each
+row's :class:`BalanceCoefficients`, the products of configuration and
+scenario constants formed once.  The reporting path
+(:func:`compute_heat_flows`, :func:`balance_residuals`), the Newton solver
+and the optimizer's equality constraints all evaluate it.  All
+temperatures are kelvin internally; degrees Celsius appear only in
+configuration files and reports.
 
 Sign conventions:
   * door/shell losses are positive when heat leaves the cabin,
@@ -378,66 +382,133 @@ def scenario_loads(scn: Scenario, cfg: BusConfig) -> Loads:
     return Loads(passenger_heat(scn.N_pass, cfg), *solar_heat_flows(scn, cfg))
 
 
-def reservoir_balance(T_cab: float, T_rh: float, T_si: float, T_so: float,
-                      Q_hvac: float, P_rh: float, scn: Scenario, loads: Loads,
-                      cfg: BusConfig, rh_on: bool) -> tuple[dict, list, list]:
-    """Energy-conservation rows of the reservoirs and their Jacobian.
+class BalanceCoefficients(NamedTuple):
+    """The constants of :func:`reservoir_balance` for one scenario and
+    configuration: floats for one row, or equal-length arrays for a stack
+    of rows.  Each is the product the flow functions above form first, in
+    their order, so the kernel's flows agree with theirs."""
 
-    Returns ``(flows, rows, jac)``: the state-dependent heat flows by
-    :class:`HeatFlows` name (W); the rows of cabin air, RH panel (only with
-    ``rh_on``), inner shell and outer shell (W, zero in steady state); and
-    one Jacobian list per row, with columns for the unknowns
+    T_inf: float
+    T_inf4: float           # T_inf^4
+    door: float             # door_loss prefactor, zeta_door included
+    inv_sqrt_T_inf: float   # 1 / sqrt(T_inf)
+    a_in: float             # h_in (A_roof + A_wall)
+    k: float                # k_body
+    hA_out: float           # h_out A_body
+    sA_body: float          # sigma A_body
+    d_so: float             # -k_body - h_out A_body
+    c_so: float             # 4 sigma A_body
+    sA_rh: float            # sigma A_rh
+    hr: float               # h_rh A_rh
+    c_rh: float             # 4 sigma A_rh
+    Q_pass: float
+    Q_sol_so: float
+    Q_sol_cab: float
+    Q_sol_si: float
+
+
+def balance_coefficients(scn: Scenario, cfg: BusConfig) -> BalanceCoefficients:
+    """The one-row :class:`BalanceCoefficients` of ``scn`` under ``cfg``."""
+    door = (cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
+            * cfg.w_door_tot * scn.zeta_door)
+    a_in = cfg.h_in * (cfg.A_roof + cfg.A_wall)
+    hA_out = cfg.h_out * cfg.A_body
+    return BalanceCoefficients(
+        scn.T_inf, scn.T_inf ** 4, door, 1.0 / math.sqrt(scn.T_inf), a_in, cfg.k_body,
+        hA_out, cfg.sigma * cfg.A_body, -cfg.k_body - hA_out, 4.0 * cfg.sigma * cfg.A_body,
+        cfg.sigma * cfg.A_rh, cfg.h_rh * cfg.A_rh, 4.0 * cfg.sigma * cfg.A_rh,
+        *scenario_loads(scn, cfg))
+
+
+def _pow(t, p: float):
+    """``t ** p`` by the C library's ``pow``, for a float and elementwise
+    for an array: numpy's array loop differs from it in the last bit for
+    about 5 % of values, and a row must evaluate the same alone, stacked,
+    and as a float."""
+    if isinstance(t, np.ndarray):
+        return np.array([v ** p for v in t.ravel().tolist()]).reshape(t.shape)
+    return t ** p
+
+
+def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficients,
+                      rh_on: bool) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Energy-conservation rows of the reservoirs and their Jacobian, for
+    one row of unknowns or a stack of rows.
+
+    The unknowns are floats (one row) or arrays of one shape ``S`` (a
+    stack), and the fields of ``c`` broadcast against them.  Returns
+    ``(flows, rows, jac)``: the state-dependent heat flows by
+    :class:`HeatFlows` name (W, shape ``S``); the rows of cabin air, RH
+    panel (only with ``rh_on``), inner shell and outer shell (W, zero in
+    steady state), shape ``S + (rows,)``; and their Jacobian, shape
+    ``S + (rows, columns)``, with columns for the unknowns
     ``[T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]`` with the panels on and
     ``[T_cab, T_si, T_so, Q_hvac]`` without.  Without radiant heaters the
     RH flows are zero and ``T_rh``/``P_rh`` are ignored.
+
+    Every operation is elementwise: IEEE arithmetic and square roots, and
+    powers by the C library (:func:`_pow`), so a row gives the same bits as
+    floats, alone and inside any stack.
     """
-    T_inf = scn.T_inf
-    q_door = door_loss(T_cab, T_inf, scn.zeta_door, cfg)
-    q_h_si = convective_cabin_to_shell(T_cab, T_si, cfg)
-    q_k = conduction_shell(T_si, T_so, cfg)
-    q_h_so = convective_shell_to_ambient(T_so, T_inf, cfg)
-    q_r_so = radiative_loss_outer(T_so, T_inf, cfg)
-    dt = T_cab - T_inf
-    d_door = 1.5 * q_door / dt if dt != 0.0 else 0.0
-    a_in = cfg.h_in * (cfg.A_roof + cfg.A_wall)
-    k = cfg.k_body
-    d_so = -k - cfg.h_out * cfg.A_body - 4.0 * cfg.sigma * cfg.A_body * T_so ** 3
+    dt = T_cab - c.T_inf
+    q_door = c.door * np.sqrt(np.abs(dt)) * c.inv_sqrt_T_inf * dt
+    q_h_si = c.a_in * (T_cab - T_si)
+    q_k = c.k * (T_si - T_so)
+    q_h_so = c.hA_out * (T_so - c.T_inf)
+    q_r_so = c.sA_body * (_pow(T_so, 4) - c.T_inf4)
+    # dt + (dt == 0) is dt, or 1 where q_door is zero with dt
+    d_door = 1.5 * q_door / (dt + (dt == 0.0))
+    d_so = c.d_so - c.c_so * _pow(T_so, 3)
+    nb = 4 if rh_on else 3
+    shape = np.shape(dt)
+    rows = np.empty(shape + (nb,))
+    jac = np.zeros(shape + (nb, 6 if rh_on else 4))
     if rh_on:
-        q_r_rh = radiative_rh_to_shell(T_rh, T_si, cfg)
-        q_h_rh = convective_rh_to_cabin(T_rh, T_cab, cfg)
-        hr = cfg.h_rh * cfg.A_rh
-        rr_rh = 4.0 * cfg.sigma * cfg.A_rh * T_rh ** 3
-        rr_si = 4.0 * cfg.sigma * cfg.A_rh * T_si ** 3
-        rows = [loads.Q_pass + q_h_rh - q_h_si - q_door + loads.Q_sol_cab + Q_hvac,
-                P_rh - q_r_rh - q_h_rh,
-                q_r_rh + q_h_si + loads.Q_sol_si - q_k,
-                q_k - q_h_so - q_r_so + loads.Q_sol_so]
-        jac = [[-hr - a_in - d_door, hr, a_in, 0.0, 1.0, 0.0],
-               [hr, -rr_rh - hr, rr_si, 0.0, 0.0, 1.0],
-               [a_in, rr_rh, -rr_si - a_in - k, k, 0.0, 0.0],
-               [0.0, 0.0, k, d_so, 0.0, 0.0]]
+        q_r_rh = c.sA_rh * (_pow(T_rh, 4) - _pow(T_si, 4))
+        q_h_rh = c.hr * (T_rh - T_cab)
+        rr_rh = c.c_rh * _pow(T_rh, 3)
+        rr_si = c.c_rh * _pow(T_si, 3)
+        rows[..., 0] = c.Q_pass + q_h_rh - q_h_si - q_door + c.Q_sol_cab + Q_hvac
+        rows[..., 1] = P_rh - q_r_rh - q_h_rh
+        rows[..., 2] = q_r_rh + q_h_si + c.Q_sol_si - q_k
+        rows[..., 3] = q_k - q_h_so - q_r_so + c.Q_sol_so
+        jac[..., 0, 0] = -c.hr - c.a_in - d_door
+        jac[..., 0, 1] = jac[..., 1, 0] = c.hr
+        jac[..., 0, 2] = jac[..., 2, 0] = c.a_in
+        jac[..., 0, 4] = jac[..., 1, 5] = 1.0
+        jac[..., 1, 1] = -rr_rh - c.hr
+        jac[..., 1, 2] = rr_si
+        jac[..., 2, 1] = rr_rh
+        jac[..., 2, 2] = -rr_si - c.a_in - c.k
+        jac[..., 2, 3] = jac[..., 3, 2] = c.k
+        jac[..., 3, 3] = d_so
     else:
-        q_r_rh = q_h_rh = 0.0
-        rows = [loads.Q_pass - q_h_si - q_door + loads.Q_sol_cab + Q_hvac,
-                q_h_si + loads.Q_sol_si - q_k,
-                q_k - q_h_so - q_r_so + loads.Q_sol_so]
-        jac = [[-a_in - d_door, a_in, 0.0, 1.0],
-               [a_in, -a_in - k, k, 0.0],
-               [0.0, k, d_so, 0.0]]
+        q_r_rh = q_h_rh = np.zeros(shape)
+        rows[..., 0] = c.Q_pass - q_h_si - q_door + c.Q_sol_cab + Q_hvac
+        rows[..., 1] = q_h_si + c.Q_sol_si - q_k
+        rows[..., 2] = q_k - q_h_so - q_r_so + c.Q_sol_so
+        jac[..., 0, 0] = -c.a_in - d_door
+        jac[..., 0, 1] = jac[..., 1, 0] = c.a_in
+        jac[..., 0, 3] = 1.0
+        jac[..., 1, 1] = -c.a_in - c.k
+        jac[..., 1, 2] = jac[..., 2, 1] = c.k
+        jac[..., 2, 2] = d_so
     flows = {"Q_door": q_door, "Q_r_so": q_r_so, "Q_r_rh": q_r_rh, "Q_h_rh": q_h_rh,
              "Q_h_si": q_h_si, "Q_h_so": q_h_so, "Q_k": q_k}
     return flows, rows, jac
 
 
 def _evaluate(state: ThermalState, scn: Scenario, cfg: BusConfig,
-              rh_on: bool) -> tuple[HeatFlows, list]:
-    loads = scenario_loads(scn, cfg)
+              rh_on: bool) -> tuple[HeatFlows, np.ndarray]:
+    c = balance_coefficients(scn, cfg)
     flows, rows, _ = reservoir_balance(state.T_cab, state.T_rh, state.T_si, state.T_so,
-                                       state.Q_hvac, state.P_rh, scn, loads, cfg, rh_on)
+                                       state.Q_hvac, state.P_rh, c, rh_on)
     p_rh = state.P_rh if rh_on else 0.0
     p_hvac = hvac_power(state.Q_hvac, state.T_cab, scn.T_inf, cfg)
-    return HeatFlows(**loads._asdict(), **flows, Q_hvac=state.Q_hvac, P_rh=p_rh,
-                     P_hvac=p_hvac, P_tot=p_rh + p_hvac), rows
+    return HeatFlows(Q_pass=c.Q_pass, Q_sol_so=c.Q_sol_so, Q_sol_cab=c.Q_sol_cab,
+                     Q_sol_si=c.Q_sol_si, **{k: float(v) for k, v in flows.items()},
+                     Q_hvac=state.Q_hvac, P_rh=p_rh, P_hvac=p_hvac,
+                     P_tot=p_rh + p_hvac), rows
 
 
 def compute_heat_flows(state: ThermalState, scn: Scenario, cfg: BusConfig,
@@ -458,7 +529,7 @@ def balance_residuals(state: ThermalState, scn: Scenario, cfg: BusConfig,
     for name, val in flows.as_dict().items():
         if not math.isfinite(val):
             raise EvaluationError(f"non-finite heat flow {name} = {val}")
-    return np.array(rows)
+    return rows
 
 
 def max_abs_flow(f: HeatFlows) -> float:

@@ -25,30 +25,35 @@ for, and keeps whichever needs less total electric power.  The routes also
 share the heat balance (:func:`model_core.reservoir_balance`) and the
 per-branch result assembly.
 
-Exact PMV values are evaluated in lockstep.  Every solve is written as
-*solve steps*: a generator that yields a PMV request -- the kernel points
-of one scenario, from a Newton residual, a forward-difference gradient, a
-passive-state check or the per-passenger report of a settled state --
-whenever it needs exact PMV values, is sent the values back, and returns
-its result.  The scheduler :func:`_lockstep` advances many solves side by
-side and answers all their pending requests of one round with a single
-:func:`comfort.pmv_array` call, so a sweep pays the kernel's fixed cost
-once per Newton round of many scenarios rather than once per scenario.  The arithmetic
-of each solve (Newton steps, line search, restarts, warm starts) stays its
-own and does not depend on what it runs beside: the kernel converges point
-by point, so a value is the same in any batch.  :func:`settle` runs many
-sweepers (:class:`ScenarioSweeper`) window by window; a single solve runs
-the same scheduler with one task.
+Solves run in lockstep.  Every solve is written as *solve steps*: a
+generator that yields a request whenever it needs work that many solves
+can share, is sent the answer, and returns its result.  A PMV request
+holds the kernel points of one scenario (a passive-state check, the
+per-passenger report of a settled state, the optimization route's exact
+comfort check) and is sent their values; a Newton request
+``(model, x0, psi_tgt, frozen_q)`` is one damped-Newton solve and is sent
+``(x, iterations)``.  The scheduler :func:`_lockstep` advances many solves
+side by side.  Each round it answers all pending PMV requests of one
+comfort setting with a single :func:`comfort.pmv_array` call, and runs all
+pending Newton requests of one branch shape and comfort setting as one
+array Newton (:class:`_NewtonGroup`): each of its evaluations makes one
+balance kernel call, one PMV kernel call and one stacked linear solve for
+every live row.  A single solve is the same scheduler with one task, and
+its Newton a stack of one row.  The arithmetic of each solve (Newton
+steps, line search, restarts, warm starts) stays its own and does not
+depend on what it runs beside: the kernels work row by row and point by
+point, so a value is the same bits in any batch.  :func:`settle` runs many
+sweepers (:class:`ScenarioSweeper`) window by window.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict, deque
 from collections.abc import Generator
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import TypeVar
+from functools import lru_cache
+from itertools import accumulate, count
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -56,8 +61,9 @@ from scipy.optimize import minimize
 from .comfort import (ComfortSpec, clothing_insulation, get_pmv_surrogate,
                       mean_pmv, pmv_array, ppd as ppd_of)
 from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
-from .model_core import (BusConfig, HeatFlows, KELVIN, Scenario, ThermalState,
-                         compute_heat_flows, reservoir_balance, scenario_loads)
+from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scenario,
+                         ThermalState, balance_coefficients, compute_heat_flows,
+                         reservoir_balance)
 from .radiant_geometry import (CabinLayout, ceiling_panel_strip,
                                mixed_radiant_temperature, panel_view_weights,
                                place_passengers)
@@ -81,8 +87,8 @@ MODE_PASSIVE = "passive"
 SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
 
 _T = TypeVar("_T")
-# solve steps returning a _T: yield (model, ta_c, tr_c), are sent PMV values
-_Steps = Generator[tuple, np.ndarray, _T]
+# solve steps returning a _T: yield PMV or Newton requests, are sent answers
+_Steps = Generator[tuple, object, _T]
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,17 @@ class ViewWeightsCache:
 
 
 # ---------------------------------------------------------------------------
-# lockstep PMV scheduler
+# lockstep scheduler
 # ---------------------------------------------------------------------------
+
+class _NewtonRequest(NamedTuple):
+    """A damped-Newton solve a task waits for (see :meth:`_BranchModel.newton`)."""
+
+    model: "_BranchModel"
+    x0: np.ndarray
+    psi_tgt: float | None
+    frozen_q: float | None
+
 
 def _batch_pmv(requests: list, vel: float, rh_pct: float, met: float) -> list:
     """PMV values of every ``(model, ta_c, tr_c)`` request by one kernel call.
@@ -169,20 +184,35 @@ def _batch_pmv(requests: list, vel: float, rh_pct: float, met: float) -> list:
             try:
                 out.append(pmv_array(ta, tr, model.r_clo, vel, rh_pct, met))
             except EvaluationError as err:
-                out.append(EvaluationError(f"{err} (scenario {model.scn.id!r})"))
+                out.append(_named(err, model))
         return out
     return [vals[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+
+
+def _named(err: EvaluationError, model: "_BranchModel") -> EvaluationError:
+    """``err`` with the scenario of ``model`` named."""
+    return EvaluationError(f"{err} (scenario {model.scn.id!r})")
+
+
+def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
+    """The kernel arguments after the points: (v_cab, RH %, met)."""
+    return spec.v_cab, spec.phi_cab * 100.0, spec.met
 
 
 def _lockstep(tasks: list[_Steps]) -> list:
     """Run solve steps side by side; per task its result or its error.
 
-    A task is a generator that yields ``(model, ta_c, tr_c)`` -- 1-D air and
-    radiant temperatures (C) of kernel points at the clothing of ``model`` --
-    whenever it needs exact PMV values, is sent their values, and returns
-    its result.  Each round answers the pending requests of every task with
-    one :func:`pmv_array` call per comfort setting.  A task that raises a
-    :class:`CabinThermError` stops with it; the others carry on.
+    A task is a generator that yields requests and returns its result.  A
+    PMV request ``(model, ta_c, tr_c)`` -- 1-D air and radiant temperatures
+    (C) of kernel points at the clothing of ``model`` -- is sent the PMV
+    values back; a :class:`_NewtonRequest` is sent ``(x, iterations)``.
+    Each round groups the pending requests: the PMV requests of one comfort
+    setting go to one :func:`pmv_array` call, and the Newton requests of
+    one branch shape and comfort setting go to one array Newton
+    (:class:`_NewtonGroup`), whose every evaluation makes one balance
+    kernel call, one PMV kernel call and one stacked linear solve for all
+    its live rows.  A task that raises a :class:`CabinThermError`, or is
+    thrown one by its request, stops with it; the others carry on.
     """
     out: list = [None] * len(tasks)
     pending: dict[int, tuple] = {}
@@ -200,15 +230,23 @@ def _lockstep(tasks: list[_Steps]) -> list:
     while pending:
         batch, pending = pending, {}
         groups: dict[tuple, list[int]] = defaultdict(list)
-        for i, (model, _, _) in batch.items():
-            spec = model.spec
-            groups[(spec.v_cab, spec.phi_cab * 100.0, spec.met)].append(i)
-        for setting, idx in groups.items():
-            for i, vals in zip(idx, _batch_pmv([batch[i] for i in idx], *setting)):
-                if isinstance(vals, EvaluationError):
-                    advance(i, tasks[i].throw, vals)
+        for i, req in batch.items():
+            model = req[0]
+            if isinstance(req, _NewtonRequest):
+                use_psi = req.psi_tgt is not None
+                key = (True, model.rh_on, use_psi, req.frozen_q is None,
+                       _comfort_setting(model.spec) if use_psi else None)
+            else:
+                key = (False, _comfort_setting(model.spec))
+            groups[key].append(i)
+        for key, idx in groups.items():
+            reqs = [batch[i] for i in idx]
+            vals = _NewtonGroup(reqs).run() if key[0] else _batch_pmv(reqs, *key[1])
+            for i, val in zip(idx, vals):
+                if isinstance(val, CabinThermError):
+                    advance(i, tasks[i].throw, val)
                 else:
-                    advance(i, tasks[i].send, vals)
+                    advance(i, tasks[i].send, val)
     return out
 
 
@@ -227,9 +265,10 @@ def _run(task: _Steps[_T]) -> _T:
 class _BranchModel:
     """Heat balance of one scenario with the RH branch fixed on or off.
 
-    Precomputes everything that does not depend on the unknowns: solar
-    gains, passenger heat, clothing insulation, and per-passenger panel
-    view weights.  The methods that need exact PMV values are solve steps
+    Precomputes everything that does not depend on the unknowns: the
+    balance kernel's coefficients (solar gains and passenger heat among
+    them), clothing insulation, and per-passenger panel view weights.  The
+    methods that need exact PMV values or a Newton solve are solve steps
     (generators for :func:`_lockstep`, see the module docstring).
     """
 
@@ -240,7 +279,7 @@ class _BranchModel:
         self.cfg = cfg
         self.spec = spec
         self.rh_on = rh_on and cfg.A_rh > 0
-        self.loads = scenario_loads(scn, cfg)
+        self.coef = balance_coefficients(scn, cfg)
         self.r_clo = clothing_insulation(scn.T_inf, scale=spec.clo_scale)
         if self.rh_on and scn.N_pass > 0:
             layout = layout if layout is not None else default_layout(cfg)
@@ -259,44 +298,23 @@ class _BranchModel:
         # without panel view weights every passenger sees the same T_mr,
         # so the mean PMV needs a single evaluation
         self.uniform_tmr = scn.N_pass == 0 or not np.any(self.b_weights > 0.0)
+        # the balance's flow magnitude floor: 1 W and the state-independent gains
+        self.flow_floor = max(1.0, abs(self.coef.Q_pass), self.coef.Q_sol_so)
         self._passive: tuple[ThermalState, int] | None = None
         self._passive_psi: float | None = None
         self._last_pinned: np.ndarray | None = None
 
     # -- exact comfort (solve steps) ----------------------------------------
 
-    def mean_psi_batch(self, t_cab, t_si, t_rh) -> _Steps[np.ndarray]:
-        """Unclamped mean PMV for batched states (arrays of equal length)."""
-        t_cab = np.atleast_1d(np.asarray(t_cab, float))
-        t_si = np.atleast_1d(np.asarray(t_si, float))
-        t_rh = np.atleast_1d(np.asarray(t_rh, float))
-        if self.uniform_tmr:
-            return (yield self, t_cab - KELVIN, t_si - KELVIN)
-        tmr = mixed_radiant_temperature(self.b_weights[None, :], t_si[:, None],
-                                        t_rh[:, None])
-        ta = np.broadcast_to(t_cab[:, None] - KELVIN, tmr.shape)
-        vals = yield self, ta.ravel(), (tmr - KELVIN).ravel()
-        return vals.reshape(tmr.shape).mean(axis=1)
-
     def mean_psi(self, t_cab: float, t_si: float, t_rh: float) -> _Steps[float]:
         """Unclamped mean PMV at one state."""
-        return float((yield from self.mean_psi_batch([t_cab], [t_si], [t_rh]))[0])
-
-    def psi_gradient(self, t_cab: float, t_si: float, t_rh: float,
-                     base: float) -> _Steps[np.ndarray]:
-        """d(mean PMV)/d(T_cab, T_si, T_rh) by vectorized forward differences
-        around an already-known base value."""
-        h = PSI_FD_STEP
-        if self.rh_on:
-            vals = yield from self.mean_psi_batch([t_cab + h, t_cab, t_cab],
-                                                  [t_si, t_si + h, t_si],
-                                                  [t_rh, t_rh, t_rh + h])
-        else:
-            vals = yield from self.mean_psi_batch([t_cab + h, t_cab],
-                                                  [t_si, t_si + h],
-                                                  [t_rh, t_rh])
-            vals = np.array([vals[0], vals[1], base])
-        return (vals - base) / h
+        if self.uniform_tmr:
+            vals = yield self, np.array([t_cab - KELVIN]), np.array([t_si - KELVIN])
+            return float(vals[0])
+        tmr = mixed_radiant_temperature(self.b_weights[None, :], np.array([[t_si]]),
+                                        np.array([[t_rh]]))
+        vals = yield self, np.full(tmr.size, t_cab - KELVIN), (tmr - KELVIN).ravel()
+        return float(vals.reshape(tmr.shape).mean(axis=1)[0])
 
     def per_passenger_pmv(self, state: ThermalState) -> _Steps[np.ndarray]:
         """Exact per-passenger PMV, clamped to the reporting range."""
@@ -311,82 +329,12 @@ class _BranchModel:
         vals = yield self, np.full(n, state.T_cab - KELVIN), tmr - KELVIN
         return np.clip(vals, -3.0, 3.0)
 
-    # -- residual system ----------------------------------------------------
+    # -- unknowns -----------------------------------------------------------
     # unknown order: rh on  -> [T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]
     #                rh off -> [T_cab, T_si, T_so, Q_hvac]
 
     def n_unknowns(self) -> int:
         return 6 if self.rh_on else 4
-
-    def _unpack_temps(self, x: np.ndarray) -> tuple[float, float, float]:
-        """(T_cab, T_si, T_rh) regardless of branch layout."""
-        if self.rh_on:
-            return x[0], x[2], x[1]
-        return x[0], x[1], x[1]
-
-    def _system(self, x: np.ndarray, psi_tgt: float | None,
-                psi_val: float | None) -> tuple[np.ndarray, float, list]:
-        """Residual rows, the flow magnitude used for relative tolerance,
-        and the Jacobian rows of the reservoir balance, from one kernel call.
-
-        The reservoir rows are followed by the panel-temperature pin (RH on)
-        and, with a target, the PMV row at the exact mean PMV ``psi_val``.
-        """
-        # Python floats: the same IEEE arithmetic as numpy scalars, faster
-        if self.rh_on:
-            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = x.tolist()
-        else:
-            t_cab, t_si, t_so, q_hvac = x.tolist()
-            t_rh, p_rh = t_cab, 0.0
-        f, rows, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh,
-                                         self.scn, self.loads, self.cfg, self.rh_on)
-        if self.rh_on:
-            rows.append(x[1] - self.cfg.T_rh_tgt)
-        if psi_tgt is not None:
-            rows.append(psi_val - psi_tgt)
-        loads = self.loads
-        scale = max(1.0, abs(loads.Q_pass), abs(f["Q_door"]), abs(f["Q_h_si"]),
-                    abs(f["Q_k"]), abs(f["Q_h_so"]), abs(f["Q_r_so"]), abs(f["Q_r_rh"]),
-                    abs(f["Q_h_rh"]), abs(q_hvac), abs(p_rh), loads.Q_sol_so)
-        return np.array(rows), scale, jac
-
-    def jacobian(self, balance_jac: list, psi_tgt: float | None,
-                 psi_grad: np.ndarray | None) -> np.ndarray:
-        """Full Jacobian from the reservoir rows ``_system`` returned."""
-        jac = list(balance_jac)
-        if self.rh_on:
-            jac.append([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])      # panel temperature pin
-            if psi_tgt is not None:
-                jac.append([psi_grad[0], psi_grad[2], psi_grad[1], 0.0, 0.0, 0.0])
-        elif psi_tgt is not None:
-            # no panels: T_mr tracks the inner shell only
-            jac.append([psi_grad[0], psi_grad[1], 0.0, 0.0])
-        return np.array(jac)
-
-    def row_weights(self, psi_tgt: float | None) -> np.ndarray:
-        w = [1e-3]                       # balance rows counted in kW
-        if self.rh_on:
-            w.append(1e-3)
-        w += [1e-3, 1e-3]
-        if self.rh_on:
-            w.append(1.0)                # pin row in K
-        if psi_tgt is not None:
-            w.append(10.0)               # 0.1 PMV weighs like 1 kW
-        return np.array(w)
-
-    def converged(self, r: np.ndarray, scale: float, psi_tgt: float | None) -> bool:
-        nb = 4 if self.rh_on else 3
-        # a Python max over floats: numpy's reduction wrapper costs more here
-        if max(map(abs, r[:nb].tolist())) > BALANCE_RTOL * scale:
-            return False
-        idx = nb
-        if self.rh_on:
-            if abs(r[idx]) > PIN_ROW_TOL:
-                return False
-            idx += 1
-        if psi_tgt is not None and abs(r[idx]) > PSI_ROW_TOL:
-            return False
-        return True
 
     def init_vector(self, psi_tgt: float | None) -> np.ndarray:
         t_inf = self.scn.T_inf
@@ -417,71 +365,11 @@ class _BranchModel:
         ``(x, iterations)``.
 
         ``frozen_q`` removes Q_hvac from the unknowns and holds it at the
-        given value (passive solves use 0).  Backtracking line search on the
-        weighted residual norm; up to 5 restarts from perturbed starting
-        points on stagnation.  The Jacobian of an iterate reuses the
-        reservoir rows evaluated with its residual.
+        given value (passive solves use 0); ``psi_tgt`` appends the PMV row.
+        The solve is one :class:`_NewtonRequest`, run by :func:`_lockstep`
+        as a row of an array Newton (:class:`_NewtonGroup`).
         """
-        nfull = self.n_unknowns()
-        q_idx = 4 if self.rh_on else 3
-        cols = [i for i in range(nfull) if frozen_q is None or i != q_idx]
-        n_temps = 4 if self.rh_on else 3
-        weights = self.row_weights(psi_tgt)
-        use_psi = psi_tgt is not None
-        total_iters = 0
-        last_r = None
-        last_x = None
-
-        def evaluate(xv):
-            psi = (yield from self.mean_psi(*self._unpack_temps(xv))) if use_psi else None
-            return (*self._system(xv, psi_tgt, psi), psi)
-
-        for attempt in range(MAX_RESTARTS + 1):
-            x = x0.copy()
-            if frozen_q is not None:
-                x[q_idx] = frozen_q
-            if attempt > 0:
-                rng = np.random.default_rng(1000 + attempt)
-                x[:n_temps] += rng.uniform(-5.0, 5.0, n_temps)
-            psi_grad = None
-            r, scale, bal_jac, psi_val = yield from evaluate(x)
-            norm = float(np.linalg.norm(r * weights))
-            for it in range(MAX_NEWTON_ITER):
-                if self.converged(r, scale, psi_tgt):
-                    return x, total_iters
-                total_iters += 1
-                if use_psi and (psi_grad is None or it % 4 == 0):
-                    psi_grad = yield from self.psi_gradient(*self._unpack_temps(x),
-                                                            psi_val)
-                jac = self.jacobian(bal_jac, psi_tgt, psi_grad)[:, cols]
-                try:
-                    dx = np.linalg.solve(jac, -r)
-                except np.linalg.LinAlgError:
-                    break
-                step = 1.0
-                improved = False
-                while step >= LINESEARCH_MIN:
-                    x_new = x.copy()
-                    for ci, col in enumerate(cols):
-                        x_new[col] += step * dx[ci]
-                    np.clip(x_new[:n_temps], T_BOX[0], T_BOX[1], out=x_new[:n_temps])
-                    r_new, scale_new, jac_new, psi_new = yield from evaluate(x_new)
-                    norm_new = float(np.linalg.norm(r_new * weights))
-                    if norm_new < norm or not math.isfinite(norm):
-                        x, r, scale, norm = x_new, r_new, scale_new, norm_new
-                        bal_jac, psi_val = jac_new, psi_new
-                        improved = True
-                        break
-                    step *= LINESEARCH_FACTOR
-                if not improved:
-                    break
-            last_r, last_x = r, x
-            if self.converged(r, scale, psi_tgt):
-                return x, total_iters
-        raise SolverError(
-            f"Newton did not converge for scenario {self.scn.id!r} "
-            f"(rh_on={self.rh_on}, psi_tgt={psi_tgt})",
-            last_x=last_x, last_residuals=last_r)
+        return (yield _NewtonRequest(self, x0, psi_tgt, frozen_q))
 
     # -- branch-level solves (solve steps) ----------------------------------
 
@@ -531,6 +419,376 @@ class _BranchModel:
         tgt = psi_min if psi_pass < psi_min else psi_max
         st2, iters2 = yield from self.pinned(tgt)
         return st2, iters + iters2
+
+
+# ---------------------------------------------------------------------------
+# array Newton
+# ---------------------------------------------------------------------------
+
+# the starting-point shift of each restart, on the temperatures
+_RESTART_SHIFTS = np.array([np.zeros(4)] + [np.random.default_rng(1000 + attempt)
+                                             .uniform(-5.0, 5.0, 4)
+                                             for attempt in range(1, MAX_RESTARTS + 1)])
+
+
+class _Shape(NamedTuple):
+    """What the systems of one :class:`_NewtonGroup` share."""
+
+    rh_on: bool
+    use_psi: bool
+    frozen: bool
+    nb: int                     # reservoir rows; also the temperatures of x
+    k: int                      # rows and unknowns of the square system
+    q_idx: int                  # the column of Q_hvac in x
+    cols: object                # the unknowns' columns of x (a slice or a list)
+    temp_cols: list             # columns of T_cab, T_si, T_rh (T_si without panels)
+    fd_steps: np.ndarray        # one perturbed temperature per difference point
+    weights: np.ndarray         # of the residual norm
+    row_tol: np.ndarray         # absolute tolerance of the pin and PMV rows
+    is_balance_row: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _shape(rh_on: bool, use_psi: bool, frozen: bool) -> _Shape:
+    n_full = 6 if rh_on else 4
+    nb = 4 if rh_on else 3
+    q_idx = 4 if rh_on else 3
+    cols = [j for j in range(n_full) if not frozen or j != q_idx]
+    k = len(cols)
+    weights = [1e-3] * nb                   # balance rows counted in kW
+    tol = [0.0] * nb
+    if rh_on:
+        weights.append(1.0)                 # pin row in K
+        tol.append(PIN_ROW_TOL)
+    if use_psi:
+        weights.append(10.0)                # 0.1 PMV weighs like 1 kW
+        tol.append(PSI_ROW_TOL)
+    return _Shape(rh_on, use_psi, frozen, nb, k, q_idx,
+                  slice(None) if k == n_full else slice(0, k) if cols[-1] == k - 1 else cols,
+                  [0, 2, 1] if rh_on else [0, 1, 1],
+                  PSI_FD_STEP * np.eye(3)[:3 if rh_on else 2],
+                  np.array(weights), np.array(tol), np.arange(k) < nb)
+
+
+class _NewtonGroup:
+    """Damped Newton on a stack of square systems of one shape.
+
+    Every request of a group has the same branch (RH on or off), the same
+    unknowns (Q_hvac frozen or free) and, with a PMV row, the same comfort
+    setting; scenarios, configurations and clothing may differ row by
+    row.  Each row runs the iteration of one scenario: backtracking line
+    search on the weighted residual norm, up to ``MAX_RESTARTS`` restarts
+    from shifted starting points when it stalls, and the PMV row's
+    gradient by forward differences refreshed every 4th iteration.  Its
+    convergence, steps, restarts and failure are its own masks, so a row
+    takes the same iterates alone as in any stack.  Every evaluation, for
+    all live rows at once, makes one :func:`reservoir_balance` call, one
+    :func:`pmv_array` call (with a PMV row; it also holds the difference
+    points of the rows whose next iteration refreshes the gradient) and
+    one stacked ``np.linalg.solve``.
+    """
+
+    def __init__(self, requests: list[_NewtonRequest]):
+        first = requests[0]
+        models = self.models = [req.model for req in requests]
+        sh = self.shape = _shape(first.model.rh_on, first.psi_tgt is not None,
+                                 first.frozen_q is not None)
+        self.psi_tgts = [req.psi_tgt for req in requests]
+        self.x0 = np.array([req.x0 for req in requests], dtype=float)
+        if sh.frozen:
+            self.x0[:, sh.q_idx] = [req.frozen_q for req in requests]
+        self.coef = np.array([m.coef for m in models])
+        self.floor = np.array([m.flow_floor for m in models])
+        if sh.rh_on:
+            self.t_rh_tgt = np.array([m.cfg.T_rh_tgt for m in models])
+        if sh.use_psi:
+            self.psi_tgt = np.array(self.psi_tgts)
+            self.setting = _comfort_setting(first.model.spec)
+            self.r_clo = np.array([m.r_clo for m in models])
+            self.all_uniform = all(m.uniform_tmr for m in models)
+            if not self.all_uniform:
+                # one point per uniform row, one per passenger otherwise
+                self.uniform = np.array([m.uniform_tmr for m in models])
+                self.n_pts = np.array([1 if m.uniform_tmr else m.scn.N_pass
+                                       for m in models])
+                self.b_flat = np.concatenate([np.zeros(1) if m.uniform_tmr else m.b_weights
+                                              for m in models])
+                self.b_start = np.cumsum(self.n_pts) - self.n_pts
+
+    # -- one evaluation -------------------------------------------------------
+
+    def _system(self, pos: np.ndarray | None, x: np.ndarray, psi: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual rows of the rows ``pos`` (None: every row) at ``x``, the
+        flow magnitude of their relative tolerance, and the Jacobian rows of
+        the balance.
+
+        The reservoir rows are followed by the panel-temperature pin (RH on)
+        and, with a PMV row, the mean PMV ``psi`` less its target.  A single
+        row goes to the kernel as floats, which give the same bits with less
+        overhead.
+        """
+        sh = self.shape
+        pick = (lambda a: a) if pos is None else (lambda a: a[pos])
+        if x.shape[0] == 1:
+            unknowns = x[0].tolist()
+            coef = self.models[0 if pos is None else pos[0]].coef
+        else:
+            unknowns = x.T
+            coef = BalanceCoefficients(*pick(self.coef).T)
+        if sh.rh_on:
+            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = unknowns
+        else:
+            t_cab, t_si, t_so, q_hvac = unknowns
+            t_rh, p_rh = t_cab, 0.0
+        f, bal, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh, coef,
+                                        sh.rh_on)
+        mags = [f["Q_door"], f["Q_h_si"], f["Q_k"], f["Q_h_so"], f["Q_r_so"], q_hvac]
+        rows = np.empty((x.shape[0], sh.k))
+        rows[:, :sh.nb] = bal
+        if sh.rh_on:
+            mags += [f["Q_r_rh"], f["Q_h_rh"], p_rh]
+            rows[:, sh.nb] = t_rh - pick(self.t_rh_tgt)
+        if psi is not None:
+            rows[:, -1] = psi - pick(self.psi_tgt)
+        scale = np.maximum(pick(self.floor), np.abs(mags).max(axis=0))
+        return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])
+
+    def _state_pmv(self, pos, t_cab, t_si, t_rh) -> np.ndarray:
+        """Unclamped mean PMV of states (t_cab, t_si, t_rh) of the rows ``pos``."""
+        if self.all_uniform:
+            return pmv_array(t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos], *self.setting)
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        of_pt = np.repeat(np.arange(pos.size), n)
+        b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
+        t_si_pt = t_si[of_pt]
+        tmr = mixed_radiant_temperature(b, t_si_pt, t_rh[of_pt])
+        vals = pmv_array(t_cab[of_pt] - KELVIN,
+                         np.where(self.uniform[pos][of_pt], t_si_pt, tmr) - KELVIN,
+                         self.r_clo[pos][of_pt], *self.setting)
+        # the mean over each state's points, as numpy's row mean of the
+        # (states, points) block of one point count
+        out = np.empty(pos.size)
+        for count in np.unique(n):
+            states = np.flatnonzero(n == count)
+            out[states] = vals[first[states, None] + np.arange(count)].mean(axis=1)
+        return out
+
+    def _psi(self, pos, x, grad_rows):
+        """Mean PMV at ``x`` of the rows ``pos`` and, at the rows
+        ``grad_rows`` (indices into ``pos``), its forward-difference
+        gradient in (T_cab, T_si, T_rh), from one kernel call."""
+        fd_steps = self.shape.fd_steps
+        temps = x[:, self.shape.temp_cols]
+        n = len(temps)
+        if grad_rows.size:
+            # one point per perturbed temperature (T_rh with panels only)
+            fd = (temps[grad_rows][:, None, :] + fd_steps).reshape(-1, 3)
+            temps = np.concatenate([temps, fd])
+            pos = np.concatenate([pos, np.repeat(pos[grad_rows], len(fd_steps))])
+        vals = self._state_pmv(pos, temps[:, 0], temps[:, 1], temps[:, 2])
+        psi = vals[:n]
+        grad = None
+        if grad_rows.size:
+            m = len(fd_steps)
+            grad = np.zeros((grad_rows.size, 3))
+            grad[:, :m] = (vals[n:].reshape(-1, m) - psi[grad_rows][:, None]) / PSI_FD_STEP
+        return psi, grad
+
+    def _psi_isolated(self, pos, x, grad_rows):
+        """:meth:`_psi` row by row, after the kernel failed on the stack:
+        (psi, grad, errors at the state, errors at the difference points),
+        the errors by row index; a failed row's values are NaN."""
+        n = x.shape[0]
+        psi = np.full(n, np.nan)
+        grad = np.full((grad_rows.size, 3), np.nan)
+        errors, grad_errors = {}, {}
+        for i in range(n):
+            try:
+                psi[i] = self._psi(pos[i:i + 1], x[i:i + 1], np.zeros(0, int))[0][0]
+            except EvaluationError as err:
+                errors[i] = _named(err, self.models[pos[i]])
+        for j, i in enumerate(grad_rows):
+            if i in errors:
+                continue
+            try:
+                grad[j] = self._psi(pos[i:i + 1], x[i:i + 1], np.zeros(1, int))[1][0]
+            except EvaluationError as err:
+                grad_errors[i] = _named(err, self.models[pos[i]])
+        return psi, grad, errors, grad_errors
+
+    def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
+        balance rows relative to the flow magnitude ``scale``."""
+        sh = self.shape
+        lim = np.where(sh.is_balance_row, (BALANCE_RTOL * scale)[:, None], sh.row_tol)
+        return np.logical_and.reduce(np.abs(r) <= lim, axis=1)
+
+    def _step(self, bal_jac: np.ndarray, grad: np.ndarray, r: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Newton steps ``-J^-1 r`` from the balance Jacobians and PMV
+        gradients, and the mask of rows whose J is singular (None when
+        there is none)."""
+        sh = self.shape
+        n, nb, k = len(bal_jac), sh.nb, sh.k
+        jac = np.zeros((n, k, k))
+        jac[:, :nb] = bal_jac[:, :, sh.cols]
+        if sh.rh_on:
+            jac[:, nb, 1] = 1.0                              # panel temperature pin
+            if sh.use_psi:
+                jac[:, nb + 1, :3] = grad[:, [0, 2, 1]]
+        elif sh.use_psi:
+            # no panels: T_mr tracks the inner shell only
+            jac[:, nb, :2] = grad[:, :2]
+        try:
+            return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], None
+        except np.linalg.LinAlgError:
+            dx = np.zeros(r.shape)
+            singular = np.zeros(n, bool)
+            for i in range(n):
+                try:
+                    dx[i] = np.linalg.solve(jac[i], -r[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+            return dx, singular
+
+    # -- the iteration ----------------------------------------------------------
+
+    def run(self) -> list:
+        """Per request ``(x, iterations)`` or its error.
+
+        Row state: ``x`` the accepted iterate and ``xt`` the point to
+        evaluate next (a trial step, or the start of an attempt); ``it`` the
+        iteration index within the attempt, -1 before its start is
+        evaluated, so a row refreshes its PMV gradient where ``it + 1`` is a
+        multiple of 4; ``norm`` the weighted residual norm of ``x``, NaN
+        before a start, which is therefore always accepted.  Masks that
+        would hold every live row are not formed.
+        """
+        sh = self.shape
+        n, cols, nt = len(self.models), sh.cols, sh.nb
+        out: list = [None] * n
+        pos = np.arange(n)              # the live rows, as request indices
+        x = xt = self.x0.copy()
+        r = scale = bal_jac = None
+        grad = np.zeros((n, 3))
+        norm = np.full(n, np.nan)
+        it = np.full(n, -1)
+        attempt = np.zeros(n, int)
+        iters = np.zeros(n, int)
+        step = np.ones(n)
+        dx = np.zeros((n, sh.k))
+        for evaluation in count():
+            m = pos.size
+            # ---- evaluate every live row at xt
+            errors = grad_errors = {}
+            psi = None
+            if sh.use_psi:
+                refresh = np.flatnonzero((it + 1) % 4 == 0)
+                try:
+                    psi, grad_t = self._psi(pos, xt, refresh)
+                except EvaluationError:
+                    psi, grad_t, errors, grad_errors = self._psi_isolated(pos, xt, refresh)
+            r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
+            w = r_t * sh.weights
+            norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
+            # ---- accept a start, or a trial step that lowers the norm
+            acc = (norm_t < norm) | ~np.isfinite(norm)
+            failed = None
+            if errors:
+                failed = np.zeros(m, bool)
+                failed[list(errors)] = True
+                acc &= ~failed
+                for i, err in errors.items():
+                    out[pos[i]] = err
+            n_acc = np.count_nonzero(acc)
+            if n_acc == m or r is None:
+                x, r, scale, bal_jac, norm = xt, r_t, scale_t, jac_t, norm_t
+                it += 1
+            elif n_acc:
+                x, r, scale, bal_jac, norm = (
+                    np.where(acc.reshape((m,) + (1,) * (new.ndim - 1)), new, old)
+                    for new, old in ((xt, x), (r_t, r), (scale_t, scale), (jac_t, bal_jac),
+                                     (norm_t, norm)))
+                it += acc
+            if sh.use_psi and refresh.size:
+                took = acc[refresh]
+                grad[refresh[took]] = grad_t[took]
+            # ---- accepted rows: converged, out of iterations, or a Newton step
+            if n_acc:
+                conv = self.converged(pos, r, scale)
+                if n_acc < m:
+                    conv &= acc
+                done = conv if failed is None else conv | failed
+                stepping = ~conv if n_acc == m else acc & ~conv
+                # no row has taken more steps than there were evaluations
+                ended = (stepping & (it >= MAX_NEWTON_ITER) if evaluation >= MAX_NEWTON_ITER
+                         else np.zeros(m, bool))
+                stepping &= ~ended
+                for i, err in grad_errors.items():
+                    if stepping[i]:
+                        out[pos[i]] = err
+                        stepping[i] = False
+                        done[i] = True
+                n_step = np.count_nonzero(stepping)
+                if n_step == m:
+                    dx, singular = self._step(bal_jac, grad, r)
+                    if singular is not None:
+                        ended |= singular
+                elif n_step:
+                    idx = np.flatnonzero(stepping)
+                    dx[idx], singular = self._step(bal_jac[idx], grad[idx], r[idx])
+                    if singular is not None:
+                        ended[idx[singular]] = True
+                iters += stepping
+            else:
+                done = np.zeros(m, bool) if failed is None else failed
+                ended = np.zeros(m, bool)
+            # ---- a rejected trial halves its step; too short ends the attempt
+            if n_acc == m:
+                step = np.ones(m)
+            else:
+                step = np.where(acc, 1.0, step * LINESEARCH_FACTOR)
+                ended |= step < LINESEARCH_MIN
+            # ---- ended attempts restart, or fail after the last one
+            restart = None
+            if failed is not None:
+                ended &= ~failed
+            if np.count_nonzero(ended):
+                attempt += ended
+                for i in np.flatnonzero(ended & (attempt > MAX_RESTARTS)):
+                    out[pos[i]] = SolverError(
+                        f"Newton did not converge for scenario "
+                        f"{self.models[pos[i]].scn.id!r} "
+                        f"(rh_on={sh.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
+                        last_x=x[i].copy(), last_residuals=r[i].copy())
+                    done[i] = True
+                restart = np.flatnonzero(ended & ~done)
+            n_done = np.count_nonzero(done)
+            if n_done:
+                for i in np.flatnonzero(done):
+                    if out[pos[i]] is None:
+                        out[pos[i]] = (x[i].copy(), int(iters[i]))
+                if n_done == m:
+                    return out
+            # ---- the next points: trial steps, and the starts of restarts
+            if cols == slice(None):
+                xt = x + step[:, None] * dx
+            else:
+                xt = x.copy()
+                xt[:, cols] += step[:, None] * dx
+            np.minimum(np.maximum(xt[:, :nt], T_BOX[0]), T_BOX[1], out=xt[:, :nt])
+            if restart is not None and restart.size:
+                xt[restart] = self.x0[pos[restart]]
+                xt[restart, :nt] += _RESTART_SHIFTS[attempt[restart], :nt]
+                it[restart] = -1
+                norm[restart] = np.nan
+            if n_done:
+                keep = ~done
+                pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt, iters, step, dx = (
+                    a[keep] for a in (pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt,
+                                      iters, step, dx))
 
 
 # ---------------------------------------------------------------------------
@@ -725,29 +983,29 @@ class _OptProgram:
         g[self.trh] = np.mean(d_tmr * b) * t_rh ** 3
         return g
 
-    def _balance(self, z) -> tuple[list, list, list]:
+    def _balance(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Reservoir rows and their Jacobian at ``z``."""
         model = self.model
         v = z.tolist()
         p_rh = v[self.prh] * 1000.0 if model.rh_on else 0.0
         _, rows, jac = reservoir_balance(v[self.tc], v[self.trh], v[self.tsi], v[self.tso],
                                          (v[self.hp] - v[self.ac]) * 1000.0, p_rh,
-                                         model.scn, model.loads, model.cfg, model.rh_on)
-        return v, rows, jac
+                                         model.coef, model.rh_on)
+        return rows, jac
 
     def equalities(self, z) -> np.ndarray:
         """Reservoir rows in kW, then (RH on) the panel-temperature pin."""
-        v, rows, _ = self._balance(z)
-        eq = [r * 1e-3 for r in rows]
+        eq = self._balance(z)[0] * 1e-3
         if self.model.rh_on:
-            eq.append(v[self.trh] - self.model.cfg.T_rh_tgt)
-        return np.array(eq)
+            eq = np.append(eq, z[self.trh] - self.model.cfg.T_rh_tgt)
+        return eq
 
     def equalities_jac(self, z) -> np.ndarray:
         """The kernel's Jacobian on ``z``: temperature columns x 1e-3 (rows
         in kW); ``Q_hvac = 1000 (z_hp - z_ac)`` and ``P_rh = 1000 z_prh``, so
         their columns enter as they are, Q_hvac's with +1 for ``z_hp`` and
         -1 for ``z_ac``; then the panel-pin row."""
-        jac = np.array(self._balance(z)[2])
+        jac = self._balance(z)[1]
         nb, nt = len(jac), self.n_temps
         rh_on = self.model.rh_on
         out = np.zeros((nb + rh_on, self.nvar))

@@ -242,6 +242,23 @@ class TestLockstep:
                 assert comparable([swept[ci][0][scn_i]]) == comparable([first])
         assert any(r.rh_used for per_w in swept[1] for r in per_w)
 
+    def test_default_layout_built_once_per_concept(self, two_per_month, ptc_rh_cfg,
+                                                   monkeypatch):
+        # one default panel strip per concept, not one per panel branch
+        # with passengers aboard
+        calls = []
+        original = solver.ceiling_panel_strip
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "ceiling_panel_strip", counting)
+        results = solve_set(two_per_month, ptc_rh_cfg, ComfortSpec())
+        assert sum(s.N_pass > 0 for s in two_per_month) > 1
+        assert any(r.rh_used for r in results)
+        assert len(calls) == 1
+
     def test_pool_same_as_serial_with_panels(self, two_per_month, ptc_rh_cfg, hp_rh_cfg):
         concepts = {"PTC-AC+RH": ptc_rh_cfg, "HP-AC+RH": hp_rh_cfg}
         pooled = compare_concepts(two_per_month, concepts, [0.0, 1.0], jobs=2)
@@ -254,16 +271,16 @@ class TestLockstep:
             monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", slice_size)
         scenarios = [s for s in two_per_month if s.N_pass > 0][:6]
         late, early = scenarios[1].id, scenarios[3].id
-        original = solver._BranchModel.converged
+        original = solver._NewtonGroup.converged
 
-        def converged(model, r, scale, psi_tgt):
+        def converged(group, pos, r, scale):
             # ``early`` fails at the first window (passive), ``late`` only
             # when pinned at the second: the sweep meets ``early`` first
-            if model.scn.id == early or (model.scn.id == late and psi_tgt is not None):
-                return False
-            return original(model, r, scale, psi_tgt)
+            ids = np.array([group.models[i].scn.id for i in pos])
+            never = (ids == early) | ((ids == late) & group.shape.use_psi)
+            return original(group, pos, r, scale) & ~never
 
-        monkeypatch.setattr(solver._BranchModel, "converged", converged)
+        monkeypatch.setattr(solver._NewtonGroup, "converged", converged)
         windows = [(-3.0, 3.0), (0.0, 0.0)]
         with pytest.raises(SolverError, match=f"scenario {late!r}"):
             analysis._run_windows(ScenarioSet(tuple(scenarios)), [(hp_cfg, None)],
@@ -277,12 +294,13 @@ class TestLockstep:
         failing = fake_scenario("failing", 1)
         scenarios = [fake_scenario("ok", 1)]
         scenarios += [overfull, failing] if overfull_first else [failing, overfull]
-        original = solver._BranchModel.converged
+        original = solver._NewtonGroup.converged
 
-        def converged(model, r, scale, psi_tgt):
-            return model.scn.id != "failing" and original(model, r, scale, psi_tgt)
+        def converged(group, pos, r, scale):
+            ids = np.array([group.models[i].scn.id for i in pos])
+            return original(group, pos, r, scale) & (ids != "failing")
 
-        monkeypatch.setattr(solver._BranchModel, "converged", converged)
+        monkeypatch.setattr(solver._NewtonGroup, "converged", converged)
         expected = ConfigError if overfull_first else SolverError
         with pytest.raises(expected):
             analysis._run_windows(ScenarioSet(tuple(scenarios)),

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
                                 ComfortSpec, get_pmv_surrogate, pmv_array)
-from cabintherm.model_core import (BusConfig, CopCurve, Scenario,
-                                   balance_residuals, c_to_k, max_abs_flow,
-                                   reservoir_balance, scenario_loads)
+from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
+                                   balance_coefficients, balance_residuals, c_to_k,
+                                   conduction_shell, convective_cabin_to_shell,
+                                   convective_rh_to_cabin, convective_shell_to_ambient,
+                                   door_loss, max_abs_flow, radiative_loss_outer,
+                                   radiative_rh_to_shell, reservoir_balance)
 from cabintherm.solver import _BranchModel, _OptProgram, solve_best
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
@@ -66,12 +69,12 @@ def test_kernel_jacobian_matches_central_differences(rh_on, data):
     assume(abs(temps[0] - scn.T_inf) > 0.5)
     x = np.array(temps + [data.draw(st.floats(-2e4, 2e4)),
                           data.draw(st.floats(0.0, 5e3))])
-    loads = scenario_loads(scn, cfg)
+    coef = balance_coefficients(scn, cfg)
 
     def rows(v):
-        return np.array(reservoir_balance(*v, scn, loads, cfg, rh_on)[1])
+        return reservoir_balance(*v, coef, rh_on)[1]
 
-    jac = np.array(reservoir_balance(*x, scn, loads, cfg, rh_on)[2])
+    jac = reservoir_balance(*x, coef, rh_on)[2]
     cols = [0, 1, 2, 3, 4, 5] if rh_on else [0, 2, 3, 4]
     assert jac.shape == (len(rows(x)), len(cols))
     atol = 1e-6 * max(1.0, float(np.max(np.abs(jac))))
@@ -82,6 +85,76 @@ def test_kernel_jacobian_matches_central_differences(rh_on, data):
         down[col] -= h
         fd = (rows(up) - rows(down)) / (2.0 * h)
         np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=atol)
+
+
+@pytest.mark.parametrize("rh_on", [False, True])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stacked_balance_equals_one_row_calls(rh_on, data):
+    # Newton evaluates every live row of a lockstep round in one kernel call:
+    # a row must give the same bits there as alone, as floats or as arrays
+    n = data.draw(st.integers(1, 12))
+    coefs, states = [], []
+    for _ in range(n):
+        scn = data.draw(scenarios())
+        coefs.append(balance_coefficients(scn, data.draw(configs(rh=rh_on))))
+        temps = [data.draw(st.floats(240.0, 380.0)) for _ in range(4)]
+        if data.draw(st.booleans()):
+            temps[0] = scn.T_inf          # no door flow: the Jacobian's special case
+        states.append(temps + [data.draw(st.floats(-2e4, 2e4)),
+                               data.draw(st.floats(0.0, 5e3))])
+    stacked = np.array(states)
+    flows, rows, jac = reservoir_balance(*stacked.T, BalanceCoefficients(*np.array(coefs).T),
+                                         rh_on)
+    assert rows.shape == (n, 4 if rh_on else 3)
+    assert jac.shape == rows.shape + (6 if rh_on else 4,)
+    for i, (coef, state) in enumerate(zip(coefs, states)):
+        alone = (reservoir_balance(*state, coef, rh_on),
+                 reservoir_balance(*stacked[i:i + 1].T,
+                                   BalanceCoefficients(*np.array([coef]).T), rh_on))
+        for f1, rows1, jac1 in alone:
+            assert _bits(rows1) == _bits(rows[i])
+            assert _bits(jac1) == _bits(jac[i])
+            for name, value in flows.items():
+                assert _bits(f1[name]) == _bits(value[i]), name
+
+
+@PROPERTY_SETTINGS
+@given(scn=scenarios(), cfg=configs(rh=True), data=st.data())
+def test_kernel_flows_match_the_flow_functions(scn, cfg, data):
+    # the kernel evaluates each flow from lumped coefficients
+    t_cab, t_rh, t_si, t_so = (data.draw(st.floats(240.0, 380.0)) for _ in range(4))
+    flows = reservoir_balance(t_cab, t_rh, t_si, t_so, 0.0, 0.0,
+                              balance_coefficients(scn, cfg), True)[0]
+    expected = {
+        "Q_door": door_loss(t_cab, scn.T_inf, scn.zeta_door, cfg),
+        "Q_h_si": convective_cabin_to_shell(t_cab, t_si, cfg),
+        "Q_k": conduction_shell(t_si, t_so, cfg),
+        "Q_h_so": convective_shell_to_ambient(t_so, scn.T_inf, cfg),
+        "Q_r_so": radiative_loss_outer(t_so, scn.T_inf, cfg),
+        "Q_r_rh": radiative_rh_to_shell(t_rh, t_si, cfg),
+        "Q_h_rh": convective_rh_to_cabin(t_rh, t_cab, cfg),
+    }
+    assert set(flows) == set(expected)
+    for name, value in expected.items():
+        # the radiative flows difference two fourth powers of ~1e10
+        assert flows[name] == pytest.approx(value, rel=1e-12, abs=1e-9), name
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_rises_with_air_and_radiant_temperature(data):
+    # 200 000 random points gave a slope of at least 0.046 per K in the air
+    # and 0.014 per K in the radiant temperature over these ranges
+    step = data.draw(st.floats(0.05, 5.0))
+    ta = data.draw(st.floats(-20.0, 50.0 - step))
+    tr = data.draw(st.floats(-20.0, 70.0 - step))
+    clo = data.draw(st.floats(0.0, 2.0))
+    setting = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
+               data.draw(st.floats(0.8, 2.0)))
+    base = pmv_array(ta, tr, clo, *setting)
+    assert pmv_array(ta + step, tr, clo, *setting) - base >= 0.01 * step
+    assert pmv_array(ta, tr + step, clo, *setting) - base >= 0.005 * step
 
 
 @PROPERTY_SETTINGS

@@ -44,15 +44,18 @@ class TestFixedPmv:
             solve_fixed_pmv(winter_scn, hp_cfg, ComfortSpec(), rh_on=False)
 
     def test_six_unknowns_with_rh(self, ptc_rh_cfg, winter_scn):
-        from cabintherm.solver import _BranchModel
+        from cabintherm.solver import _BranchModel, _NewtonGroup, _NewtonRequest
         m_on = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(psi_tgt=-1.0), True)
         m_off = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(psi_tgt=-1.0), False)
         assert m_on.n_unknowns() == 6
         assert m_off.n_unknowns() == 4
-        r_on = m_on._system(m_on.init_vector(-1.0), -1.0, 0.0)[0]
-        r_off = m_off._system(m_off.init_vector(-1.0), -1.0, 0.0)[0]
-        assert len(r_on) == 6
-        assert len(r_off) == 4
+
+        def residuals(model):
+            group = _NewtonGroup([_NewtonRequest(model, model.init_vector(-1.0), -1.0, None)])
+            return group._system(None, group.x0, np.zeros(1))[0][0]
+
+        assert len(residuals(m_on)) == 6
+        assert len(residuals(m_off)) == 4
 
 
 class TestWindowRootfind:
