@@ -122,6 +122,8 @@ def _scenario_from_args(args, app: AppConfig) -> Scenario:
     missing = [k for k, v in required.items() if v is None]
     if missing:
         raise DataError(f"inline scenario needs --{missing[0].replace('_', '-')}")
+    if not 1 <= args.month <= 12:
+        raise ConfigError(f"month must be 1..12, got {args.month}")
     beta = math.radians(args.beta_deg)
     i_dni, i_dhi = args.i_dni, args.i_dhi
     if beta <= 0:
@@ -138,8 +140,7 @@ def cmd_solve(args) -> int:
     scn = _scenario_from_args(args, app)
     spec = app.comfort
     if args.window:
-        lo, hi = (float(v) for v in args.window.split(","))
-        spec = spec.with_window(lo, hi)
+        spec = spec.with_window(*_parse_window(args.window))
     if args.psi_tgt is not None:
         spec = spec.with_target(args.psi_tgt)
         if args.rh == "auto" and app.bus.rh_enabled and app.bus.A_rh > 0:
@@ -237,6 +238,15 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
+
+def _parse_window(arg: str) -> tuple[float, float]:
+    """The PMV window ``'lo,hi'`` of ``--window``."""
+    try:
+        lo, hi = (float(v) for v in arg.split(","))
+    except ValueError:
+        raise ConfigError(f"bad PMV window {arg!r}: expected 'lo,hi'")
+    return lo, hi
+
 
 def _parse_windows(arg: str) -> list[float]:
     if not arg or not arg.strip():
@@ -350,8 +360,7 @@ def cmd_monthly(args) -> int:
     out = _ensure_out(args)
     spec = app.comfort
     if args.window:
-        lo, hi = (float(v) for v in args.window.split(","))
-        spec = spec.with_window(lo, hi)
+        spec = spec.with_window(*_parse_window(args.window))
     t0 = time.perf_counter()
     results = solve_set(sset, app.bus, spec, layout=app.layout, seed=args.seed,
                         jobs=args.jobs)
@@ -404,11 +413,14 @@ def cmd_gen(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="YAML config (default: $CABINTHERM_CONFIG or built-ins)")
     common.add_argument("--scenarios", default=None, help="scenario CSV path")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
+    common.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
                         help="concurrent scenario solves")
     common.add_argument("--solver", choices=["opt", "rootfind", "both"],
                         default="rootfind")

@@ -369,19 +369,6 @@ def hvac_power(Q_hvac: float, T_cab: float, T_inf: float, cfg: BusConfig) -> flo
 # balance
 # ---------------------------------------------------------------------------
 
-class Loads(NamedTuple):
-    """Heat gains of one scenario that do not depend on the unknowns (W)."""
-
-    Q_pass: float
-    Q_sol_so: float
-    Q_sol_cab: float
-    Q_sol_si: float
-
-
-def scenario_loads(scn: Scenario, cfg: BusConfig) -> Loads:
-    return Loads(passenger_heat(scn.N_pass, cfg), *solar_heat_flows(scn, cfg))
-
-
 class BalanceCoefficients(NamedTuple):
     """The constants of :func:`reservoir_balance` for one scenario and
     configuration: floats for one row, or equal-length arrays for a stack
@@ -417,7 +404,7 @@ def balance_coefficients(scn: Scenario, cfg: BusConfig) -> BalanceCoefficients:
         scn.T_inf, scn.T_inf ** 4, door, 1.0 / math.sqrt(scn.T_inf), a_in, cfg.k_body,
         hA_out, cfg.sigma * cfg.A_body, -cfg.k_body - hA_out, 4.0 * cfg.sigma * cfg.A_body,
         cfg.sigma * cfg.A_rh, cfg.h_rh * cfg.A_rh, 4.0 * cfg.sigma * cfg.A_rh,
-        *scenario_loads(scn, cfg))
+        passenger_heat(scn.N_pass, cfg), *solar_heat_flows(scn, cfg))
 
 
 def _pow(t, p: float):

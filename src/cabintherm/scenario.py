@@ -157,9 +157,16 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
     invariants, and rows repeating an earlier row's id, abort the load with
     their line numbers; the one tolerated inconsistency is nonzero
     irradiance with the sun below the horizon, which is zeroed with a
-    warning.
+    warning.  A file that cannot be read is a :class:`DataError` too.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"cannot read scenario file {path}: not UTF-8 text") from None
+    with io.StringIO(text) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")

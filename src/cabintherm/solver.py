@@ -26,24 +26,23 @@ share the heat balance (:func:`model_core.reservoir_balance`) and the
 per-branch result assembly.
 
 Solves run in lockstep.  Every solve is written as *solve steps*: a
-generator that yields a request whenever it needs work that many solves
-can share, is sent the answer, and returns its result.  A PMV request
-holds the kernel points of one scenario (a passive-state check, the
-per-passenger report of a settled state, the optimization route's exact
-comfort check) and is sent their values; a Newton request
-``(model, x0, psi_tgt, frozen_q)`` is one damped-Newton solve and is sent
-``(x, iterations)``.  The scheduler :func:`_lockstep` advances many solves
-side by side.  Each round it answers all pending PMV requests of one
-comfort setting with a single :func:`comfort.pmv_array` call, and runs all
-pending Newton requests of one branch shape and comfort setting as one
-array Newton (:class:`_NewtonGroup`): each of its evaluations makes one
-balance kernel call, one PMV kernel call and one stacked linear solve for
-every live row.  A single solve is the same scheduler with one task, and
-its Newton a stack of one row.  The arithmetic of each solve (Newton
-steps, line search, restarts, warm starts) stays its own and does not
-depend on what it runs beside: the kernels work row by row and point by
-point, so a value is the same bits in any batch.  :func:`settle` runs many
-sweepers (:class:`ScenarioSweeper`) window by window.
+generator that yields a Newton request ``(model, x0, psi_tgt, frozen_q)``
+whenever it needs a damped-Newton solve, is sent ``(x, iterations, pmv)``
+back, and returns its result.  ``pmv`` holds the unclamped PMV of the
+solution's kernel points (one point when every passenger sees the same
+T_mr, one per passenger otherwise, none for an empty bus); it is all the
+exact comfort a solve checks or reports.  The scheduler :func:`_lockstep`
+advances many solves side by side.  Each round it runs all pending
+requests of one branch shape and comfort setting as one array Newton
+(:class:`_NewtonGroup`): each of its evaluations makes one balance kernel
+call, one PMV kernel call (with a PMV row) and one stacked linear solve for
+every live row, and one more PMV kernel call answers the points of every
+solved row.  A single solve is the same scheduler with one task, and its
+Newton a stack of one row.  The arithmetic of each solve (Newton steps,
+line search, restarts, warm starts) stays its own and does not depend on
+what it runs beside: the kernels work row by row and point by point, so a
+value is the same bits in any batch.  :func:`settle` runs many sweepers
+(:class:`ScenarioSweeper`) window by window.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ MODE_PASSIVE = "passive"
 SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
 
 _T = TypeVar("_T")
-# solve steps returning a _T: yield PMV or Newton requests, are sent answers
+# solve steps returning a _T: yield Newton requests, are sent their answers
 _Steps = Generator[tuple, object, _T]
 
 
@@ -165,35 +164,6 @@ class _NewtonRequest(NamedTuple):
     frozen_q: float | None
 
 
-def _batch_pmv(requests: list, vel: float, rh_pct: float, met: float) -> list:
-    """PMV values of every ``(model, ta_c, tr_c)`` request by one kernel call.
-
-    When a point does not converge, each request is evaluated alone (a
-    point's value does not depend on its batch) and the requests that fail
-    get an :class:`EvaluationError` naming their scenario.
-    """
-    sizes = [ta.size for _, ta, _ in requests]
-    try:
-        vals = pmv_array(np.concatenate([ta for _, ta, _ in requests]),
-                         np.concatenate([tr for _, _, tr in requests]),
-                         np.repeat([model.r_clo for model, _, _ in requests], sizes),
-                         vel, rh_pct, met)
-    except EvaluationError:
-        out = []
-        for model, ta, tr in requests:
-            try:
-                out.append(pmv_array(ta, tr, model.r_clo, vel, rh_pct, met))
-            except EvaluationError as err:
-                out.append(_named(err, model))
-        return out
-    return [vals[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
-
-
-def _named(err: EvaluationError, model: "_BranchModel") -> EvaluationError:
-    """``err`` with the scenario of ``model`` named."""
-    return EvaluationError(f"{err} (scenario {model.scn.id!r})")
-
-
 def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
     """The kernel arguments after the points: (v_cab, RH %, met)."""
     return spec.v_cab, spec.phi_cab * 100.0, spec.met
@@ -202,20 +172,16 @@ def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
 def _lockstep(tasks: list[_Steps]) -> list:
     """Run solve steps side by side; per task its result or its error.
 
-    A task is a generator that yields requests and returns its result.  A
-    PMV request ``(model, ta_c, tr_c)`` -- 1-D air and radiant temperatures
-    (C) of kernel points at the clothing of ``model`` -- is sent the PMV
-    values back; a :class:`_NewtonRequest` is sent ``(x, iterations)``.
-    Each round groups the pending requests: the PMV requests of one comfort
-    setting go to one :func:`pmv_array` call, and the Newton requests of
-    one branch shape and comfort setting go to one array Newton
-    (:class:`_NewtonGroup`), whose every evaluation makes one balance
-    kernel call, one PMV kernel call and one stacked linear solve for all
-    its live rows.  A task that raises a :class:`CabinThermError`, or is
-    thrown one by its request, stops with it; the others carry on.
+    A task is a generator that yields :class:`_NewtonRequest` s and returns
+    its result; each request is sent ``(x, iterations, pmv)`` back, ``pmv``
+    the unclamped PMV of the solution's kernel points.  Each round groups
+    the pending requests by branch, PMV row, frozen Q_hvac and comfort
+    setting, and runs each group as one array Newton (:class:`_NewtonGroup`).
+    A task that raises a :class:`CabinThermError`, or is thrown one by its
+    request, stops with it; the others carry on.
     """
     out: list = [None] * len(tasks)
-    pending: dict[int, tuple] = {}
+    pending: dict[int, _NewtonRequest] = {}
 
     def advance(i, resume, value):
         try:
@@ -231,18 +197,10 @@ def _lockstep(tasks: list[_Steps]) -> list:
         batch, pending = pending, {}
         groups: dict[tuple, list[int]] = defaultdict(list)
         for i, req in batch.items():
-            model = req[0]
-            if isinstance(req, _NewtonRequest):
-                use_psi = req.psi_tgt is not None
-                key = (True, model.rh_on, use_psi, req.frozen_q is None,
-                       _comfort_setting(model.spec) if use_psi else None)
-            else:
-                key = (False, _comfort_setting(model.spec))
-            groups[key].append(i)
-        for key, idx in groups.items():
-            reqs = [batch[i] for i in idx]
-            vals = _NewtonGroup(reqs).run() if key[0] else _batch_pmv(reqs, *key[1])
-            for i, val in zip(idx, vals):
+            groups[(req.model.rh_on, req.psi_tgt is not None, req.frozen_q is None,
+                    _comfort_setting(req.model.spec))].append(i)
+        for idx in groups.values():
+            for i, val in zip(idx, _NewtonGroup([batch[i] for i in idx]).run()):
                 if isinstance(val, CabinThermError):
                     advance(i, tasks[i].throw, val)
                 else:
@@ -268,8 +226,9 @@ class _BranchModel:
     Precomputes everything that does not depend on the unknowns: the
     balance kernel's coefficients (solar gains and passenger heat among
     them), clothing insulation, and per-passenger panel view weights.  The
-    methods that need exact PMV values or a Newton solve are solve steps
-    (generators for :func:`_lockstep`, see the module docstring).
+    methods that need a Newton solve are solve steps (generators for
+    :func:`_lockstep`, see the module docstring); they return the solved
+    state with its iterations and the unclamped PMV of its kernel points.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -300,34 +259,8 @@ class _BranchModel:
         self.uniform_tmr = scn.N_pass == 0 or not np.any(self.b_weights > 0.0)
         # the balance's flow magnitude floor: 1 W and the state-independent gains
         self.flow_floor = max(1.0, abs(self.coef.Q_pass), self.coef.Q_sol_so)
-        self._passive: tuple[ThermalState, int] | None = None
-        self._passive_psi: float | None = None
+        self._passive: tuple[ThermalState, int, np.ndarray] | None = None
         self._last_pinned: np.ndarray | None = None
-
-    # -- exact comfort (solve steps) ----------------------------------------
-
-    def mean_psi(self, t_cab: float, t_si: float, t_rh: float) -> _Steps[float]:
-        """Unclamped mean PMV at one state."""
-        if self.uniform_tmr:
-            vals = yield self, np.array([t_cab - KELVIN]), np.array([t_si - KELVIN])
-            return float(vals[0])
-        tmr = mixed_radiant_temperature(self.b_weights[None, :], np.array([[t_si]]),
-                                        np.array([[t_rh]]))
-        vals = yield self, np.full(tmr.size, t_cab - KELVIN), (tmr - KELVIN).ravel()
-        return float(vals.reshape(tmr.shape).mean(axis=1)[0])
-
-    def per_passenger_pmv(self, state: ThermalState) -> _Steps[np.ndarray]:
-        """Exact per-passenger PMV, clamped to the reporting range."""
-        n = self.scn.N_pass
-        if n == 0:
-            return np.zeros(0)
-        if self.uniform_tmr:
-            vals = yield (self, np.array([state.T_cab - KELVIN]),
-                          np.array([state.T_si - KELVIN]))
-            return np.full(n, min(3.0, max(-3.0, float(vals[0]))))
-        tmr = mixed_radiant_temperature(self.b_weights, state.T_si, state.T_rh)
-        vals = yield self, np.full(n, state.T_cab - KELVIN), tmr - KELVIN
-        return np.clip(vals, -3.0, 3.0)
 
     # -- unknowns -----------------------------------------------------------
     # unknown order: rh on  -> [T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]
@@ -336,7 +269,7 @@ class _BranchModel:
     def n_unknowns(self) -> int:
         return 6 if self.rh_on else 4
 
-    def init_vector(self, psi_tgt: float | None) -> np.ndarray:
+    def init_vector(self) -> np.ndarray:
         t_inf = self.scn.T_inf
         t_cab = min(max(t_inf, 285.0), 299.0)
         if self.rh_on:
@@ -360,9 +293,11 @@ class _BranchModel:
     # -- damped Newton ------------------------------------------------------
 
     def newton(self, x0: np.ndarray, psi_tgt: float | None,
-               frozen_q: float | None = None) -> _Steps[tuple[np.ndarray, int]]:
+               frozen_q: float | None = None
+               ) -> _Steps[tuple[np.ndarray, int, np.ndarray]]:
         """Damped Newton on the square system (solve steps); returns
-        ``(x, iterations)``.
+        ``(x, iterations, pmv)``, ``pmv`` the unclamped PMV of the kernel
+        points of the solution.
 
         ``frozen_q`` removes Q_hvac from the unknowns and holds it at the
         given value (passive solves use 0); ``psi_tgt`` appends the PMV row.
@@ -372,53 +307,48 @@ class _BranchModel:
         return (yield _NewtonRequest(self, x0, psi_tgt, frozen_q))
 
     # -- branch-level solves (solve steps) ----------------------------------
+    # each returns (state, iterations, PMV of the state's kernel points)
 
-    def passive(self) -> _Steps[tuple[ThermalState, int]]:
+    def passive(self) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
         """Zero-HVAC-heat solution (panels, when on, still at target)."""
         if self._passive is None:
-            x, iters = yield from self.newton(self.init_vector(None), None, frozen_q=0.0)
-            self._passive = (self.state_from(x, frozen_q=0.0), iters)
+            x, iters, pmv = yield from self.newton(self.init_vector(), None, frozen_q=0.0)
+            self._passive = (self.state_from(x, frozen_q=0.0), iters, pmv)
         return self._passive
 
-    def passive_psi(self) -> _Steps[float]:
-        if self._passive_psi is None:
-            st, _ = yield from self.passive()
-            t_rh = st.T_rh if self.rh_on else st.T_si
-            self._passive_psi = yield from self.mean_psi(st.T_cab, st.T_si, t_rh)
-        return self._passive_psi
-
-    def pinned(self, psi_tgt: float) -> _Steps[tuple[ThermalState, int]]:
+    def pinned(self, psi_tgt: float) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
         """Solve with the mean PMV pinned to ``psi_tgt``."""
-        x0 = self._last_pinned if self._last_pinned is not None else self.init_vector(psi_tgt)
+        x0 = self._last_pinned if self._last_pinned is not None else self.init_vector()
         try:
-            x, iters = yield from self.newton(x0.copy(), psi_tgt)
+            x, iters, pmv = yield from self.newton(x0.copy(), psi_tgt)
         except SolverError:
-            x, iters = yield from self.newton(self.init_vector(psi_tgt), psi_tgt)
+            x, iters, pmv = yield from self.newton(self.init_vector(), psi_tgt)
         self._last_pinned = x
-        return self.state_from(x), iters
+        return self.state_from(x), iters, pmv
 
     def balance_with_q(self, q_hvac: float, x0: np.ndarray | None = None
-                       ) -> _Steps[tuple[ThermalState, int]]:
+                       ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
         """Solve temperatures (and panel power) for a prescribed HVAC heat."""
-        x0 = x0 if x0 is not None else self.init_vector(None)
-        x, iters = yield from self.newton(x0, None, frozen_q=q_hvac)
-        return self.state_from(x, frozen_q=q_hvac), iters
+        x0 = x0 if x0 is not None else self.init_vector()
+        x, iters, pmv = yield from self.newton(x0, None, frozen_q=q_hvac)
+        return self.state_from(x, frozen_q=q_hvac), iters, pmv
 
-    def window(self, psi_min: float, psi_max: float) -> _Steps[tuple[ThermalState, int]]:
+    def window(self, psi_min: float, psi_max: float
+               ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
         """Passive-first window logic; pin to the violated limit if needed.
 
         The vote saturates at +/-3, so a window bound at the end of the
         scale never binds: the comparison uses the clamped passive PMV.
         """
-        st, iters = yield from self.passive()
+        passive = yield from self.passive()
         if self.scn.N_pass == 0:
-            return st, iters
-        psi_pass = min(3.0, max(-3.0, (yield from self.passive_psi())))
+            return passive
+        psi_pass = min(3.0, max(-3.0, _mean_psi(passive[2])))
         if psi_min - 1e-12 <= psi_pass <= psi_max + 1e-12:
-            return st, iters
+            return passive
         tgt = psi_min if psi_pass < psi_min else psi_max
-        st2, iters2 = yield from self.pinned(tgt)
-        return st2, iters + iters2
+        state, iters, pmv = yield from self.pinned(tgt)
+        return state, passive[1] + iters, pmv
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +404,25 @@ class _NewtonGroup:
     """Damped Newton on a stack of square systems of one shape.
 
     Every request of a group has the same branch (RH on or off), the same
-    unknowns (Q_hvac frozen or free) and, with a PMV row, the same comfort
-    setting; scenarios, configurations and clothing may differ row by
-    row.  Each row runs the iteration of one scenario: backtracking line
-    search on the weighted residual norm, up to ``MAX_RESTARTS`` restarts
-    from shifted starting points when it stalls, and the PMV row's
-    gradient by forward differences refreshed every 4th iteration.  Its
-    convergence, steps, restarts and failure are its own masks, so a row
-    takes the same iterates alone as in any stack.  Every evaluation, for
-    all live rows at once, makes one :func:`reservoir_balance` call, one
-    :func:`pmv_array` call (with a PMV row; it also holds the difference
-    points of the rows whose next iteration refreshes the gradient) and
-    one stacked ``np.linalg.solve``.
+    unknowns (Q_hvac frozen or free), the same PMV row (present or not) and
+    the same comfort setting; scenarios, configurations and clothing may
+    differ row by row.  Each row runs the iteration of one scenario:
+    backtracking line search on the weighted residual norm, up to
+    ``MAX_RESTARTS`` restarts from shifted starting points when it stalls,
+    and the PMV row's gradient by forward differences refreshed every 4th
+    iteration.  Its convergence, steps, restarts and failure are its own
+    masks, so a row takes the same iterates alone as in any stack.  Every
+    evaluation, for all live rows at once, makes one
+    :func:`reservoir_balance` call, one :func:`pmv_array` call (with a PMV
+    row; it also holds the difference points of the rows whose next
+    iteration refreshes the gradient) and one stacked ``np.linalg.solve``.
+    At the end one more :func:`pmv_array` call evaluates the kernel points
+    of every solved row's solution, which :meth:`run` returns with it.
+
+    A state's kernel points (:meth:`_points`) are the same for the PMV row
+    and the answer: none for an empty bus, one when every passenger sees
+    the same T_mr (the inner shell's temperature), else one per passenger
+    at that passenger's mean radiant temperature.
     """
 
     def __init__(self, requests: list[_NewtonRequest]):
@@ -503,17 +440,18 @@ class _NewtonGroup:
             self.t_rh_tgt = np.array([m.cfg.T_rh_tgt for m in models])
         if sh.use_psi:
             self.psi_tgt = np.array(self.psi_tgts)
-            self.setting = _comfort_setting(first.model.spec)
-            self.r_clo = np.array([m.r_clo for m in models])
-            self.all_uniform = all(m.uniform_tmr for m in models)
-            if not self.all_uniform:
-                # one point per uniform row, one per passenger otherwise
-                self.uniform = np.array([m.uniform_tmr for m in models])
-                self.n_pts = np.array([1 if m.uniform_tmr else m.scn.N_pass
-                                       for m in models])
-                self.b_flat = np.concatenate([np.zeros(1) if m.uniform_tmr else m.b_weights
-                                              for m in models])
-                self.b_start = np.cumsum(self.n_pts) - self.n_pts
+        self.setting = _comfort_setting(first.model.spec)
+        self.r_clo = np.array([m.r_clo for m in models])
+        # whether each state is one point, at the inner shell's temperature
+        self.all_uniform = all(m.uniform_tmr and m.scn.N_pass > 0 for m in models)
+        if not self.all_uniform:
+            n_pts = [0 if m.scn.N_pass == 0 else 1 if m.uniform_tmr else m.scn.N_pass
+                     for m in models]
+            self.n_pts = np.array(n_pts)
+            self.uniform = np.array([m.uniform_tmr for m in models])
+            self.b_flat = np.concatenate([np.zeros(k) if m.uniform_tmr else m.b_weights
+                                          for m, k in zip(models, n_pts)])
+            self.b_start = np.cumsum(self.n_pts) - self.n_pts
 
     # -- one evaluation -------------------------------------------------------
 
@@ -554,69 +492,79 @@ class _NewtonGroup:
         scale = np.maximum(pick(self.floor), np.abs(mags).max(axis=0))
         return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])
 
-    def _state_pmv(self, pos, t_cab, t_si, t_rh) -> np.ndarray:
-        """Unclamped mean PMV of states (t_cab, t_si, t_rh) of the rows ``pos``."""
+    def _points(self, pos, t_cab, t_si, t_rh) -> tuple:
+        """Kernel points ``(air C, radiant C, clothing)`` of the states
+        (t_cab, t_si, t_rh) of the rows ``pos``, state after state."""
         if self.all_uniform:
-            return pmv_array(t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos], *self.setting)
+            return t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]
         n = self.n_pts[pos]
         first = np.cumsum(n) - n
         of_pt = np.repeat(np.arange(pos.size), n)
         b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
         t_si_pt = t_si[of_pt]
         tmr = mixed_radiant_temperature(b, t_si_pt, t_rh[of_pt])
-        vals = pmv_array(t_cab[of_pt] - KELVIN,
-                         np.where(self.uniform[pos][of_pt], t_si_pt, tmr) - KELVIN,
-                         self.r_clo[pos][of_pt], *self.setting)
-        # the mean over each state's points, as numpy's row mean of the
-        # (states, points) block of one point count
-        out = np.empty(pos.size)
-        for count in np.unique(n):
-            states = np.flatnonzero(n == count)
-            out[states] = vals[first[states, None] + np.arange(count)].mean(axis=1)
-        return out
+        return (t_cab[of_pt] - KELVIN,
+                np.where(self.uniform[pos][of_pt], t_si_pt, tmr) - KELVIN,
+                self.r_clo[pos][of_pt])
+
+    def _kernel(self, pos, temps) -> tuple[np.ndarray, dict]:
+        """Unclamped PMV of the kernel points of the states ``temps`` (rows of
+        T_cab, T_si, T_rh) of the rows ``pos``, state after state, by one
+        kernel call, and the errors by state index.  If a point fails, each
+        state is evaluated alone (a point's value does not depend on its
+        batch); a failed state's values are NaN and its error names its
+        scenario."""
+        try:
+            return pmv_array(*self._points(pos, *temps.T), *self.setting), {}
+        except EvaluationError:
+            vals, errors = [], {}
+            for s in range(pos.size):
+                pts = self._points(pos[s:s + 1], *temps[s:s + 1].T)
+                try:
+                    vals.append(pmv_array(*pts, *self.setting))
+                except EvaluationError as err:
+                    vals.append(np.full(pts[0].size, np.nan))
+                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
+            return np.concatenate(vals), errors
 
     def _psi(self, pos, x, grad_rows):
         """Mean PMV at ``x`` of the rows ``pos`` and, at the rows
         ``grad_rows`` (indices into ``pos``), its forward-difference
-        gradient in (T_cab, T_si, T_rh), from one kernel call."""
+        gradient in (T_cab, T_si, T_rh), from one kernel call; then the
+        kernel errors by row, at the state and at the difference points."""
         fd_steps = self.shape.fd_steps
+        m, k = pos.size, len(fd_steps)
         temps = x[:, self.shape.temp_cols]
-        n = len(temps)
         if grad_rows.size:
-            # one point per perturbed temperature (T_rh with panels only)
-            fd = (temps[grad_rows][:, None, :] + fd_steps).reshape(-1, 3)
-            temps = np.concatenate([temps, fd])
-            pos = np.concatenate([pos, np.repeat(pos[grad_rows], len(fd_steps))])
-        vals = self._state_pmv(pos, temps[:, 0], temps[:, 1], temps[:, 2])
-        psi = vals[:n]
-        grad = None
+            # one state per perturbed temperature (T_rh with panels only)
+            temps = np.concatenate([temps, (temps[grad_rows][:, None, :] + fd_steps)
+                                    .reshape(-1, 3)])
+            pos = np.concatenate([pos, np.repeat(pos[grad_rows], k)])
+        vals, errors = self._kernel(pos, temps)
+        if not self.all_uniform:
+            # the mean over each state's points, as numpy's row mean of the
+            # (states, points) block of one point count
+            n = self.n_pts[pos]
+            first = np.cumsum(n) - n
+            vals, pts = np.empty(pos.size), vals
+            for count in np.unique(n):
+                states = np.flatnonzero(n == count)
+                vals[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
+        grad = np.zeros((grad_rows.size, 3))
         if grad_rows.size:
-            m = len(fd_steps)
-            grad = np.zeros((grad_rows.size, 3))
-            grad[:, :m] = (vals[n:].reshape(-1, m) - psi[grad_rows][:, None]) / PSI_FD_STEP
-        return psi, grad
+            grad[:, :k] = (vals[m:].reshape(-1, k) - vals[grad_rows][:, None]) / PSI_FD_STEP
+        return (vals[:m], grad, {s: err for s, err in errors.items() if s < m},
+                {int(grad_rows[(s - m) // k]): err for s, err in errors.items() if s >= m})
 
-    def _psi_isolated(self, pos, x, grad_rows):
-        """:meth:`_psi` row by row, after the kernel failed on the stack:
-        (psi, grad, errors at the state, errors at the difference points),
-        the errors by row index; a failed row's values are NaN."""
-        n = x.shape[0]
-        psi = np.full(n, np.nan)
-        grad = np.full((grad_rows.size, 3), np.nan)
-        errors, grad_errors = {}, {}
-        for i in range(n):
-            try:
-                psi[i] = self._psi(pos[i:i + 1], x[i:i + 1], np.zeros(0, int))[0][0]
-            except EvaluationError as err:
-                errors[i] = _named(err, self.models[pos[i]])
-        for j, i in enumerate(grad_rows):
-            if i in errors:
-                continue
-            try:
-                grad[j] = self._psi(pos[i:i + 1], x[i:i + 1], np.zeros(1, int))[1][0]
-            except EvaluationError as err:
-                grad_errors[i] = _named(err, self.models[pos[i]])
-        return psi, grad, errors, grad_errors
+    def _solution_pmv(self, pos, x) -> list:
+        """Per row of ``pos``, the unclamped PMV of the kernel points of its
+        solution ``x``, or its kernel error."""
+        sizes = [1] * pos.size if self.all_uniform else self.n_pts[pos].tolist()
+        if not any(sizes):
+            return [np.zeros(0)] * pos.size
+        vals, errors = self._kernel(pos, x[:, self.shape.temp_cols])
+        return [errors[i] if i in errors else vals[end - n:end]
+                for i, (n, end) in enumerate(zip(sizes, accumulate(sizes)))]
 
     def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
@@ -656,7 +604,8 @@ class _NewtonGroup:
     # -- the iteration ----------------------------------------------------------
 
     def run(self) -> list:
-        """Per request ``(x, iterations)`` or its error.
+        """Per request ``(x, iterations, pmv)`` or its error, ``pmv`` by
+        :meth:`_solution_pmv`.
 
         Row state: ``x`` the accepted iterate and ``xt`` the point to
         evaluate next (a trial step, or the start of an attempt); ``it`` the
@@ -686,10 +635,7 @@ class _NewtonGroup:
             psi = None
             if sh.use_psi:
                 refresh = np.flatnonzero((it + 1) % 4 == 0)
-                try:
-                    psi, grad_t = self._psi(pos, xt, refresh)
-                except EvaluationError:
-                    psi, grad_t, errors, grad_errors = self._psi_isolated(pos, xt, refresh)
+                psi, grad_t, errors, grad_errors = self._psi(pos, xt, refresh)
             r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
             w = r_t * sh.weights
             norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
@@ -771,7 +717,7 @@ class _NewtonGroup:
                     if out[pos[i]] is None:
                         out[pos[i]] = (x[i].copy(), int(iters[i]))
                 if n_done == m:
-                    return out
+                    break
             # ---- the next points: trial steps, and the starts of restarts
             if cols == slice(None):
                 xt = x + step[:, None] * dx
@@ -789,23 +735,38 @@ class _NewtonGroup:
                 pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt, iters, step, dx = (
                     a[keep] for a in (pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt,
                                       iters, step, dx))
+        solved = [i for i, o in enumerate(out) if type(o) is tuple]
+        if solved:
+            pmv = self._solution_pmv(np.array(solved), np.array([out[i][0] for i in solved]))
+            for i, p in zip(solved, pmv):
+                out[i] = p if isinstance(p, CabinThermError) else out[i] + (p,)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # result assembly
 # ---------------------------------------------------------------------------
 
-def _finalize(model: _BranchModel, state: ThermalState, solver_name: str,
-              iterations: int) -> _Steps[SolveResult]:
-    """The :class:`SolveResult` of a solved state."""
+def _mean_psi(pmv: np.ndarray) -> float:
+    """Unclamped mean PMV of a state, from the PMV of its kernel points."""
+    return float(pmv[0]) if pmv.size == 1 else float(pmv.mean())
+
+
+def _finalize(model: _BranchModel, state: ThermalState, pmv: np.ndarray,
+              solver_name: str, iterations: int) -> SolveResult:
+    """The :class:`SolveResult` of a solved state, ``pmv`` the unclamped PMV
+    of its kernel points."""
     flows = compute_heat_flows(state, model.scn, model.cfg, model.rh_on)
-    per_pax = yield from model.per_passenger_pmv(state)
-    if per_pax.size:
+    n = model.scn.N_pass
+    if n:
+        # a single point stands for every passenger
+        per_pax = (np.full(n, min(3.0, max(-3.0, float(pmv[0])))) if pmv.size == 1
+                   else np.clip(pmv, -3.0, 3.0))
         psi = float(np.clip(mean_pmv(per_pax), -3.0, 3.0))
         dissat = ppd_of(psi)
     else:
-        psi = float("nan")
-        dissat = float("nan")
+        per_pax = pmv
+        psi = dissat = float("nan")
     q = flows.Q_hvac
     if abs(q) <= 1e-9 and flows.P_rh <= 1e-9:
         mode = MODE_PASSIVE
@@ -817,7 +778,7 @@ def _finalize(model: _BranchModel, state: ThermalState, solver_name: str,
         scenario_id=model.scn.id,
         state=state,
         flows=flows,
-        per_passenger_pmv=tuple(float(v) for v in per_pax),
+        per_passenger_pmv=tuple(per_pax.tolist()),
         mean_psi=psi,
         ppd=dissat,
         P_tot=flows.P_tot,
@@ -834,12 +795,13 @@ def _solve_branch(model: _BranchModel, method: str, psi_min: float,
     no comfort constraint, so the optimization route returns the passive
     solution without running the optimizer."""
     if method == "rootfind":
-        state, iters = yield from model.window(psi_min, psi_max)
+        solved = yield from model.window(psi_min, psi_max)
     elif model.scn.N_pass == 0:
-        state, iters = yield from model.passive()
+        solved = yield from model.passive()
     else:
-        state, iters = yield from _opt_solve_branch(model, psi_min, psi_max)
-    return (yield from _finalize(model, state, SOLVER_NAMES[method], iters))
+        solved = yield from _opt_solve_branch(model, psi_min, psi_max)
+    state, iters, pmv = solved
+    return _finalize(model, state, pmv, SOLVER_NAMES[method], iters)
 
 
 # ---------------------------------------------------------------------------
@@ -861,10 +823,10 @@ def solve_fixed_pmv(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
 
     def steps() -> _Steps[SolveResult]:
         if scn.N_pass == 0:
-            state, iters = yield from model.passive()
+            state, iters, pmv = yield from model.passive()
         else:
-            state, iters = yield from model.pinned(spec.psi_tgt)
-        return (yield from _finalize(model, state, "rootfind", iters))
+            state, iters, pmv = yield from model.pinned(spec.psi_tgt)
+        return _finalize(model, state, pmv, "rootfind", iters)
 
     return _run(steps())
 
@@ -1042,9 +1004,10 @@ class _OptProgram:
         return g
 
 
-def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
-                      psi_max: float | None) -> _Steps[tuple[ThermalState, int]]:
-    """SLSQP minimization of electric power for one RH branch.
+def _opt_solve_branch(model: _BranchModel, psi_min: float | None, psi_max: float | None
+                      ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
+    """SLSQP minimization of electric power for one RH branch; returns the
+    polished state, the iterations and the PMV of the state's kernel points.
 
     The program and its exact gradients are :class:`_OptProgram`'s.  The
     PMV window constrains the polynomial surrogate; an outer loop moves the
@@ -1071,8 +1034,6 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
     hi_pairs: list = []
     total_nit = 0
     z_start = z0
-    state = None
-    iters_polish = 0
 
     for _ in range(_OPT_REFINE_MAX):
         cons = [{"type": "eq", "fun": prog.equalities, "jac": prog.equalities_jac}]
@@ -1108,18 +1069,17 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
 
         # polish the balance exactly with the decided HVAC heat
         q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-        x0 = model.init_vector(None)
+        x0 = model.init_vector()
         x0[0] = z[prog.tc]
         if rh_on:
             x0[2], x0[3] = z[prog.tsi], z[prog.tso]
         else:
             x0[1], x0[2] = z[prog.tsi], z[prog.tso]
-        state, iters_polish = yield from model.balance_with_q(q_hvac, x0)
+        state, iters_polish, pmv = yield from model.balance_with_q(q_hvac, x0)
 
         if not (use_lo or use_hi):
             break
-        t_rh_eff = state.T_rh if rh_on else state.T_si
-        psi_e = yield from model.mean_psi(state.T_cab, state.T_si, t_rh_eff)
+        psi_e = _mean_psi(pmv)
         if pin_equal:
             if abs(psi_e - psi_min) <= _OPT_PSI_TOL:
                 break
@@ -1149,7 +1109,7 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None,
     else:
         raise SolverError(f"surrogate refinement did not settle for scenario {scn.id!r}")
 
-    return state, total_nit + iters_polish
+    return state, total_nit + iters_polish, pmv
 
 
 def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,

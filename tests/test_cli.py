@@ -229,6 +229,44 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["1", "a,b", "1,2,3"])
+    def test_bad_solve_window_exit_code(self, window, capsys):
+        rc = main(["solve", "--t-inf-c", "0", "--month", "1", "--window", window])
+        assert rc == 2
+        assert "PMV window" in capsys.readouterr().err
+
+    def test_bad_monthly_window_exit_code(self, scenario_file, tmp_path, capsys):
+        rc = main(["monthly", "--scenarios", scenario_file, "--out", str(tmp_path / "o"),
+                   "--window", "a,b", "--jobs", "1"])
+        assert rc == 2
+        assert "PMV window" in capsys.readouterr().err
+
+    def test_bad_inline_month_exit_code(self, capsys):
+        rc = main(["solve", "--t-inf-c", "0", "--month", "13"])
+        assert rc == 2
+        assert "month must be 1..12" in capsys.readouterr().err
+
+    def test_unreadable_scenarios_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.csv"
+        rc = main(["monthly", "--scenarios", str(missing), "--out", str(tmp_path / "o"),
+                   "--jobs", "1"])
+        assert rc == 3
+        assert str(missing) in capsys.readouterr().err
+
+    def test_binary_scenarios_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(bytes(range(128, 256)))
+        rc = main(["monthly", "--scenarios", str(path), "--out", str(tmp_path / "o"),
+                   "--jobs", "1"])
+        assert rc == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "10", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_evaluation_error_is_solver_failure(self, monkeypatch, capsys):
         from cabintherm import cli
         from cabintherm.errors import EvaluationError

@@ -1,6 +1,6 @@
-"""Property tests on randomized states, scenarios, configurations and
-PMV kernel batches, and of the optimization route's exact gradients
-against central differences.
+"""Property tests on randomized states, scenarios, configurations,
+PMV kernel batches and panel layouts, and of the optimization route's
+exact gradients against central differences.
 
 Examples are derandomized so every run checks the same draws; each test
 stays within a few seconds.
@@ -19,7 +19,10 @@ from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Sce
                                    convective_rh_to_cabin, convective_shell_to_ambient,
                                    door_loss, max_abs_flow, radiative_loss_outer,
                                    radiative_rh_to_shell, reservoir_balance)
-from cabintherm.solver import _BranchModel, _OptProgram, solve_best
+from cabintherm.radiant_geometry import (CabinLayout, Rect3, ceiling_panel_strip,
+                                         panel_view_weights, place_passengers,
+                                         vf_parallel_rects, vf_perpendicular_rects)
+from cabintherm.solver import _BranchModel, _OptProgram, ScenarioSweeper, solve_best
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -165,6 +168,50 @@ def test_rootfind_closes_the_balance(scn, cfg, half_width):
     r = balance_residuals(res.state, scn, cfg, res.rh_used)
     assert float(np.max(np.abs(r))) <= 1e-6 * max(1.0, max_abs_flow(res.flows))
 
+
+
+@PROPERTY_SETTINGS
+@given(scn=scenarios(), cfg=st.one_of(configs(rh=False), configs(rh=True)))
+def test_power_does_not_rise_with_the_window(scn, cfg):
+    # a wider window admits every state a narrower one does
+    sweeper = ScenarioSweeper(scn, cfg, ComfortSpec())
+    p_tot = [sweeper.solve(-w, w).P_tot for w in (0.0, 0.25, 0.5, 1.0, 2.0)]
+    for narrow, wide in zip(p_tot, p_tot[1:]):
+        assert wide <= narrow + 1e-9 * max(1.0, narrow)
+
+
+def _passenger_faces(p):
+    """The five radiating faces of a passenger cuboid, normals outward."""
+    x0, x1, y0, y1 = p.footprint
+    h = p.height
+    return [Rect3.horizontal(x0, x1, y0, y1, h, facing_up=True),
+            Rect3((x1, y0, 0.0), (0.0, y1 - y0, 0.0), (0.0, 0.0, h)),
+            Rect3((x0, y0, 0.0), (0.0, 0.0, h), (0.0, y1 - y0, 0.0)),
+            Rect3((x0, y1, 0.0), (0.0, 0.0, h), (x1 - x0, 0.0, 0.0)),
+            Rect3((x0, y0, 0.0), (x1 - x0, 0.0, 0.0), (0.0, 0.0, h))]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_view_weights_are_the_area_weighted_face_sums(data):
+    n_panels = data.draw(st.integers(1, 6))
+    panel_width = data.draw(st.floats(0.6, 1.2))
+    area = data.draw(st.one_of(st.just(0.0), st.floats(0.5, 8.0)))
+    panels = ceiling_panel_strip(18.0, 2.4, 2.3, area, n_panels, panel_width)
+    layout = CabinLayout(18.0, 2.4, 2.3, panels)
+    passengers = place_passengers(data.draw(st.integers(1, 8)),
+                                  data.draw(st.integers(0, 10 ** 6)), layout)
+    weights = panel_view_weights(passengers, layout)
+    assert weights.shape == (len(passengers),)
+    assert np.all((weights >= 0.0) & (weights <= 1.0))
+    if not panels:
+        assert not np.any(weights)
+    for p, w in zip(passengers, weights):
+        faces = _passenger_faces(p)
+        top, sides = faces[0], faces[1:]
+        seen = sum(top.area * vf_parallel_rects(top, q) for q in panels)
+        seen += sum(f.area * vf_perpendicular_rects(f, q) for f in sides for q in panels)
+        assert w == pytest.approx(seen / sum(f.area for f in faces), abs=1e-12)
 
 
 def _bits(values) -> bytes:

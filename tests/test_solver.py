@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cabintherm import solver
-from cabintherm.comfort import ComfortSpec
+from cabintherm.comfort import ComfortSpec, pmv
 from cabintherm.errors import ConfigError
 from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
                                    max_abs_flow)
+from cabintherm.radiant_geometry import mixed_radiant_temperature
 from cabintherm.scenario import synthesize_dataset
 from cabintherm.solver import (default_layout, solve_best, solve_fixed_pmv,
                                solve_window_opt, solve_window_rootfind)
@@ -51,7 +54,7 @@ class TestFixedPmv:
         assert m_off.n_unknowns() == 4
 
         def residuals(model):
-            group = _NewtonGroup([_NewtonRequest(model, model.init_vector(-1.0), -1.0, None)])
+            group = _NewtonGroup([_NewtonRequest(model, model.init_vector(), -1.0, None)])
             return group._system(None, group.x0, np.zeros(1))[0][0]
 
         assert len(residuals(m_on)) == 6
@@ -64,6 +67,20 @@ class TestWindowRootfind:
         assert res.mode == "passive"
         assert res.P_tot == 0.0
         assert window_spec.psi_min <= res.mean_psi <= window_spec.psi_max
+
+    @pytest.mark.parametrize("solve", [solve_window_rootfind, solve_window_opt])
+    def test_single_passenger_sees_the_panels(self, ptc_rh_cfg, winter_scn, window_spec,
+                                              solve):
+        # one kernel point, but at the passenger's own mean radiant temperature
+        scn = replace(winter_scn, N_pass=1, id="alone")
+        model = solver._BranchModel(scn, ptc_rh_cfg, window_spec, True)
+        assert model.b_weights[0] > 0.0
+        res = solve(scn, ptc_rh_cfg, window_spec, rh_on=True)
+        st = res.state
+        tmr = mixed_radiant_temperature(model.b_weights[0], st.T_si, st.T_rh)
+        exact = pmv(st.T_cab, tmr, model.r_clo, window_spec)
+        assert res.per_passenger_pmv[0] == pytest.approx(exact, abs=1e-9)
+        assert res.mean_psi == pytest.approx(window_spec.psi_min, abs=1e-6)
 
     def test_cold_pinned_at_lower_limit(self, hp_cfg, winter_scn, window_spec):
         res = solve_window_rootfind(winter_scn, hp_cfg, window_spec, rh_on=False)
@@ -262,8 +279,52 @@ class TestNewton:
         monkeypatch.setattr(solver, "reservoir_balance", counting)
         model = solver._BranchModel(winter_scn, hp_rh_cfg, ComfortSpec(), rh_on)
         frozen_q = 0.0 if psi_tgt is None else None
-        _, iters = solver._run(model.newton(model.init_vector(psi_tgt), psi_tgt, frozen_q))
+        _, iters, _ = solver._run(model.newton(model.init_vector(), psi_tgt, frozen_q))
         # every step here is a full Newton step: the Jacobian of an iterate
         # comes with its residual, so the start plus one balance per iterate
         assert iters > 0
         assert len(calls) == iters + 1
+
+
+class TestKernelCalls:
+    """The exact PMV a solve checks and reports is the answer of its Newton
+    solves: each Newton group evaluates its solutions' kernel points once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = solver.pmv_array
+
+        def counting(ta, *args):
+            calls.append(np.size(ta))
+            return original(ta, *args)
+
+        monkeypatch.setattr(solver, "pmv_array", counting)
+        return calls
+
+    def test_passive_in_window_one_call(self, hp_cfg, mild_scn, window_spec, calls):
+        res = solve_window_rootfind(mild_scn, hp_cfg, window_spec, rh_on=False)
+        assert res.mode == "passive"
+        assert calls == [1]
+
+    def test_empty_bus_no_call(self, hp_cfg, window_spec, calls):
+        scn = Scenario(T_inf=c_to_k(-5.0), I_dni=0.0, I_dhi=0.0, beta=-0.1, N_pass=0,
+                       zeta_door=0.1, zeta_sh=0.4, month=1, id="empty")
+        solve_window_rootfind(scn, hp_cfg, window_spec, rh_on=False)
+        assert calls == []
+
+    def test_opt_one_call_per_polish(self, hp_cfg, winter_scn, window_spec, calls,
+                                     monkeypatch):
+        polishes = []
+        original = solver._BranchModel.balance_with_q
+
+        def counting(model, *args):
+            polishes.append(args)
+            return original(model, *args)
+
+        monkeypatch.setattr(solver._BranchModel, "balance_with_q", counting)
+        res = solve_window_opt(winter_scn, hp_cfg, window_spec, rh_on=False)
+        assert res.mode == "heating"
+        # the polish answers the exact-PMV check and, last, the report
+        assert len(polishes) >= 1
+        assert len(calls) == len(polishes)
