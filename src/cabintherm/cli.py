@@ -8,10 +8,9 @@ outputs; rerunning with the same seed and inputs reproduces all CSV/JSON
 outputs byte-for-byte (the manifest's wall-clock duration is the one
 intentionally varying field).
 
-Exit codes: 0 success; 2 configuration or usage error, among them
-``solve --psi-tgt`` with ``--rh auto`` on a bus with enabled radiant
-panels; 3 data error; 4 solver failure, including a non-finite evaluation
-of the heat balance or of the comfort model.
+Exit codes: 0 success; 2 configuration or usage error; 3 data error;
+4 solver failure, including a non-finite evaluation of the heat balance or
+of the comfort model.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from .model_core import KELVIN, Scenario, c_to_k
 from .radiant_geometry import cabin_mean_radiant_set, place_passengers
 from .scenario import (ClimateProfile, ScenarioSet, load_scenarios_csv,
                        placement_seed, save_scenarios_csv, synthesize_dataset)
-from .solver import (balance_tolerance_report, solve_best, solve_fixed_pmv,
-                     solve_window_opt, solve_window_rootfind)
+from .solver import (balance_tolerance_report, solve_best, solve_window_opt,
+                     solve_window_rootfind)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,27 +140,15 @@ def cmd_solve(args) -> int:
     spec = app.comfort
     if args.window:
         spec = spec.with_window(*_parse_window(args.window))
-    if args.psi_tgt is not None:
-        spec = spec.with_target(args.psi_tgt)
-        if args.rh == "auto" and app.bus.rh_enabled and app.bus.A_rh > 0:
-            raise ConfigError("--psi-tgt fixes the comfort target, so the radiant "
-                              "heaters cannot be chosen automatically: pass "
-                              "--rh on or --rh off")
+    elif args.psi_tgt is not None:
+        # a PMV target is a window of zero width
+        spec = spec.with_window(args.psi_tgt, args.psi_tgt)
 
     t0 = time.perf_counter()
     solvers = ["rootfind", "opt"] if args.solver == "both" else [args.solver]
     results = []
     for method in solvers:
-        if args.psi_tgt is not None:
-            if method == "opt":
-                res = solve_window_opt(scn, app.bus, spec.with_window(
-                    args.psi_tgt, args.psi_tgt), args.rh == "on",
-                    app.layout, args.seed)
-            else:
-                res = solve_fixed_pmv(scn, app.bus, spec,
-                                      rh_on=(args.rh == "on"), layout=app.layout,
-                                      seed=args.seed)
-        elif args.rh == "auto":
+        if args.rh == "auto":
             res = solve_best(scn, app.bus, spec, method=method,
                              layout=app.layout, seed=args.seed)
         else:
@@ -431,17 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="YAML config (default: $CABINTHERM_CONFIG or built-ins)")
-    common.add_argument("--scenarios", default=None, help="scenario CSV path")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=_int_at_least(0), default=0, help="random seed")
-    common.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
-                        help="concurrent scenario solves")
-    common.add_argument("--solver", choices=["opt", "rootfind", "both"],
+    # each further flag only on the commands that read it
+    scenarios = argparse.ArgumentParser(add_help=False)
+    scenarios.add_argument("--scenarios", default=None, help="scenario CSV path")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1,
+                      help="concurrent scenario solves")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--solver", choices=["opt", "rootfind", "both"],
                         default="rootfind")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[common, scenarios, solver],
                        help="solve one scenario and print the heat-flow report")
     p.add_argument("--id", default=None, help="scenario id (with --scenarios)")
     p.add_argument("--t-inf-c", type=float, default=None, dest="t_inf_c")
@@ -452,12 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-door", type=float, default=0.1, dest="zeta_door")
     p.add_argument("--zeta-sh", type=float, default=None, dest="zeta_sh")
     p.add_argument("--month", type=int, default=None)
-    p.add_argument("--window", default=None, help="PMV window 'lo,hi'")
-    p.add_argument("--psi-tgt", type=float, default=None, dest="psi_tgt")
+    comfort = p.add_mutually_exclusive_group()
+    comfort.add_argument("--window", default=None, help="PMV window 'lo,hi'")
+    comfort.add_argument("--psi-tgt", type=float, default=None, dest="psi_tgt",
+                         help="PMV target: the window 'T,T'")
     p.add_argument("--rh", choices=["auto", "on", "off"], default="auto")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, scenarios, jobs, solver],
                        help="Pareto sweep over PMV window half-widths per concept")
     p.add_argument("--windows", required=True,
                    help="comma-separated window half-widths, e.g. 0,0.5,1.0")
@@ -465,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated concept names (default: all configured)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("sensitivity", parents=[common],
+    p = sub.add_parser("sensitivity", parents=[common, scenarios, jobs],
                        help="one-at-a-time parameter sensitivity study")
     p.add_argument("--params", default=None, help="comma-separated parameter names")
     p.add_argument("--delta", type=float, default=0.01)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("monthly", parents=[common],
+    p = sub.add_parser("monthly", parents=[common, scenarios, jobs],
                        help="monthly heat and power summary")
     p.add_argument("--window", default=None, help="PMV window 'lo,hi'")
     p.set_defaults(func=cmd_monthly)

@@ -46,7 +46,6 @@ class ComfortSpec:
     met: float = 1.2          # metabolic rate, met
     psi_min: float = -0.5
     psi_max: float = 0.5
-    psi_tgt: float | None = None
     clo_scale: float = 1.0
 
     def __post_init__(self):
@@ -60,14 +59,9 @@ class ComfortSpec:
             v = getattr(self, name)
             if not -3.0 <= v <= 3.0:
                 raise ConfigError(f"{name} must be in [-3, 3], got {v}")
-        if self.psi_tgt is not None and not -3.0 <= self.psi_tgt <= 3.0:
-            raise ConfigError("psi_tgt must be in [-3, 3]")
 
     def with_window(self, psi_min: float, psi_max: float) -> "ComfortSpec":
-        return replace(self, psi_min=psi_min, psi_max=psi_max, psi_tgt=None)
-
-    def with_target(self, psi_tgt: float) -> "ComfortSpec":
-        return replace(self, psi_tgt=psi_tgt)
+        return replace(self, psi_min=psi_min, psi_max=psi_max)
 
 
 def clothing_insulation(T_inf: float, scale: float = 1.0) -> float:

@@ -7,11 +7,13 @@ is the one place that assembles the flows into the reservoir
 energy-conservation rows and their analytic Jacobian, for one row of
 unknowns or a stack of rows: it evaluates the same formulas from each
 row's :class:`BalanceCoefficients`, the products of configuration and
-scenario constants formed once.  The reporting path
-(:func:`compute_heat_flows`, :func:`balance_residuals`), the Newton solver
-and the optimizer's equality constraints all evaluate it.  All
-temperatures are kelvin internally; degrees Celsius appear only in
-configuration files and reports.
+scenario constants formed once.  The panels, when on, are held at their
+target temperature, so both branches solve the same four unknowns
+(``T_cab``, ``T_si``, ``T_so``, ``Q_hvac``) and the panel row then gives
+the electric panel power.  The reporting path (:func:`compute_heat_flows`,
+:func:`balance_residuals`), the Newton solver and the optimizer all
+evaluate it.  All temperatures are kelvin internally; degrees Celsius
+appear only in configuration files and reports.
 
 Sign conventions:
   * door/shell losses are positive when heat leaves the cabin,
@@ -422,15 +424,17 @@ def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficie
     """Energy-conservation rows of the reservoirs and their Jacobian, for
     one row of unknowns or a stack of rows.
 
-    The unknowns are floats (one row) or arrays of one shape ``S`` (a
-    stack), and the fields of ``c`` broadcast against them.  Returns
+    The unknowns are ``[T_cab, T_si, T_so, Q_hvac]`` with the panels on or
+    off: panels, when on, are held at ``T_rh`` and draw ``P_rh``, both
+    data.  The arguments are floats (one row) or arrays of one shape ``S``
+    (a stack), and the fields of ``c`` broadcast against them.  Returns
     ``(flows, rows, jac)``: the state-dependent heat flows by
-    :class:`HeatFlows` name (W, shape ``S``); the rows of cabin air, RH
-    panel (only with ``rh_on``), inner shell and outer shell (W, zero in
-    steady state), shape ``S + (rows,)``; and their Jacobian, shape
-    ``S + (rows, columns)``, with columns for the unknowns
-    ``[T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]`` with the panels on and
-    ``[T_cab, T_si, T_so, Q_hvac]`` without.  Without radiant heaters the
+    :class:`HeatFlows` name (W, shape ``S``); the rows of cabin air, inner
+    shell, outer shell and, only with ``rh_on``, the RH panel ``P_rh`` less
+    the panels' heat (W, zero in steady state), shape ``S + (rows,)``; and
+    their Jacobian in the four unknowns, shape ``S + (rows, 4)``.  The
+    panel row fixes ``P_rh`` once the temperatures are known: evaluated at
+    ``P_rh = 0`` it is minus the panel power.  Without radiant heaters the
     RH flows are zero and ``T_rh``/``P_rh`` are ignored.
 
     Every operation is elementwise: IEEE arithmetic and square roots, and
@@ -446,40 +450,33 @@ def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficie
     # dt + (dt == 0) is dt, or 1 where q_door is zero with dt
     d_door = 1.5 * q_door / (dt + (dt == 0.0))
     d_so = c.d_so - c.c_so * _pow(T_so, 3)
-    nb = 4 if rh_on else 3
     shape = np.shape(dt)
-    rows = np.empty(shape + (nb,))
-    jac = np.zeros(shape + (nb, 6 if rh_on else 4))
     if rh_on:
         q_r_rh = c.sA_rh * (_pow(T_rh, 4) - _pow(T_si, 4))
         q_h_rh = c.hr * (T_rh - T_cab)
-        rr_rh = c.c_rh * _pow(T_rh, 3)
+        hr = c.hr
         rr_si = c.c_rh * _pow(T_si, 3)
-        rows[..., 0] = c.Q_pass + q_h_rh - q_h_si - q_door + c.Q_sol_cab + Q_hvac
-        rows[..., 1] = P_rh - q_r_rh - q_h_rh
-        rows[..., 2] = q_r_rh + q_h_si + c.Q_sol_si - q_k
-        rows[..., 3] = q_k - q_h_so - q_r_so + c.Q_sol_so
-        jac[..., 0, 0] = -c.hr - c.a_in - d_door
-        jac[..., 0, 1] = jac[..., 1, 0] = c.hr
-        jac[..., 0, 2] = jac[..., 2, 0] = c.a_in
-        jac[..., 0, 4] = jac[..., 1, 5] = 1.0
-        jac[..., 1, 1] = -rr_rh - c.hr
-        jac[..., 1, 2] = rr_si
-        jac[..., 2, 1] = rr_rh
-        jac[..., 2, 2] = -rr_si - c.a_in - c.k
-        jac[..., 2, 3] = jac[..., 3, 2] = c.k
-        jac[..., 3, 3] = d_so
     else:
+        # Python floats, so that a one-row evaluation stays float arithmetic
+        q_r_rh = q_h_rh = hr = rr_si = 0.0
+    rows = np.empty(shape + (3 + rh_on,))
+    jac = np.zeros(shape + (3 + rh_on, 4))
+    rows[..., 0] = c.Q_pass + q_h_rh - q_h_si - q_door + c.Q_sol_cab + Q_hvac
+    rows[..., 1] = q_r_rh + q_h_si + c.Q_sol_si - q_k
+    rows[..., 2] = q_k - q_h_so - q_r_so + c.Q_sol_so
+    jac[..., 0, 0] = -hr - c.a_in - d_door
+    jac[..., 0, 1] = jac[..., 1, 0] = c.a_in
+    jac[..., 0, 3] = 1.0
+    jac[..., 1, 1] = -rr_si - c.a_in - c.k
+    jac[..., 1, 2] = jac[..., 2, 1] = c.k
+    jac[..., 2, 2] = d_so
+    if rh_on:
+        rows[..., 3] = P_rh - q_r_rh - q_h_rh
+        jac[..., 3, 0] = hr
+        jac[..., 3, 1] = rr_si
+    else:
+        # absent panels report zero flows, in the shape of the others
         q_r_rh = q_h_rh = np.zeros(shape)
-        rows[..., 0] = c.Q_pass - q_h_si - q_door + c.Q_sol_cab + Q_hvac
-        rows[..., 1] = q_h_si + c.Q_sol_si - q_k
-        rows[..., 2] = q_k - q_h_so - q_r_so + c.Q_sol_so
-        jac[..., 0, 0] = -c.a_in - d_door
-        jac[..., 0, 1] = jac[..., 1, 0] = c.a_in
-        jac[..., 0, 3] = 1.0
-        jac[..., 1, 1] = -c.a_in - c.k
-        jac[..., 1, 2] = jac[..., 2, 1] = c.k
-        jac[..., 2, 2] = d_so
     flows = {"Q_door": q_door, "Q_r_so": q_r_so, "Q_r_rh": q_r_rh, "Q_h_rh": q_h_rh,
              "Q_h_si": q_h_si, "Q_h_so": q_h_so, "Q_k": q_k}
     return flows, rows, jac
@@ -508,8 +505,8 @@ def balance_residuals(state: ThermalState, scn: Scenario, cfg: BusConfig,
                       rh_on: bool) -> np.ndarray:
     """Energy-conservation residuals of the reservoirs (W).
 
-    Four rows with radiant heaters active, three without (the RH row is
-    removed and the RH flows are zero).  Raises :class:`EvaluationError`
+    Cabin air, inner shell and outer shell, then, with radiant heaters
+    active, the RH panel row; without them the RH flows are zero.  Raises :class:`EvaluationError`
     naming the first non-finite heat flow.
     """
     flows, rows = _evaluate(state, scn, cfg, rh_on)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class Rect3:
         if np.count_nonzero(np.abs(n) > 1e-12) != 1:
             raise ConfigError("rectangle must be axis-aligned")
 
-    @property
+    @cached_property
     def area(self) -> float:
         return float(np.linalg.norm(np.cross(self.edge1, self.edge2)))
 

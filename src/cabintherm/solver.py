@@ -23,7 +23,9 @@ Both routes share one radiant-heater branch selector,
 target temperature and once with them removed, by the route it was built
 for, and keeps whichever needs less total electric power.  The routes also
 share the heat balance (:func:`model_core.reservoir_balance`) and the
-per-branch result assembly.
+per-branch result assembly.  Both branches solve the same four unknowns,
+``[T_cab, T_si, T_so, Q_hvac]``: a panel held at its target temperature is
+data, and its electric power is read off the balance's panel row.
 
 Solves run in lockstep.  Every solve is written as *solve steps*: a
 generator that yields a Newton request ``(model, x0, psi_tgt, frozen_q)``
@@ -74,7 +76,6 @@ LINESEARCH_FACTOR = 0.5
 LINESEARCH_MIN = 1e-4
 BALANCE_RTOL = 1e-6     # per watt of the largest flow
 PSI_ROW_TOL = 1e-8      # PMV units
-PIN_ROW_TOL = 1e-8      # K
 PSI_FD_STEP = 1e-3      # K, finite-difference step for the PMV row gradient
 T_BOX = (210.0, 400.0)  # K, Newton iterate clamp
 
@@ -262,30 +263,26 @@ class _BranchModel:
         self._passive: tuple[ThermalState, int, np.ndarray] | None = None
         self._last_pinned: np.ndarray | None = None
 
-    # -- unknowns -----------------------------------------------------------
-    # unknown order: rh on  -> [T_cab, T_rh, T_si, T_so, Q_hvac, P_rh]
-    #                rh off -> [T_cab, T_si, T_so, Q_hvac]
-
-    def n_unknowns(self) -> int:
-        return 6 if self.rh_on else 4
+    # -- unknowns: [T_cab, T_si, T_so, Q_hvac] on either branch --------------
 
     def init_vector(self) -> np.ndarray:
         t_inf = self.scn.T_inf
-        t_cab = min(max(t_inf, 285.0), 299.0)
-        if self.rh_on:
-            return np.array([t_cab, self.cfg.T_rh_tgt, t_inf, t_inf, 0.0, 0.0])
-        return np.array([t_cab, t_inf, t_inf, 0.0])
+        return np.array([min(max(t_inf, 285.0), 299.0), t_inf, t_inf, 0.0])
 
     def state_from(self, x: np.ndarray, frozen_q: float | None = None) -> ThermalState:
-        if self.rh_on:
-            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = x
-        else:
-            t_cab, t_si, t_so, q_hvac = x
-            t_rh, p_rh = x[0], 0.0
+        """The state at ``x``: the panels, when on, at their target
+        temperature and drawing the power their row of the balance fixes;
+        without them ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero."""
+        t_cab, t_si, t_so, q_hvac = x.tolist()
         if frozen_q is not None:
             q_hvac = frozen_q
         if abs(q_hvac) < 1e-9:
             q_hvac = 0.0
+        t_rh, p_rh = t_cab, 0.0
+        if self.rh_on:
+            t_rh = self.cfg.T_rh_tgt
+            p_rh = -reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0, self.coef,
+                                      True)[1][3]
         return ThermalState(T_cab=float(t_cab), T_rh=float(t_rh), T_si=float(t_si),
                             T_so=float(t_so), Q_hvac=float(q_hvac),
                             P_rh=float(max(p_rh, 0.0)))
@@ -328,7 +325,7 @@ class _BranchModel:
 
     def balance_with_q(self, q_hvac: float, x0: np.ndarray | None = None
                        ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
-        """Solve temperatures (and panel power) for a prescribed HVAC heat."""
+        """Solve the temperatures for a prescribed HVAC heat."""
         x0 = x0 if x0 is not None else self.init_vector()
         x, iters, pmv = yield from self.newton(x0, None, frozen_q=q_hvac)
         return self.state_from(x, frozen_q=q_hvac), iters, pmv
@@ -356,48 +353,37 @@ class _BranchModel:
 # ---------------------------------------------------------------------------
 
 # the starting-point shift of each restart, on the temperatures
-_RESTART_SHIFTS = np.array([np.zeros(4)] + [np.random.default_rng(1000 + attempt)
-                                             .uniform(-5.0, 5.0, 4)
+_RESTART_SHIFTS = np.array([np.zeros(3)] + [np.random.default_rng(1000 + attempt)
+                                             .uniform(-5.0, 5.0, 3)
                                              for attempt in range(1, MAX_RESTARTS + 1)])
+# the perturbed (T_cab, T_si) of the PMV row's difference points
+_FD_STEPS = PSI_FD_STEP * np.eye(2)
 
 
 class _Shape(NamedTuple):
     """What the systems of one :class:`_NewtonGroup` share."""
 
-    rh_on: bool
     use_psi: bool
     frozen: bool
-    nb: int                     # reservoir rows; also the temperatures of x
     k: int                      # rows and unknowns of the square system
-    q_idx: int                  # the column of Q_hvac in x
-    cols: object                # the unknowns' columns of x (a slice or a list)
-    temp_cols: list             # columns of T_cab, T_si, T_rh (T_si without panels)
-    fd_steps: np.ndarray        # one perturbed temperature per difference point
+    cols: slice                 # the unknowns' columns of x
     weights: np.ndarray         # of the residual norm
-    row_tol: np.ndarray         # absolute tolerance of the pin and PMV rows
+    row_tol: np.ndarray         # absolute tolerance of the PMV row
     is_balance_row: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _shape(rh_on: bool, use_psi: bool, frozen: bool) -> _Shape:
-    n_full = 6 if rh_on else 4
-    nb = 4 if rh_on else 3
-    q_idx = 4 if rh_on else 3
-    cols = [j for j in range(n_full) if not frozen or j != q_idx]
-    k = len(cols)
-    weights = [1e-3] * nb                   # balance rows counted in kW
-    tol = [0.0] * nb
-    if rh_on:
-        weights.append(1.0)                 # pin row in K
-        tol.append(PIN_ROW_TOL)
+def _shape(use_psi: bool, frozen: bool) -> _Shape:
+    # x is [T_cab, T_si, T_so, Q_hvac]; the rows are cabin air, inner and
+    # outer shell (the panel row only fixes P_rh), then the PMV row
+    k = 3 + use_psi
+    weights = [1e-3] * 3                    # balance rows counted in kW
+    tol = [0.0] * 3
     if use_psi:
         weights.append(10.0)                # 0.1 PMV weighs like 1 kW
         tol.append(PSI_ROW_TOL)
-    return _Shape(rh_on, use_psi, frozen, nb, k, q_idx,
-                  slice(None) if k == n_full else slice(0, k) if cols[-1] == k - 1 else cols,
-                  [0, 2, 1] if rh_on else [0, 1, 1],
-                  PSI_FD_STEP * np.eye(3)[:3 if rh_on else 2],
-                  np.array(weights), np.array(tol), np.arange(k) < nb)
+    return _Shape(use_psi, frozen, k, slice(0, 3) if frozen else slice(None),
+                  np.array(weights), np.array(tol), np.arange(k) < 3)
 
 
 class _NewtonGroup:
@@ -406,7 +392,9 @@ class _NewtonGroup:
     Every request of a group has the same branch (RH on or off), the same
     unknowns (Q_hvac frozen or free), the same PMV row (present or not) and
     the same comfort setting; scenarios, configurations and clothing may
-    differ row by row.  Each row runs the iteration of one scenario:
+    differ row by row.  Either branch solves ``x = [T_cab, T_si, T_so,
+    Q_hvac]``; panels, when on, stay at their target temperature.  Each
+    row runs the iteration of one scenario:
     backtracking line search on the weighted residual norm, up to
     ``MAX_RESTARTS`` restarts from shifted starting points when it stalls,
     and the PMV row's gradient by forward differences refreshed every 4th
@@ -428,16 +416,15 @@ class _NewtonGroup:
     def __init__(self, requests: list[_NewtonRequest]):
         first = requests[0]
         models = self.models = [req.model for req in requests]
-        sh = self.shape = _shape(first.model.rh_on, first.psi_tgt is not None,
-                                 first.frozen_q is not None)
+        self.rh_on = first.model.rh_on
+        sh = self.shape = _shape(first.psi_tgt is not None, first.frozen_q is not None)
         self.psi_tgts = [req.psi_tgt for req in requests]
         self.x0 = np.array([req.x0 for req in requests], dtype=float)
         if sh.frozen:
-            self.x0[:, sh.q_idx] = [req.frozen_q for req in requests]
+            self.x0[:, 3] = [req.frozen_q for req in requests]
         self.coef = np.array([m.coef for m in models])
         self.floor = np.array([m.flow_floor for m in models])
-        if sh.rh_on:
-            self.t_rh_tgt = np.array([m.cfg.T_rh_tgt for m in models])
+        self.t_rh = np.array([m.cfg.T_rh_tgt for m in models])
         if sh.use_psi:
             self.psi_tgt = np.array(self.psi_tgts)
         self.setting = _comfort_setting(first.model.spec)
@@ -461,40 +448,36 @@ class _NewtonGroup:
         flow magnitude of their relative tolerance, and the Jacobian rows of
         the balance.
 
-        The reservoir rows are followed by the panel-temperature pin (RH on)
-        and, with a PMV row, the mean PMV ``psi`` less its target.  A single
-        row goes to the kernel as floats, which give the same bits with less
+        The three reservoir rows of the unknowns are followed, with a PMV
+        row, by the mean PMV ``psi`` less its target.  The panels' row is
+        not solved for: evaluated at ``P_rh = 0`` it is minus the panel
+        power, which counts among the flow magnitudes.  A single row goes
+        to the kernel as floats, which give the same bits with less
         overhead.
         """
-        sh = self.shape
         pick = (lambda a: a) if pos is None else (lambda a: a[pos])
         if x.shape[0] == 1:
-            unknowns = x[0].tolist()
-            coef = self.models[0 if pos is None else pos[0]].coef
+            (t_cab, t_si, t_so, q_hvac), = x.tolist()
+            i = 0 if pos is None else pos[0]
+            coef, t_rh = self.models[i].coef, float(self.t_rh[i])
         else:
-            unknowns = x.T
-            coef = BalanceCoefficients(*pick(self.coef).T)
-        if sh.rh_on:
-            t_cab, t_rh, t_si, t_so, q_hvac, p_rh = unknowns
-        else:
-            t_cab, t_si, t_so, q_hvac = unknowns
-            t_rh, p_rh = t_cab, 0.0
-        f, bal, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, p_rh, coef,
-                                        sh.rh_on)
+            t_cab, t_si, t_so, q_hvac = x.T
+            coef, t_rh = BalanceCoefficients(*pick(self.coef).T), pick(self.t_rh)
+        f, bal, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0, coef,
+                                        self.rh_on)
         mags = [f["Q_door"], f["Q_h_si"], f["Q_k"], f["Q_h_so"], f["Q_r_so"], q_hvac]
-        rows = np.empty((x.shape[0], sh.k))
-        rows[:, :sh.nb] = bal
-        if sh.rh_on:
-            mags += [f["Q_r_rh"], f["Q_h_rh"], p_rh]
-            rows[:, sh.nb] = t_rh - pick(self.t_rh_tgt)
+        if self.rh_on:
+            mags += [f["Q_r_rh"], f["Q_h_rh"], -bal[..., 3]]
+        rows = np.empty((x.shape[0], self.shape.k))
+        rows[:, :3] = bal[..., :3]
         if psi is not None:
-            rows[:, -1] = psi - pick(self.psi_tgt)
+            rows[:, 3] = psi - pick(self.psi_tgt)
         scale = np.maximum(pick(self.floor), np.abs(mags).max(axis=0))
-        return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])
+        return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])[:, :3]
 
-    def _points(self, pos, t_cab, t_si, t_rh) -> tuple:
+    def _points(self, pos, t_cab, t_si) -> tuple:
         """Kernel points ``(air C, radiant C, clothing)`` of the states
-        (t_cab, t_si, t_rh) of the rows ``pos``, state after state."""
+        (t_cab, t_si) of the rows ``pos``, state after state."""
         if self.all_uniform:
             return t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]
         n = self.n_pts[pos]
@@ -502,14 +485,14 @@ class _NewtonGroup:
         of_pt = np.repeat(np.arange(pos.size), n)
         b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
         t_si_pt = t_si[of_pt]
-        tmr = mixed_radiant_temperature(b, t_si_pt, t_rh[of_pt])
+        tmr = mixed_radiant_temperature(b, t_si_pt, self.t_rh[pos][of_pt])
         return (t_cab[of_pt] - KELVIN,
                 np.where(self.uniform[pos][of_pt], t_si_pt, tmr) - KELVIN,
                 self.r_clo[pos][of_pt])
 
     def _kernel(self, pos, temps) -> tuple[np.ndarray, dict]:
         """Unclamped PMV of the kernel points of the states ``temps`` (rows of
-        T_cab, T_si, T_rh) of the rows ``pos``, state after state, by one
+        T_cab, T_si) of the rows ``pos``, state after state, by one
         kernel call, and the errors by state index.  If a point fails, each
         state is evaluated alone (a point's value does not depend on its
         batch); a failed state's values are NaN and its error names its
@@ -530,16 +513,15 @@ class _NewtonGroup:
     def _psi(self, pos, x, grad_rows):
         """Mean PMV at ``x`` of the rows ``pos`` and, at the rows
         ``grad_rows`` (indices into ``pos``), its forward-difference
-        gradient in (T_cab, T_si, T_rh), from one kernel call; then the
-        kernel errors by row, at the state and at the difference points."""
-        fd_steps = self.shape.fd_steps
-        m, k = pos.size, len(fd_steps)
-        temps = x[:, self.shape.temp_cols]
+        gradient in (T_cab, T_si), from one kernel call; then the kernel
+        errors by row, at the state and at the difference points."""
+        m = pos.size
+        temps = x[:, :2]
         if grad_rows.size:
-            # one state per perturbed temperature (T_rh with panels only)
-            temps = np.concatenate([temps, (temps[grad_rows][:, None, :] + fd_steps)
-                                    .reshape(-1, 3)])
-            pos = np.concatenate([pos, np.repeat(pos[grad_rows], k)])
+            # one state per perturbed temperature
+            temps = np.concatenate([temps, (temps[grad_rows][:, None, :] + _FD_STEPS)
+                                    .reshape(-1, 2)])
+            pos = np.concatenate([pos, np.repeat(pos[grad_rows], 2)])
         vals, errors = self._kernel(pos, temps)
         if not self.all_uniform:
             # the mean over each state's points, as numpy's row mean of the
@@ -550,11 +532,9 @@ class _NewtonGroup:
             for count in np.unique(n):
                 states = np.flatnonzero(n == count)
                 vals[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
-        grad = np.zeros((grad_rows.size, 3))
-        if grad_rows.size:
-            grad[:, :k] = (vals[m:].reshape(-1, k) - vals[grad_rows][:, None]) / PSI_FD_STEP
+        grad = (vals[m:].reshape(-1, 2) - vals[grad_rows][:, None]) / PSI_FD_STEP
         return (vals[:m], grad, {s: err for s, err in errors.items() if s < m},
-                {int(grad_rows[(s - m) // k]): err for s, err in errors.items() if s >= m})
+                {int(grad_rows[(s - m) // 2]): err for s, err in errors.items() if s >= m})
 
     def _solution_pmv(self, pos, x) -> list:
         """Per row of ``pos``, the unclamped PMV of the kernel points of its
@@ -562,7 +542,7 @@ class _NewtonGroup:
         sizes = [1] * pos.size if self.all_uniform else self.n_pts[pos].tolist()
         if not any(sizes):
             return [np.zeros(0)] * pos.size
-        vals, errors = self._kernel(pos, x[:, self.shape.temp_cols])
+        vals, errors = self._kernel(pos, x[:, :2])
         return [errors[i] if i in errors else vals[end - n:end]
                 for i, (n, end) in enumerate(zip(sizes, accumulate(sizes)))]
 
@@ -579,16 +559,11 @@ class _NewtonGroup:
         gradients, and the mask of rows whose J is singular (None when
         there is none)."""
         sh = self.shape
-        n, nb, k = len(bal_jac), sh.nb, sh.k
-        jac = np.zeros((n, k, k))
-        jac[:, :nb] = bal_jac[:, :, sh.cols]
-        if sh.rh_on:
-            jac[:, nb, 1] = 1.0                              # panel temperature pin
-            if sh.use_psi:
-                jac[:, nb + 1, :3] = grad[:, [0, 2, 1]]
-        elif sh.use_psi:
-            # no panels: T_mr tracks the inner shell only
-            jac[:, nb, :2] = grad[:, :2]
+        n = len(bal_jac)
+        jac = np.zeros((n, sh.k, sh.k))
+        jac[:, :3] = bal_jac[:, :, sh.cols]
+        if sh.use_psi:
+            jac[:, 3, :2] = grad
         try:
             return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], None
         except np.linalg.LinAlgError:
@@ -616,12 +591,12 @@ class _NewtonGroup:
         would hold every live row are not formed.
         """
         sh = self.shape
-        n, cols, nt = len(self.models), sh.cols, sh.nb
+        n, cols = len(self.models), sh.cols
         out: list = [None] * n
         pos = np.arange(n)              # the live rows, as request indices
         x = xt = self.x0.copy()
         r = scale = bal_jac = None
-        grad = np.zeros((n, 3))
+        grad = np.zeros((n, 2))
         norm = np.full(n, np.nan)
         it = np.full(n, -1)
         attempt = np.zeros(n, int)
@@ -707,7 +682,7 @@ class _NewtonGroup:
                     out[pos[i]] = SolverError(
                         f"Newton did not converge for scenario "
                         f"{self.models[pos[i]].scn.id!r} "
-                        f"(rh_on={sh.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
+                        f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
                         last_x=x[i].copy(), last_residuals=r[i].copy())
                     done[i] = True
                 restart = np.flatnonzero(ended & ~done)
@@ -724,10 +699,10 @@ class _NewtonGroup:
             else:
                 xt = x.copy()
                 xt[:, cols] += step[:, None] * dx
-            np.minimum(np.maximum(xt[:, :nt], T_BOX[0]), T_BOX[1], out=xt[:, :nt])
+            np.minimum(np.maximum(xt[:, :3], T_BOX[0]), T_BOX[1], out=xt[:, :3])
             if restart is not None and restart.size:
                 xt[restart] = self.x0[pos[restart]]
-                xt[restart, :nt] += _RESTART_SHIFTS[attempt[restart], :nt]
+                xt[restart, :3] += _RESTART_SHIFTS[attempt[restart]]
                 it[restart] = -1
                 norm[restart] = np.nan
             if n_done:
@@ -808,29 +783,6 @@ def _solve_branch(model: _BranchModel, method: str, psi_min: float,
 # public solves: root finding
 # ---------------------------------------------------------------------------
 
-def solve_fixed_pmv(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
-                    rh_on: bool, layout: CabinLayout | None = None,
-                    seed: int = 0) -> SolveResult:
-    """Solve the square system with the mean PMV pinned to ``spec.psi_tgt``.
-
-    Six unknowns and equations with radiant heaters on, four without.  An
-    empty bus has no comfort constraint and falls back to the passive
-    solution.
-    """
-    if spec.psi_tgt is None:
-        raise ConfigError("solve_fixed_pmv requires spec.psi_tgt")
-    model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
-
-    def steps() -> _Steps[SolveResult]:
-        if scn.N_pass == 0:
-            state, iters, pmv = yield from model.passive()
-        else:
-            state, iters, pmv = yield from model.pinned(spec.psi_tgt)
-        return _finalize(model, state, pmv, "rootfind", iters)
-
-    return _run(steps())
-
-
 def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                           rh_on: bool, layout: CabinLayout | None = None,
                           seed: int = 0) -> SolveResult:
@@ -872,46 +824,32 @@ def _next_bound(pairs: list, bound: float, target: float, psi_e: float) -> float
 class _OptProgram:
     """The nonlinear program of the optimization route for one RH branch.
 
-    Decision vector ``z`` (scaled): the temperatures in K, in the column
-    order of the kernel's Jacobian (``[T_cab, T_rh, T_si, T_so]`` with the
-    panels on, ``[T_cab, T_si, T_so]`` without), then heating and cooling
-    heat and (RH on) panel power in kW.  Every function comes with its
-    exact gradient: the objective through :meth:`CopCurve.slope`, the
-    balance equalities through the Jacobian rows of
-    :func:`model_core.reservoir_balance`, and the surrogate mean PMV
-    through its monomial derivatives (:meth:`PmvSurrogate.value_and_grad`)
-    and, with panel view weights, the chain rule through each passenger's
-    mean radiant temperature.
+    Decision vector ``z`` (scaled), the same on either branch: the
+    temperatures ``[T_cab, T_si, T_so]`` in K, in the order of the balance
+    kernel's unknowns, then heating and cooling heat in kW.  Panels, when
+    on, stay at their target temperature; the objective adds their
+    electric power, read off the kernel's panel row.  Every function comes
+    with its exact gradient: the objective through :meth:`CopCurve.slope`
+    and the panel row's Jacobian, the balance equalities through the
+    Jacobian rows of :func:`model_core.reservoir_balance`, and the
+    surrogate mean PMV through its monomial derivatives
+    (:meth:`PmvSurrogate.value_and_grad`) and, with panel view weights, the
+    chain rule through each passenger's mean radiant temperature.
     """
+
+    tc, tsi, tso, hp, ac = range(5)
+    n_temps, nvar = 3, 5
 
     def __init__(self, model: _BranchModel):
         self.model = model
         self.surr = get_pmv_surrogate(model.spec)
-        rh_on = model.rh_on
-        self.n_temps = 4 if rh_on else 3
-        self.nvar = 7 if rh_on else 5
-        if rh_on:
-            self.tc, self.trh, self.tsi, self.tso = range(4)
-        else:
-            self.tc, self.tsi, self.tso = range(3)
-            self.trh = self.tc            # ignored by the kernel without panels
-        self.hp, self.ac = self.n_temps, self.n_temps + 1
-        self.prh = 6                      # panel power, RH on only
 
     def start(self) -> np.ndarray:
-        """The cold start: no HVAC heat, panels at their target."""
-        t_inf = self.model.scn.T_inf
-        z = np.zeros(self.nvar)
-        z[self.tc] = min(max(t_inf, 285.0), 299.0)
-        z[self.tsi] = t_inf
-        z[self.tso] = t_inf
-        if self.model.rh_on:
-            z[self.trh] = self.model.cfg.T_rh_tgt
-        return z
+        """The cold start: Newton's starting temperatures, no HVAC heat."""
+        return np.append(self.model.init_vector(), 0.0)
 
     def bounds(self) -> list:
-        n_powers = self.nvar - self.n_temps
-        return [(T_BOX[0], T_BOX[1])] * self.n_temps + [(0.0, 500.0)] * n_powers
+        return [(T_BOX[0], T_BOX[1])] * self.n_temps + [(0.0, 500.0)] * 2
 
     def psi(self, z) -> float:
         """Surrogate mean PMV (view weights exist only with the panels on,
@@ -920,13 +858,12 @@ class _OptProgram:
         t_cab, t_si = z[self.tc], z[self.tsi]
         if model.uniform_tmr:
             return float(self.surr.evaluate(t_cab - KELVIN, t_si - KELVIN, model.r_clo))
-        tmr_c = mixed_radiant_temperature(model.b_weights, t_si, z[self.trh]) - KELVIN
+        tmr_c = mixed_radiant_temperature(model.b_weights, t_si, model.cfg.T_rh_tgt) - KELVIN
         vals = self.surr.evaluate(np.full_like(tmr_c, t_cab - KELVIN), tmr_c, model.r_clo)
         return float(np.mean(vals))
 
     def psi_grad(self, z) -> np.ndarray:
-        """d(psi)/dz; per passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``
-        and ``dT_mr/dT_rh = b T_rh^3 / T_mr^3``."""
+        """d(psi)/dz; per passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``."""
         model = self.model
         g = np.zeros(self.nvar)
         t_cab, t_si = z[self.tc], z[self.tsi]
@@ -935,48 +872,35 @@ class _OptProgram:
             g[self.tc], g[self.tsi] = d[0], d[1]
             return g
         b = model.b_weights
-        t_rh = z[self.trh]
-        tmr = mixed_radiant_temperature(b, t_si, t_rh)
+        tmr = mixed_radiant_temperature(b, t_si, model.cfg.T_rh_tgt)
         d = self.surr.value_and_grad(np.full_like(tmr, t_cab - KELVIN), tmr - KELVIN,
                                      model.r_clo)[1]
-        d_tmr = d[:, 1] / tmr ** 3
         g[self.tc] = np.mean(d[:, 0])
-        g[self.tsi] = np.mean(d_tmr * (1.0 - b)) * t_si ** 3
-        g[self.trh] = np.mean(d_tmr * b) * t_rh ** 3
+        g[self.tsi] = np.mean(d[:, 1] / tmr ** 3 * (1.0 - b)) * t_si ** 3
         return g
 
     def _balance(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Reservoir rows and their Jacobian at ``z``."""
+        """Reservoir rows and their Jacobian at ``z``, the panel row (RH
+        on) last and at zero panel power: minus the panel power."""
         model = self.model
-        v = z.tolist()
-        p_rh = v[self.prh] * 1000.0 if model.rh_on else 0.0
-        _, rows, jac = reservoir_balance(v[self.tc], v[self.trh], v[self.tsi], v[self.tso],
-                                         (v[self.hp] - v[self.ac]) * 1000.0, p_rh,
-                                         model.coef, model.rh_on)
+        t_cab, t_si, t_so, hp, ac = z.tolist()
+        _, rows, jac = reservoir_balance(t_cab, model.cfg.T_rh_tgt, t_si, t_so,
+                                         (hp - ac) * 1000.0, 0.0, model.coef, model.rh_on)
         return rows, jac
 
     def equalities(self, z) -> np.ndarray:
-        """Reservoir rows in kW, then (RH on) the panel-temperature pin."""
-        eq = self._balance(z)[0] * 1e-3
-        if self.model.rh_on:
-            eq = np.append(eq, z[self.trh] - self.model.cfg.T_rh_tgt)
-        return eq
+        """The rows of cabin air, inner and outer shell in kW."""
+        return self._balance(z)[0][:3] * 1e-3
 
     def equalities_jac(self, z) -> np.ndarray:
         """The kernel's Jacobian on ``z``: temperature columns x 1e-3 (rows
-        in kW); ``Q_hvac = 1000 (z_hp - z_ac)`` and ``P_rh = 1000 z_prh``, so
-        their columns enter as they are, Q_hvac's with +1 for ``z_hp`` and
-        -1 for ``z_ac``; then the panel-pin row."""
-        jac = self._balance(z)[1]
-        nb, nt = len(jac), self.n_temps
-        rh_on = self.model.rh_on
-        out = np.zeros((nb + rh_on, self.nvar))
-        out[:nb, :nt] = jac[:, :nt] * 1e-3
-        out[:nb, self.hp] = jac[:, nt]
-        out[:nb, self.ac] = -jac[:, nt]
-        if rh_on:
-            out[:nb, self.prh] = jac[:, 5]
-            out[nb, self.trh] = 1.0
+        in kW); ``Q_hvac = 1000 (z_hp - z_ac)``, so its column enters as it
+        is, with +1 for ``z_hp`` and -1 for ``z_ac``."""
+        jac = self._balance(z)[1][:3]
+        out = np.empty((3, self.nvar))
+        out[:, :3] = jac[:, :3] * 1e-3
+        out[:, self.hp] = jac[:, 3]
+        out[:, self.ac] = -jac[:, 3]
         return out
 
     def objective(self, z) -> float:
@@ -986,7 +910,7 @@ class _OptProgram:
         p = z[self.hp] / cfg.cop_heating(t_cab - t_inf)
         p += z[self.ac] / cfg.cop_cooling(t_inf - t_cab)
         if self.model.rh_on:
-            p += z[self.prh]
+            p -= self._balance(z)[0][3] * 1e-3
         return p
 
     def objective_grad(self, z) -> np.ndarray:
@@ -1000,7 +924,7 @@ class _OptProgram:
         g[self.hp] = 1.0 / cop_h
         g[self.ac] = 1.0 / cop_c
         if self.model.rh_on:
-            g[self.prh] = 1.0
+            g[:3] -= self._balance(z)[1][3, :3] * 1e-3
         return g
 
 
@@ -1018,7 +942,6 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None, psi_max: float
     the cold start; the run kept must violate them by at most 1e-4.
     """
     scn = model.scn
-    rh_on = model.rh_on
     prog = _OptProgram(model)
     use_psi = psi_min is not None and scn.N_pass > 0
     z0 = prog.start()
@@ -1056,7 +979,7 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None, psi_max: float
                 break
         if viol > 1e-4:
             raise SolverError(
-                f"optimization failed for scenario {scn.id!r} (rh_on={rh_on}): "
+                f"optimization failed for scenario {scn.id!r} (rh_on={model.rh_on}): "
                 f"{res.message}", last_x=res.x)
         total_nit += int(res.nit)
         z = res.x.copy()
@@ -1069,13 +992,8 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float | None, psi_max: float
 
         # polish the balance exactly with the decided HVAC heat
         q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-        x0 = model.init_vector()
-        x0[0] = z[prog.tc]
-        if rh_on:
-            x0[2], x0[3] = z[prog.tsi], z[prog.tso]
-        else:
-            x0[1], x0[2] = z[prog.tsi], z[prog.tso]
-        state, iters_polish, pmv = yield from model.balance_with_q(q_hvac, x0)
+        state, iters_polish, pmv = yield from model.balance_with_q(
+            q_hvac, np.append(z[:3], q_hvac))
 
         if not (use_lo or use_hi):
             break

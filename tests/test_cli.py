@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 import yaml
@@ -211,16 +212,41 @@ class TestErrors:
         rc = main(["monthly", "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 3
 
-    def test_psi_tgt_needs_explicit_rh_with_panels(self, tmp_path, capsys):
+    def test_psi_tgt_rh_auto_keeps_the_cheaper_branch(self, tmp_path, capsys):
+        # a PMV target is the window [T, T], solved like any other window
         cfg = tmp_path / "rh.yaml"
         cfg.write_text("radiant_heaters: {enabled: true}\n", encoding="utf-8")
         args = ["solve", "--t-inf-c", "-8", "--n-pass", "30", "--month", "1",
-                "--psi-tgt", "-0.5"]
-        assert main(args + ["--config", str(cfg)]) == 2
-        assert "--rh on or --rh off" in capsys.readouterr().err
-        assert main(args + ["--config", str(cfg), "--rh", "off"]) == 0
-        # without panels there is no branch to choose: auto means off
-        assert main(args) == 0
+                "--psi-tgt", "-0.5", "--config", str(cfg)]
+        p_tot = {}
+        for rh in ("auto", "on", "off"):
+            assert main(args + ["--rh", rh]) == 0
+            out = capsys.readouterr().out
+            assert "mean PMV = -0.5000" in out
+            p_tot[rh] = float(re.search(r"P_tot = (\S+) W", out).group(1))
+        assert p_tot["auto"] == min(p_tot["on"], p_tot["off"])
+
+    def test_psi_tgt_excludes_window(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--t-inf-c", "0", "--month", "1", "--psi-tgt", "0",
+                  "--window=-1,1"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["monthly", "--jobs", "1", "--solver", "opt"],
+        ["sensitivity", "--params", "k_body", "--jobs", "1", "--solver", "opt"],
+        ["gen", "--n", "10", "--jobs", "2"],
+        ["solve", "--t-inf-c", "0", "--month", "1", "--jobs", "2"],
+    ], ids=["monthly-solver", "sensitivity-solver", "gen-jobs", "solve-jobs"])
+    def test_flag_the_command_does_not_read_exit_code(self, command, scenario_file,
+                                                      tmp_path, capsys):
+        scenarios = ["--scenarios", scenario_file] if command[0] in (
+            "monthly", "sensitivity") else []
+        with pytest.raises(SystemExit) as exc:
+            main(command + scenarios + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_code(self, tmp_path, jobs, capsys):

@@ -192,6 +192,5 @@ class TestSpecValidation:
     def test_with_helpers_preserve_fields(self):
         spec = ComfortSpec(v_cab=0.2, clo_scale=1.1)
         w = spec.with_window(-2.0, 2.0)
-        assert w.v_cab == 0.2 and w.clo_scale == 1.1 and w.psi_tgt is None
-        t = spec.with_target(0.5)
-        assert t.psi_tgt == 0.5 and t.v_cab == 0.2
+        assert w.v_cab == 0.2 and w.clo_scale == 1.1
+        assert (w.psi_min, w.psi_max) == (-2.0, 2.0)

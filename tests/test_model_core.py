@@ -234,9 +234,10 @@ class TestBalance:
         assert len(balance_residuals(state, winter_scn, cfg, False)) == 3
 
     def test_warmer_cabin_raises_losses(self, hp_cfg, winter_scn):
-        from cabintherm.solver import solve_fixed_pmv
+        from cabintherm.solver import solve_window_rootfind
         from cabintherm.comfort import ComfortSpec
-        res = solve_fixed_pmv(winter_scn, hp_cfg, ComfortSpec(psi_tgt=-1.0), rh_on=False)
+        res = solve_window_rootfind(winter_scn, hp_cfg, ComfortSpec(psi_min=-1.0, psi_max=-1.0),
+                                    rh_on=False)
         st = res.state
         bumped = ThermalState(T_cab=st.T_cab + 1.0, T_rh=st.T_rh, T_si=st.T_si,
                               T_so=st.T_so, Q_hvac=st.Q_hvac, P_rh=st.P_rh)

@@ -10,8 +10,8 @@ from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
                                    max_abs_flow)
 from cabintherm.radiant_geometry import mixed_radiant_temperature
 from cabintherm.scenario import synthesize_dataset
-from cabintherm.solver import (default_layout, solve_best, solve_fixed_pmv,
-                               solve_window_opt, solve_window_rootfind)
+from cabintherm.solver import (default_layout, solve_best, solve_window_opt,
+                               solve_window_rootfind)
 
 
 def assert_balanced(res, scn, cfg):
@@ -20,45 +20,50 @@ def assert_balanced(res, scn, cfg):
     assert np.max(np.abs(r)) <= tol
 
 
+def solve_at_target(scn, cfg, psi_tgt, rh_on=False):
+    """Root finding with the mean PMV held at ``psi_tgt``: a window of zero
+    width."""
+    return solve_window_rootfind(scn, cfg, ComfortSpec(psi_min=psi_tgt, psi_max=psi_tgt),
+                                 rh_on=rh_on)
+
+
 class TestFixedPmv:
     def test_passive_target_needs_no_hvac(self, hp_cfg, mild_scn):
         passive = solve_window_rootfind(mild_scn, hp_cfg,
                                         ComfortSpec(psi_min=-3.0, psi_max=3.0),
                                         rh_on=False)
-        res = solve_fixed_pmv(mild_scn, hp_cfg,
-                              ComfortSpec(psi_tgt=passive.mean_psi), rh_on=False)
+        res = solve_at_target(mild_scn, hp_cfg, passive.mean_psi)
         assert abs(res.state.Q_hvac) < 1.0
 
     def test_winter_heats(self, hp_cfg, winter_scn):
-        res = solve_fixed_pmv(winter_scn, hp_cfg, ComfortSpec(psi_tgt=-1.0), rh_on=False)
+        res = solve_at_target(winter_scn, hp_cfg, -1.0)
         assert res.state.Q_hvac > 0
         assert res.state.T_cab > winter_scn.T_inf
         assert res.mean_psi == pytest.approx(-1.0, abs=1e-4)
         assert_balanced(res, winter_scn, hp_cfg)
 
     def test_summer_cools(self, hp_cfg, summer_scn):
-        res = solve_fixed_pmv(summer_scn, hp_cfg, ComfortSpec(psi_tgt=1.0), rh_on=False)
+        res = solve_at_target(summer_scn, hp_cfg, 1.0)
         assert res.state.Q_hvac < 0
         assert res.mean_psi == pytest.approx(1.0, abs=1e-4)
         assert_balanced(res, summer_scn, hp_cfg)
 
-    def test_requires_target(self, hp_cfg, winter_scn):
-        with pytest.raises(ConfigError):
-            solve_fixed_pmv(winter_scn, hp_cfg, ComfortSpec(), rh_on=False)
-
-    def test_six_unknowns_with_rh(self, ptc_rh_cfg, winter_scn):
+    def test_four_unknowns_on_both_branches(self, ptc_rh_cfg, winter_scn):
         from cabintherm.solver import _BranchModel, _NewtonGroup, _NewtonRequest
-        m_on = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(psi_tgt=-1.0), True)
-        m_off = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(psi_tgt=-1.0), False)
-        assert m_on.n_unknowns() == 6
-        assert m_off.n_unknowns() == 4
-
-        def residuals(model):
+        for rh_on in (True, False):
+            model = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(), rh_on)
             group = _NewtonGroup([_NewtonRequest(model, model.init_vector(), -1.0, None)])
-            return group._system(None, group.x0, np.zeros(1))[0][0]
-
-        assert len(residuals(m_on)) == 6
-        assert len(residuals(m_off)) == 4
+            rows, _, bal_jac = group._system(None, group.x0, np.zeros(1))
+            dx, singular = group._step(bal_jac, np.ones((1, 2)), rows)
+            assert rows.shape == dx.shape == (1, 4)
+            assert bal_jac.shape == (1, 3, 4) and singular is None
+        # the panels are held at their target and draw what their row fixes
+        res = solve_at_target(winter_scn, ptc_rh_cfg, -1.0, rh_on=True)
+        assert res.rh_used and res.state.T_rh == ptc_rh_cfg.T_rh_tgt
+        f = res.flows
+        assert f.P_rh > 0.0
+        assert f.P_rh == pytest.approx(f.Q_r_rh + f.Q_h_rh, rel=1e-12)
+        assert_balanced(res, winter_scn, ptc_rh_cfg)
 
 
 class TestWindowRootfind:
@@ -93,8 +98,7 @@ class TestWindowRootfind:
                                      ComfortSpec(psi_min=-1.0, psi_max=1.0),
                                      rh_on=False)
         for tgt in (-0.8, -0.5, 0.0, 0.5, 1.0):
-            res = solve_fixed_pmv(winter_scn, hp_cfg, ComfortSpec(psi_tgt=tgt),
-                                  rh_on=False)
+            res = solve_at_target(winter_scn, hp_cfg, tgt)
             assert res.P_tot >= base.P_tot - 1e-6
 
     def test_wide_window_everything_passive(self, hp_cfg, winter_scn, summer_scn):
@@ -262,6 +266,27 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             solve_window_rootfind(winter_scn, ptc_rh_cfg, window_spec, rh_on=True,
                                   layout=bad_layout)
+
+    def test_panel_areas_computed_once(self, ptc_rh_cfg, winter_scn, window_spec,
+                                       monkeypatch):
+        # the panels compute their areas when the layout is built: branch
+        # models that check the layout's panel area compute none again
+        layout = default_layout(ptc_rh_cfg)
+        cache = solver.ViewWeightsCache()
+        solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout,
+                            weights_cache=cache)
+        calls = []
+        original = np.cross
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cross", counting)
+        for _ in range(10):
+            solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout,
+                                weights_cache=cache)
+        assert calls == []
 
 
 class TestNewton:
