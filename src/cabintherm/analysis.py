@@ -260,11 +260,15 @@ _CONCEPT_FIELDS_ALLOWED = {"cop_heating", "rh_enabled", "A_rh", "T_rh_tgt"}
 
 def compare_concepts(sset: ScenarioSet, concepts: dict[str, BusConfig],
                      half_widths, spec: ComfortSpec | None = None,
-                     seed: int = 0, jobs: int = 1) -> dict[str, list[ParetoPoint]]:
+                     seed: int = 0, jobs: int = 1,
+                     layouts: dict[str, CabinLayout] | None = None
+                     ) -> dict[str, list[ParetoPoint]]:
     """One Pareto curve per HVAC concept on the same scenarios and windows.
 
     Concepts may differ only in the heating COP curve and the radiant-heater
     configuration; anything else would make the comparison meaningless.
+    ``layouts`` maps concept names to cabin layouts (default: each
+    configuration's :func:`solver.default_layout`).
     """
     if not concepts:
         raise ConfigError("need at least one concept")
@@ -279,7 +283,7 @@ def compare_concepts(sset: ScenarioSet, concepts: dict[str, BusConfig],
                 raise ConfigError(
                     f"concept {name!r} differs from {names[0]!r} in {fld!r}; only "
                     "the heating COP and RH configuration may vary")
-    pairs = [(concepts[n], default_layout(concepts[n])) for n in names]
+    pairs = [(concepts[n], None if layouts is None else layouts[n]) for n in names]
     return dict(zip(names, _fronts(sset, pairs, half_widths, spec, seed, jobs)))
 
 

@@ -28,16 +28,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import (DEFAULT_SENSITIVITY_PARAMS, aggregate_annual,
-                       compare_concepts, monthly_table, oat_sensitivity,
-                       pareto_sweep, solve_set)
+from .analysis import (DEFAULT_SENSITIVITY_PARAMS, compare_concepts, monthly_table,
+                       oat_sensitivity, solve_set)
 from .config import AppConfig, load_config
 from .errors import (CabinThermError, ConfigError, DataError, EvaluationError,
                      SolverError)
 from .model_core import KELVIN, Scenario, c_to_k
-from .radiant_geometry import cabin_mean_radiant_set, place_passengers
-from .scenario import (ClimateProfile, ScenarioSet, load_scenarios_csv,
-                       placement_seed, save_scenarios_csv, synthesize_dataset)
+from .radiant_geometry import (mixed_radiant_temperature, panel_view_weights,
+                               place_passengers)
+from .scenario import (ScenarioSet, load_scenarios_csv, placement_seed,
+                       save_scenarios_csv, synthesize_dataset)
 from .solver import (balance_tolerance_report, solve_best, solve_window_opt,
                      solve_window_rootfind)
 
@@ -212,8 +212,8 @@ def cmd_solve(args) -> int:
         if scn.N_pass > 0 and res.rh_used:
             pax = place_passengers(scn.N_pass, placement_seed(scn.id, args.seed),
                                    app.layout)
-            tmr = cabin_mean_radiant_set(app.layout.with_passengers(pax),
-                                         st.T_si, st.T_rh)
+            tmr = mixed_radiant_temperature(panel_view_weights(pax, app.layout),
+                                            st.T_si, st.T_rh)
             rows = [[_fmt(p.x), _fmt(p.y), _fmt(t - KELVIN), _fmt(v)]
                     for p, t, v in zip(pax, tmr, res.per_passenger_pmv)]
             _atomic_write(os.path.join(out, "passenger_tmr.csv"),
@@ -257,13 +257,14 @@ def cmd_sweep(args) -> int:
     unknown = [n for n in names if n not in app.concepts]
     if unknown:
         raise ConfigError(f"unknown concepts {unknown}; configured: {list(app.concepts)}")
-    concepts = {n: app.concepts[n].bus for n in names}
+    chosen = [app.concepts[n] for n in names]
 
     t0 = time.perf_counter()
-    curves = compare_concepts(sset, concepts, widths, spec=app.comfort,
-                              seed=args.seed, jobs=args.jobs)
+    curves = compare_concepts(sset, {c.name: c.bus for c in chosen}, widths,
+                              spec=app.comfort, seed=args.seed, jobs=args.jobs,
+                              layouts={c.name: c.layout for c in chosen})
     if args.solver in ("opt", "both"):
-        _cross_check_sample(sset, concepts, widths, app, args)
+        _cross_check_sample(sset, chosen, widths, app, args)
     duration = time.perf_counter() - t0
 
     combined = []
@@ -297,11 +298,9 @@ def _cross_check_sample(sset, concepts, widths, app: AppConfig, args,
     sub = sset.subset(sample, seed=args.seed)
     spec = app.comfort.with_window(-widths[0], widths[0])
     worst = 0.0
-    for cfg in concepts.values():
-        from .solver import default_layout
-        layout = default_layout(cfg)
-        a = solve_set(sub, cfg, spec, layout, args.seed, args.jobs, "rootfind")
-        b = solve_set(sub, cfg, spec, layout, args.seed, args.jobs, "opt")
+    for c in concepts:
+        a = solve_set(sub, c.bus, spec, c.layout, args.seed, args.jobs, "rootfind")
+        b = solve_set(sub, c.bus, spec, c.layout, args.seed, args.jobs, "opt")
         worst = max([worst] + [abs(x.P_tot - y.P_tot) / max(x.P_tot, 1.0)
                                for x, y in zip(a, b)])
     print(f"solver cross-check on {len(sub)} scenarios: max relative deviation {worst:.2e}")

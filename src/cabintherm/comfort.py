@@ -194,6 +194,10 @@ def mean_pmv(per_passenger_pmv) -> float:
 SURROGATE_DOMAIN_LO = (-5.0, -5.0, CLOTHING_FLOOR)
 SURROGATE_DOMAIN_HI = (46.0, 46.0, 1.8)
 SURROGATE_DEGREE = 7
+# Chebyshev nodes of the fit grid on each temperature axis and on the
+# clothing axis, and the Lawson reweighting rounds that follow the fit
+_FIT_NODES_T, _FIT_NODES_CLO = 25, 13
+_LAWSON_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -308,37 +312,24 @@ def _chebyshev_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (1.0 - x) / 2.0
 
 
-def fit_pmv_surrogate(spec: ComfortSpec,
-                      clothing_grid: np.ndarray | None = None,
-                      temperature_grid: np.ndarray | None = None,
-                      degree: int = SURROGATE_DEGREE,
-                      lo=SURROGATE_DOMAIN_LO,
-                      hi=SURROGATE_DOMAIN_HI,
-                      minimax_rounds: int = 8) -> PmvSurrogate:
+def fit_pmv_surrogate(spec: ComfortSpec) -> PmvSurrogate:
     """Least-squares polynomial PMV surrogate over the operating envelope.
 
-    The fit runs on a Chebyshev tensor grid (or caller-supplied grids) and
+    The fit runs on a Chebyshev tensor grid over the surrogate domain and
     is sharpened toward the minimax optimum by a few Lawson reweighting
-    rounds.  Raises :class:`ConfigError` for grids too small to determine
-    the coefficients.
+    rounds.
     """
-    t_grid = (np.asarray(temperature_grid, float) if temperature_grid is not None
-              else _chebyshev_nodes(lo[0], hi[0], 25))
-    c_grid = (np.asarray(clothing_grid, float) if clothing_grid is not None
-              else _chebyshev_nodes(lo[2], hi[2], 13))
-    n_terms = _monomials(np.zeros((1, 3)), degree).shape[1]
-    if t_grid.size ** 2 * c_grid.size < n_terms or t_grid.size < 2 or c_grid.size < 2:
-        raise ConfigError("surrogate grid too small for the requested polynomial degree")
-
+    lo, hi = SURROGATE_DOMAIN_LO, SURROGATE_DOMAIN_HI
+    t_grid = _chebyshev_nodes(lo[0], hi[0], _FIT_NODES_T)
+    c_grid = _chebyshev_nodes(lo[2], hi[2], _FIT_NODES_CLO)
     ta, tr, cl = np.meshgrid(t_grid, t_grid, c_grid, indexing="ij")
     pts = np.stack([ta.ravel(), tr.ravel(), cl.ravel()], axis=1)
     exact = pmv_array(pts[:, 0], pts[:, 1], pts[:, 2],
                       spec.v_cab, spec.phi_cab * 100.0, spec.met)
 
-    m = _monomials(_normalize(pts, lo, hi), degree)
+    m = _monomials(_normalize(pts, lo, hi), SURROGATE_DEGREE)
     w = np.ones(len(pts))
-    coeffs = None
-    for _ in range(max(1, minimax_rounds)):
+    for _ in range(_LAWSON_ROUNDS):
         sw = np.sqrt(w)
         coeffs, *_ = np.linalg.lstsq(m * sw[:, None], exact * sw, rcond=None)
         err = np.abs(m @ coeffs - exact)
@@ -346,7 +337,7 @@ def fit_pmv_surrogate(spec: ComfortSpec,
         w = w * np.maximum(err, 1e-12)
         w /= w.sum()
     max_err = float(np.max(np.abs(m @ coeffs - exact)))
-    return PmvSurrogate(coeffs=coeffs, degree=degree, lo=tuple(lo), hi=tuple(hi),
+    return PmvSurrogate(coeffs=coeffs, degree=SURROGATE_DEGREE, lo=lo, hi=hi,
                         max_fit_error=max_err)
 
 

@@ -17,8 +17,9 @@ import yaml
 from .comfort import ComfortSpec
 from .errors import ConfigError
 from .model_core import BusConfig, CopCurve, c_to_k
-from .radiant_geometry import CabinLayout, Rect3, ceiling_panel_strip
+from .radiant_geometry import CabinLayout
 from .scenario import ClimateProfile
+from .solver import default_layout
 
 ENV_CONFIG_VAR = "CABINTHERM_CONFIG"
 
@@ -170,14 +171,9 @@ def _build_bus(cfg: dict) -> BusConfig:
 def _build_layout(cfg: dict, bus: BusConfig) -> CabinLayout:
     cab = cfg["cabin"]
     rh = cfg["radiant_heaters"]
-    length, width, height = (float(cab["length"]), float(cab["width"]),
-                             float(cab["height"]))
-    panels: tuple[Rect3, ...] = ()
-    if bus.rh_enabled and bus.A_rh > 0:
-        panels = ceiling_panel_strip(length, width, height, bus.A_rh,
-                                     n_panels=int(rh["n_panels"]),
-                                     panel_width=float(rh["panel_width"]))
-    return CabinLayout(length, width, height, panels)
+    return default_layout(bus, float(cab["length"]), float(cab["width"]),
+                          float(cab["height"]), int(rh["n_panels"]),
+                          float(rh["panel_width"]))
 
 
 def _build_comfort(cfg: dict) -> ComfortSpec:
@@ -227,8 +223,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> AppCo
         if not isinstance(spec, dict):
             raise ConfigError(f"concept {name!r} must be a mapping of overrides")
         sub = _deep_merge({k: v for k, v in merged.items() if k != "concepts"}, spec)
-        cbus = _build_bus(sub)
-        concepts[name] = ConceptConfig(name=name, bus=cbus,
-                                       layout=_build_layout(sub, cbus))
+        try:
+            cbus = _build_bus(sub)
+            concepts[name] = ConceptConfig(name=name, bus=cbus,
+                                           layout=_build_layout(sub, cbus))
+        except ConfigError as exc:
+            raise ConfigError(f"concept {name!r}: {exc}") from exc
     return AppConfig(bus=bus, layout=layout, comfort=_build_comfort(merged),
                      climate=_build_climate(merged), concepts=concepts, raw=merged)

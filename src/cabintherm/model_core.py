@@ -1,19 +1,19 @@
-"""Closed-form heat flows and the steady-state balance of the bus cabin.
+"""Heat flows and the steady-state balance of the bus cabin.
 
 The cabin is modelled as four thermal reservoirs: cabin air, radiant-heater
-(RH) panels, inner shell, and outer shell.  Each function below computes one
-signed heat flow in watts for one operating point.  :func:`reservoir_balance`
-is the one place that assembles the flows into the reservoir
-energy-conservation rows and their analytic Jacobian, for one row of
-unknowns or a stack of rows: it evaluates the same formulas from each
-row's :class:`BalanceCoefficients`, the products of configuration and
-scenario constants formed once.  The panels, when on, are held at their
-target temperature, so both branches solve the same four unknowns
-(``T_cab``, ``T_si``, ``T_so``, ``Q_hvac``) and the panel row then gives
-the electric panel power.  The reporting path (:func:`compute_heat_flows`,
-:func:`balance_residuals`), the Newton solver and the optimizer all
-evaluate it.  All temperatures are kelvin internally; degrees Celsius
-appear only in configuration files and reports.
+(RH) panels, inner shell, and outer shell.  :func:`reservoir_balance` is the
+program's one definition of the heat flows that depend on the state; it
+assembles them into the reservoir energy-conservation rows and their
+analytic Jacobian, for one row of unknowns or a stack of rows, from each
+row's :class:`BalanceCoefficients`, the constants :func:`balance_coefficients`
+forms once.  The functions before them give the sources that do not depend
+on the state (passenger and solar heat) and the HVAC electric power.  The
+panels, when on, are held at their target temperature, so both branches
+solve the same four unknowns (``T_cab``, ``T_si``, ``T_so``, ``Q_hvac``)
+and the panel row then gives the electric panel power.  The reporting path
+(:func:`compute_heat_flows`, :func:`balance_residuals`), the Newton solver
+and the optimizer all evaluate the kernel.  All temperatures are kelvin
+internally; degrees Celsius appear only in configuration files and reports.
 
 Sign conventions:
   * door/shell losses are positive when heat leaves the cabin,
@@ -256,7 +256,7 @@ class HeatFlows:
 
 
 # ---------------------------------------------------------------------------
-# individual heat flows
+# state-independent sources and HVAC power
 # ---------------------------------------------------------------------------
 
 def passenger_heat(n_pass: int, cfg: BusConfig) -> float:
@@ -266,33 +266,9 @@ def passenger_heat(n_pass: int, cfg: BusConfig) -> float:
     return n_pass * cfg.q_met_per_pass
 
 
-def door_loss(T_cab: float, T_inf: float, zeta_door: float, cfg: BusConfig) -> float:
-    """Air-exchange heat loss through open doors (W).
-
-    Buoyancy-driven exchange flow through the door openings; positive when
-    the cabin is warmer than the ambient.  The magnitude grows with
-    |dT|^(3/2) and is linear in the combined door width and the door-open
-    time fraction.
-    """
-    dt = T_cab - T_inf
-    pre = (cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
-           * cfg.w_door_tot * zeta_door)
-    return pre * math.sqrt(abs(dt)) * (1.0 / math.sqrt(T_inf)) * dt
-
-
 def irradiance_roof(beta: float, I_dni: float, I_dhi: float) -> float:
     """Solar irradiance on the horizontal roof (W/m^2)."""
     return max(math.sin(beta) * I_dni + I_dhi, 0.0)
-
-
-def irradiance_wall_directional(beta: float, phi: float, psi: float,
-                                I_dni: float, I_dhi: float) -> float:
-    """Irradiance on a vertical wall with surface azimuth ``psi`` (W/m^2).
-
-    ``phi`` is the solar azimuth; the diffuse sky contributes half of the
-    horizontal diffuse irradiance to a vertical surface.
-    """
-    return math.cos(beta) * max(math.cos(phi - psi), 0.0) * I_dni + 0.5 * I_dhi
 
 
 def irradiance_wall_mean(beta: float, I_dni: float, I_dhi: float) -> float:
@@ -318,40 +294,6 @@ def solar_heat_flows(scn: Scenario, cfg: BusConfig) -> tuple[float, float, float
     return q_so, q_trans * cfg.zeta_cab, q_trans * (1.0 - cfg.zeta_cab)
 
 
-def radiative_loss_outer(T_so: float, T_inf: float, cfg: BusConfig) -> float:
-    """Net long-wave radiation from the outer shell to the surroundings (W)."""
-    return cfg.sigma * cfg.A_body * (T_so ** 4 - T_inf ** 4)
-
-
-def radiative_rh_to_shell(T_rh: float, T_si: float, cfg: BusConfig) -> float:
-    """Net radiation from the RH panels to the inner shell (W).
-
-    Coplanar ceiling panels have zero mutual view factor, so everything a
-    panel emits lands on the inner shell.
-    """
-    return cfg.sigma * cfg.A_rh * (T_rh ** 4 - T_si ** 4)
-
-
-def convective_rh_to_cabin(T_rh: float, T_cab: float, cfg: BusConfig) -> float:
-    """Convective heat from the RH panels to the cabin air (W)."""
-    return cfg.h_rh * cfg.A_rh * (T_rh - T_cab)
-
-
-def convective_cabin_to_shell(T_cab: float, T_si: float, cfg: BusConfig) -> float:
-    """Convective heat from the cabin air to the inner shell (W)."""
-    return cfg.h_in * (cfg.A_roof + cfg.A_wall) * (T_cab - T_si)
-
-
-def conduction_shell(T_si: float, T_so: float, cfg: BusConfig) -> float:
-    """Conduction through the shell, inner to outer (W)."""
-    return cfg.k_body * (T_si - T_so)
-
-
-def convective_shell_to_ambient(T_so: float, T_inf: float, cfg: BusConfig) -> float:
-    """Convective heat from the outer shell to the ambient air (W)."""
-    return cfg.h_out * cfg.A_body * (T_so - T_inf)
-
-
 def hvac_power(Q_hvac: float, T_cab: float, T_inf: float, cfg: BusConfig) -> float:
     """Electric power drawn by the vapor-compression HVAC unit (W).
 
@@ -374,12 +316,13 @@ def hvac_power(Q_hvac: float, T_cab: float, T_inf: float, cfg: BusConfig) -> flo
 class BalanceCoefficients(NamedTuple):
     """The constants of :func:`reservoir_balance` for one scenario and
     configuration: floats for one row, or equal-length arrays for a stack
-    of rows.  Each is the product the flow functions above form first, in
-    their order, so the kernel's flows agree with theirs."""
+    of rows.  :func:`balance_coefficients` is the one place that forms
+    them, so each flow is written once: its constant factor there, the
+    part that depends on the state in the kernel."""
 
     T_inf: float
     T_inf4: float           # T_inf^4
-    door: float             # door_loss prefactor, zeta_door included
+    door: float             # rho c_p C_d sqrt(g h_door^3) / 3 w_door zeta_door
     inv_sqrt_T_inf: float   # 1 / sqrt(T_inf)
     a_in: float             # h_in (A_roof + A_wall)
     k: float                # k_body
@@ -436,6 +379,14 @@ def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficie
     panel row fixes ``P_rh`` once the temperatures are known: evaluated at
     ``P_rh = 0`` it is minus the panel power.  Without radiant heaters the
     RH flows are zero and ``T_rh``/``P_rh`` are ignored.
+
+    The flows, with ``dT = T_cab - T_inf``: buoyancy-driven door air
+    exchange ``Q_door = door sqrt(|dT| / T_inf) dT``; convection ``Q_h_si =
+    a_in (T_cab - T_si)``, ``Q_h_so = hA_out (T_so - T_inf)`` and ``Q_h_rh =
+    hr (T_rh - T_cab)``; conduction ``Q_k = k (T_si - T_so)``; radiation
+    ``Q_r_so = sA_body (T_so^4 - T_inf^4)`` and ``Q_r_rh = sA_rh (T_rh^4 -
+    T_si^4)``: coplanar ceiling panels see none of each other, so all they
+    emit lands on the inner shell.
 
     Every operation is elementwise: IEEE arithmetic and square roots, and
     powers by the C library (:func:`_pow`), so a row gives the same bits as

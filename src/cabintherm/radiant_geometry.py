@@ -6,19 +6,20 @@ as a passive sensor: its five exposed faces (four sides and the top) see
 either a panel or the inner shell, so per face the two view factors close
 to one exactly.  The analytic rectangle-rectangle view factors below handle
 parallel and perpendicular rectangles of arbitrary size and position with
-parallel boundaries.
+parallel boundaries.  Mean radiant temperature has one path, for the
+solver and the reports alike: :func:`mixed_radiant_temperature` of the
+passengers' :func:`panel_view_weights`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .model_core import KELVIN
 
 PASSENGER_SIDE = 0.25   # m, square footprint edge
 PASSENGER_HEIGHT = 1.7  # m
@@ -233,18 +234,20 @@ class PassengerCuboid:
 
 @dataclass(frozen=True)
 class CabinLayout:
-    """Cabin interior box, ceiling RH panels, and placed passengers."""
+    """Cabin interior box and its ceiling RH panels."""
 
     length: float = 18.0
     width: float = 2.4
     height: float = 2.3
     rh_panels: tuple[Rect3, ...] = ()
-    passengers: tuple[PassengerCuboid, ...] = ()
 
     def __post_init__(self):
         for d in (self.length, self.width, self.height):
             if d <= 0:
                 raise ConfigError("cabin dimensions must be positive")
+        if self.rh_panels and self.height <= PASSENGER_HEIGHT:
+            raise ConfigError(f"a cabin with ceiling panels must be higher than a "
+                              f"{PASSENGER_HEIGHT} m passenger, got {self.height} m")
         for p in self.rh_panels:
             if p.axis != 2 or abs(p.plane_coord - self.height) > 1e-9:
                 raise ConfigError("RH panels must be coplanar on the ceiling")
@@ -257,20 +260,10 @@ class CabinLayout:
             for q in self.rh_panels[i + 1:]:
                 if _rects_overlap_2d(p, q):
                     raise ConfigError("RH panels must not overlap")
-        for p in self.passengers:
-            x0, x1, y0, y1 = p.footprint
-            if x0 < -1e-9 or x1 > self.length + 1e-9 or y0 < -1e-9 or y1 > self.width + 1e-9:
-                raise ConfigError("passenger outside the cabin footprint")
-            if p.height >= self.height - 1e-9 and self.rh_panels:
-                raise ConfigError("passenger would intersect the ceiling panels")
 
     @property
     def panel_area(self) -> float:
         return sum(p.area for p in self.rh_panels)
-
-    def with_passengers(self, passengers) -> "CabinLayout":
-        return CabinLayout(self.length, self.width, self.height,
-                           self.rh_panels, tuple(passengers))
 
 
 def _rects_overlap_2d(p: Rect3, q: Rect3) -> bool:
@@ -338,12 +331,6 @@ def place_passengers(n: int, seed: int, layout: CabinLayout) -> list[PassengerCu
 # mean radiant temperature
 # ---------------------------------------------------------------------------
 
-def _panel_bounds(layout: CabinLayout):
-    px = np.array([p.extent(0) for p in layout.rh_panels])  # (np, 2)
-    py = np.array([p.extent(1) for p in layout.rh_panels])
-    return px, py
-
-
 def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
     """Area-weighted panel view factor of each passenger.
 
@@ -356,7 +343,8 @@ def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
         return np.zeros(0)
     if not layout.rh_panels:
         return np.zeros(n)
-    px, py = _panel_bounds(layout)           # (P, 2)
+    px = np.array([p.extent(0) for p in layout.rh_panels])  # (P, 2)
+    py = np.array([p.extent(1) for p in layout.rh_panels])
     cx = np.array([p.x for p in passengers])[:, None]  # (N, 1)
     cy = np.array([p.y for p in passengers])[:, None]
     half = np.array([p.side / 2.0 for p in passengers])[:, None]
@@ -411,20 +399,3 @@ def mixed_radiant_temperature(b, T_si, T_rh):
     ``((1 - b) T_si^4 + b T_rh^4)^(1/4)``, broadcasting over arrays."""
     return ((1.0 - b) * T_si ** 4 + b * T_rh ** 4) ** 0.25
 
-
-def mean_radiant_temperature(p: PassengerCuboid, layout: CabinLayout,
-                             T_si: float, T_rh: float) -> float:
-    """Mean radiant temperature (K) perceived by one passenger.
-
-    Per cuboid face the enclosure closes: what is not a panel is inner
-    shell, so the face view factors to the two temperatures sum to one.
-    The result always lies between ``T_si`` and ``T_rh``.
-    """
-    b = float(panel_view_weights([p], layout)[0])
-    return mixed_radiant_temperature(b, T_si, T_rh)
-
-
-def cabin_mean_radiant_set(layout: CabinLayout, T_si: float, T_rh: float) -> np.ndarray:
-    """Per-passenger mean radiant temperatures (K), in passenger-list order."""
-    return mixed_radiant_temperature(panel_view_weights(layout.passengers, layout),
-                                     T_si, T_rh)

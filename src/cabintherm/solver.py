@@ -122,11 +122,12 @@ def balance_tolerance_report(result: "SolveResult", scn: Scenario,
     return worst, tol, worst <= tol
 
 
-def default_layout(cfg: BusConfig, length: float = 18.0, width: float = 2.4,
-                   height: float = 2.3) -> CabinLayout:
-    """Cabin layout matching ``cfg``: a centered ceiling strip of panels
-    whose total area equals ``cfg.A_rh`` (no panels when it is zero)."""
-    panels = ceiling_panel_strip(length, width, height, cfg.A_rh) if cfg.A_rh > 0 else ()
+def default_layout(cfg: BusConfig, length: float = 18.0, width: float = 2.4, height: float = 2.3,
+                   n_panels: int = 5, panel_width: float = 0.8) -> CabinLayout:
+    """Cabin layout matching ``cfg``: a centered ceiling strip of ``n_panels``
+    panels of total area ``cfg.A_rh`` (no panels when it is zero)."""
+    panels = (ceiling_panel_strip(length, width, height, cfg.A_rh, n_panels, panel_width)
+              if cfg.A_rh > 0 else ())
     return CabinLayout(length, width, height, panels)
 
 

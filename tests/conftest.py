@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cabintherm.comfort import ComfortSpec
-from cabintherm.model_core import BusConfig, CopCurve, Scenario, c_to_k
+from cabintherm.model_core import (BusConfig, CopCurve, Scenario, balance_coefficients,
+                                   c_to_k, reservoir_balance)
 from cabintherm.scenario import synthesize_dataset
 
 
@@ -54,6 +55,18 @@ def mild_scn():
 def small_set():
     """Synthetic temperate set small enough for unit-level sweeps."""
     return synthesize_dataset(400, seed=11)
+
+
+def kernel_flows(cfg, T_inf, T_cab=None, T_rh=None, T_si=None, T_so=None, zeta_door=0.0):
+    """The state-dependent heat flows of one operating point (W, by
+    :class:`HeatFlows` name), as the balance kernel evaluates them with the
+    panels on.  Temperatures left out equal the ambient ``T_inf``."""
+    t_cab, t_rh, t_si, t_so = (T_inf if t is None else t for t in (T_cab, T_rh, T_si, T_so))
+    scn = Scenario(T_inf=T_inf, I_dni=0.0, I_dhi=0.0, beta=-0.1, N_pass=0,
+                   zeta_door=zeta_door, zeta_sh=0.0, month=1)
+    flows = reservoir_balance(t_cab, t_rh, t_si, t_so, 0.0, 0.0,
+                              balance_coefficients(scn, cfg), True)[0]
+    return {name: float(q) for name, q in flows.items()}
 
 
 def mc_view_factor(a, b, n=1_000_000, seed=0):

@@ -16,13 +16,12 @@ from cabintherm.analysis import (aggregate_annual, compare_concepts,
 from cabintherm.comfort import (ComfortSpec, get_pmv_surrogate, pmv, pmv_array,
                                 ppd)
 from cabintherm.model_core import (BusConfig, CopCurve, balance_residuals,
-                                   c_to_k, door_loss, irradiance_wall_mean,
-                                   max_abs_flow, radiative_loss_outer)
+                                   c_to_k, irradiance_wall_mean, max_abs_flow)
 from cabintherm.radiant_geometry import (Rect3, vf_parallel_rects,
                                          vf_perpendicular_rects)
 from cabintherm.scenario import synthesize_dataset
 from cabintherm.solver import solve_window_opt, solve_window_rootfind
-from conftest import mc_view_factor
+from conftest import kernel_flows, mc_view_factor
 
 SEED = 42
 WINDOW = ComfortSpec(psi_min=-1.0, psi_max=1.0)
@@ -205,11 +204,11 @@ class TestCriterion5Comfort:
 
 class TestCriterion6SpotValues:
     def test_closed_forms(self):
-        q_door = door_loss(c_to_k(20.0), c_to_k(0.0), 1.0, HP)
+        q_door = kernel_flows(HP, c_to_k(0.0), T_cab=c_to_k(20.0), zeta_door=1.0)["Q_door"]
         assert q_door == pytest.approx(5.10e4, rel=0.01)
         i_wall = irradiance_wall_mean(math.radians(30.0), 800.0, 100.0)
         assert i_wall == pytest.approx(270.5, abs=0.1)
-        q_rad = radiative_loss_outer(c_to_k(10.0), c_to_k(0.0), HP)
+        q_rad = kernel_flows(HP, c_to_k(0.0), T_so=c_to_k(10.0))["Q_r_so"]
         assert q_rad == pytest.approx(7.35e3, rel=0.01)
         report(6, f"door {q_door:.0f} W ~ 5.10e4; wall {i_wall:.2f} W/m2 ~ 270.5; "
                   f"radiative {q_rad:.0f} W ~ 7.35e3")

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -5,8 +6,13 @@ import re
 import pytest
 import yaml
 
+from cabintherm.analysis import pareto_sweep
 from cabintherm.cli import main
-from cabintherm.scenario import save_scenarios_csv, synthesize_dataset
+from cabintherm.comfort import clothing_insulation, pmv
+from cabintherm.config import load_config
+from cabintherm.errors import ConfigError
+from cabintherm.model_core import c_to_k
+from cabintherm.scenario import load_scenarios_csv, save_scenarios_csv, synthesize_dataset
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +91,27 @@ class TestSolve:
         assert os.path.exists(os.path.join(out, "heat_flows.csv"))
         assert os.path.exists(os.path.join(out, "run_manifest.json"))
 
+    def test_passenger_tmr_is_the_solvers(self, tmp_path, capsys):
+        cfg = tmp_path / "rh.yaml"
+        cfg.write_text("radiant_heaters: {enabled: true}\n", encoding="utf-8")
+        out = str(tmp_path / "r")
+        rc = main(["solve", "--config", str(cfg), "--t-inf-c", "-8", "--n-pass", "30",
+                   "--month", "1", "--rh", "on", "--window=-0.5,0.5", "--out", out])
+        assert rc == 0
+        temps = json.loads(read(os.path.join(out, "solve_report.json")))["temperatures_C"]
+        with open(os.path.join(out, "passenger_tmr.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        spec = load_config(str(cfg)).comfort
+        clo = clothing_insulation(c_to_k(-8.0), scale=spec.clo_scale)
+        # every written value is rounded to 6 decimals
+        for r in rows:
+            t_mr = float(r["T_mr_C"])
+            assert temps["T_si"] - 1e-6 <= t_mr <= temps["T_rh"] + 1e-6
+            assert pmv(c_to_k(temps["T_cab"]), c_to_k(t_mr), clo, spec) \
+                == pytest.approx(float(r["pmv"]), abs=5e-6)
+        assert len({r["T_mr_C"] for r in rows}) > 1
+
     def test_both_solvers_cross_check(self, capsys):
         rc = main(["solve", "--t-inf-c", "-8", "--n-pass", "30", "--month", "1",
                    "--window=-1,1", "--solver", "both"])
@@ -114,6 +141,27 @@ class TestSweep:
         assert os.path.exists(os.path.join(out, "pareto_combined.csv"))
         report = json.loads(read(os.path.join(out, "sweep_report.json")))
         assert set(report) == {"PTC-AC", "HP-AC"}
+
+    def test_configured_cabin_and_panel_strip(self, scenario_file, tmp_path, capsys):
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text(yaml.safe_dump({"cabin": {"length": 12.0},
+                                       "radiant_heaters": {"n_panels": 3}}),
+                       encoding="utf-8")
+        out = str(tmp_path / "s")
+        rc = main(["sweep", "--config", str(cfg), "--scenarios", scenario_file,
+                   "--out", out, "--windows", "0.5,1.0", "--concepts", "PTC-AC+RH",
+                   "--solver", "both", "--jobs", "1"])
+        assert rc == 0
+        got = json.loads(read(os.path.join(out, "sweep_report.json")))["PTC-AC+RH"]
+        concept = load_config(str(cfg)).concepts["PTC-AC+RH"]
+        assert len(concept.layout.rh_panels) == 3 and concept.layout.length == 12.0
+        sset = load_scenarios_csv(scenario_file)
+        want = pareto_sweep(sset, concept.bus, [0.5, 1.0], layout=concept.layout)
+        default = pareto_sweep(sset, concept.bus, [0.5, 1.0])
+        for g, w, d in zip(got, want, default):
+            assert g["annual_mean_P_tot_W"] == round(w.annual_mean_P_tot, 6)
+            assert g["annual_mean_ppd_pct"] == round(w.annual_mean_ppd, 6)
+            assert g["annual_mean_P_tot_W"] != round(d.annual_mean_P_tot, 6)
 
     def test_empty_windows_error(self, scenario_file, tmp_path):
         rc = main(["sweep", "--scenarios", scenario_file,
@@ -193,6 +241,20 @@ class TestErrors:
         rc = main(["solve", "--config", str(cfg), "--t-inf-c", "0",
                    "--month", "1"])
         assert rc == 2
+
+    def test_panels_in_a_low_cabin_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "low.yaml"
+        cfg.write_text("cabin: {height: 1.6}\nradiant_heaters: {enabled: true}\n",
+                       encoding="utf-8")
+        with pytest.raises(ConfigError, match="higher than"):
+            load_config(str(cfg))
+        rc = main(["solve", "--config", str(cfg), "--t-inf-c", "0", "--month", "1"])
+        assert rc == 2
+        assert "higher than" in capsys.readouterr().err
+        # the default concepts with panels are checked too, and named
+        cfg.write_text("cabin: {height: 1.6}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="concept 'PTC-AC\\+RH': .*higher than"):
+            load_config(str(cfg))
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad2.yaml"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cabintherm.comfort import (ComfortSpec, clothing_insulation,
-                                fit_pmv_surrogate, get_pmv_surrogate, mean_pmv,
-                                pmv, pmv_array, ppd)
+                                get_pmv_surrogate, mean_pmv, pmv, pmv_array,
+                                ppd)
 from cabintherm.errors import ConfigError, EvaluationError
 from cabintherm.model_core import c_to_k
 
@@ -164,11 +164,6 @@ class TestSurrogate:
         m = _monomials(x, 3)
         assert m.shape == (7, 20) and m.flags.f_contiguous
         np.testing.assert_allclose(m, expect, rtol=1e-13)
-
-    def test_degenerate_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            fit_pmv_surrogate(ComfortSpec(), temperature_grid=np.array([20.0]),
-                              clothing_grid=np.array([0.5]))
 
     def test_cache_reuse(self):
         a = get_pmv_surrogate(ComfortSpec())

@@ -6,11 +6,24 @@ import pytest
 from cabintherm.errors import ConfigError, EvaluationError
 from cabintherm.model_core import (BusConfig, CopCurve, HeatFlows, Scenario,
                                    ThermalState, balance_residuals, c_to_k,
-                                   door_loss, hvac_power, irradiance_roof,
-                                   irradiance_wall_directional,
+                                   hvac_power, irradiance_roof,
                                    irradiance_wall_mean, passenger_heat,
-                                   radiative_loss_outer, radiative_rh_to_shell,
                                    solar_heat_flows)
+from conftest import kernel_flows
+from flow_reference import irradiance_wall_directional
+
+
+# the balance kernel's flows, with the arguments of their closed forms
+def door_loss(T_cab, T_inf, zeta_door, cfg):
+    return kernel_flows(cfg, T_inf, T_cab=T_cab, zeta_door=zeta_door)["Q_door"]
+
+
+def radiative_loss_outer(T_so, T_inf, cfg):
+    return kernel_flows(cfg, T_inf, T_so=T_so)["Q_r_so"]
+
+
+def radiative_rh_to_shell(T_rh, T_si, cfg):
+    return kernel_flows(cfg, T_si, T_rh=T_rh, T_si=T_si)["Q_r_rh"]
 
 
 class TestPassengerHeat:
@@ -101,8 +114,7 @@ class TestIrradiance:
             beta = rng.uniform(0.01, math.pi / 2 - 0.01)
             i_dni = rng.uniform(0, 1000)
             i_dhi = rng.uniform(0, 300)
-            vals = (math.cos(beta) * np.maximum(np.cos(0.0 - psi), 0.0) * i_dni
-                    + 0.5 * i_dhi)
+            vals = irradiance_wall_directional(beta, 0.0, psi, i_dni, i_dhi)
             avg = np.trapezoid(vals, psi) / (2 * math.pi)
             assert irradiance_wall_mean(beta, i_dni, i_dhi) == pytest.approx(
                 avg, rel=1e-6)

