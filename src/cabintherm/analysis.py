@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comfort import ComfortSpec, get_pmv_surrogate
+from .comfort import ComfortSpec
 from .errors import CabinThermError, ConfigError, DataError
 from .model_core import BusConfig
 from .radiant_geometry import CabinLayout
@@ -202,8 +202,6 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
         for task in tasks:
             per_scn += _solve_chunk(task)
     else:
-        if method == "opt":
-            get_pmv_surrogate(spec)  # fitted once here, inherited by the workers
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for part in pool.map(_solve_chunk, tasks):
                 per_scn += part
@@ -214,7 +212,12 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
 def solve_set(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
               layout: CabinLayout | None = None, seed: int = 0,
               jobs: int = 1, method: str = "rootfind") -> list[SolveResult]:
-    """Solve every scenario at the window of ``spec``, in dataset order."""
+    """Solve every scenario at the window of ``spec``, in dataset order.
+
+    A ``layout`` of None is the built-in cabin with ``cfg``'s panel area
+    (:func:`solver.default_layout`), not a loaded configuration's
+    ``AppConfig.layout``: pass that one to solve on the configured cabin.
+    """
     return _run_windows(sset, [(cfg, layout)], spec, [(spec.psi_min, spec.psi_max)],
                         seed, jobs, method)[0][0]
 
@@ -251,7 +254,10 @@ def pareto_sweep(sset: ScenarioSet, cfg: BusConfig, half_widths,
                  spec: ComfortSpec | None = None,
                  layout: CabinLayout | None = None, seed: int = 0,
                  jobs: int = 1) -> list[ParetoPoint]:
-    """Annual power/discomfort trade-off over symmetric PMV windows."""
+    """Annual power/discomfort trade-off over symmetric PMV windows.
+
+    A ``layout`` of None is the built-in cabin (see :func:`solve_set`).
+    """
     return _fronts(sset, [(cfg, layout)], half_widths, spec, seed, jobs)[0]
 
 
@@ -267,8 +273,10 @@ def compare_concepts(sset: ScenarioSet, concepts: dict[str, BusConfig],
 
     Concepts may differ only in the heating COP curve and the radiant-heater
     configuration; anything else would make the comparison meaningless.
-    ``layouts`` maps concept names to cabin layouts (default: each
-    configuration's :func:`solver.default_layout`).
+    ``layouts`` maps concept names to cabin layouts.  Without it every
+    concept is solved on the built-in cabin with its own panel area
+    (:func:`solver.default_layout`), not on a loaded configuration's
+    ``ConceptConfig.layout``.
     """
     if not concepts:
         raise ConfigError("need at least one concept")
@@ -322,7 +330,9 @@ def oat_sensitivity(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
     the relative change of the annual mean total power reported together
     with the 5th/95th percentiles of the per-scenario relative changes
     (scenarios with a baseline below 1 W carry no meaningful relative
-    change and are excluded from the percentiles).
+    change and are excluded from the percentiles).  A ``layout`` of None
+    is the built-in cabin of each perturbed configuration (see
+    :func:`solve_set`).
     """
     for name in parameters:
         _apply_param(cfg, spec, name, 1.0)  # fail fast on unknown names

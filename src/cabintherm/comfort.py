@@ -2,11 +2,13 @@
 
 The predicted mean vote (PMV) is computed with the full iterative heat
 balance of the standard (clothing surface temperature solved by damped
-fixed-point iteration).  Because that iteration is awkward inside
-derivative-based optimization, :func:`fit_pmv_surrogate` builds a polynomial
+fixed-point iteration).  :func:`pmv_array` also returns the exact partial
+derivatives of the PMV in air and radiant temperature, by implicit
+differentiation of the converged balance; both solve routes use that one
+kernel and its gradient.  :func:`fit_pmv_surrogate` builds a polynomial
 approximation in (air temperature, mean radiant temperature, clothing
-insulation), with exact derivatives for the optimizer; the exact form is
-always used for final reporting.
+insulation) with exact derivatives.  No solve uses it: it is kept with its
+checked accuracy envelope, and the benchmark fits it in its set-up.
 """
 
 from __future__ import annotations
@@ -82,17 +84,27 @@ def _vapor_pressure_pa(ta_c, rh_pct):
     return rh_pct * 10.0 * np.exp(16.6536 - 4030.183 / (ta_c + 235.0))
 
 
-def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
+def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float,
+              grad: bool = False):
     """Vectorized PMV for arrays of air/radiant temperature and clothing.
 
     Implements the iterative clothing-surface-temperature balance; raises
     :class:`EvaluationError` if it fails to converge within 150 steps.
     Inputs in Celsius/clo; broadcasting follows numpy rules.
 
-    Every point stops at its own convergence step, so its value does not
-    depend on the other points of the call: it is bit for bit the same
-    alone (0-d or 1-element), inside any batch and inside any sub-batch.
-    Callers may therefore gather the points of many solves into one call.
+    With ``grad`` it returns ``(pmv, dpmv_dta, dpmv_dtr)``, the partial
+    derivatives in the air and the radiant temperature (per K), each shaped
+    like the value.  They differentiate the converged clothing-surface
+    balance ``G(x) = 0`` implicitly, ``dx = -G_theta / G_x`` with ``x =
+    t_cl / 100`` in kelvin, and chain that through the heat losses.  On the
+    kink of ``hc = max(hcf, hcn)`` they take the side the value uses.  The
+    values are the same bits with and without ``grad``.
+
+    Every point stops at its own convergence step, and the derivatives are
+    elementwise, so a point's outputs do not depend on the other points of
+    the call: they are bit for bit the same alone (0-d or 1-element),
+    inside any batch and inside any sub-batch.  Callers may therefore
+    gather the points of many solves into one call.
     """
     ta, tr, clo = np.broadcast_arrays(np.asarray(ta_c, dtype=float),
                                       np.asarray(tr_c, dtype=float),
@@ -150,7 +162,27 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float):
     hl6 = fcl * hc * (tcl - ta)
     ts = 0.303 * math.exp(-0.036 * m) + 0.028
     out = ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6)
-    return out.reshape(shape) if shape else out[0]
+    if not grad:
+        return out.reshape(shape) if shape else out[0]
+
+    # With s = 100 x - taa (= t_cl - t_a), G = 100 x + p1 hc s - p5 + p2 x^4
+    # and hl6 = fcl hc s.  Where hc = hcn = 2.38 |s|^0.25, d(hc s)/ds =
+    # 1.25 hc, so no derivative divides by s; at hc = hcf it is hc.
+    dhcs = np.where(hc > hcf, 1.25 * hc, hc)
+    p2 = p1 * 3.96                  # of every point; the loop narrowed it
+    x3, r3 = xn * xn * xn, (tra / 100.0) ** 3
+    g_x = 100.0 + 100.0 * p1 * dhcs + 4.0 * p2 * x3
+    dx_ta = p1 * dhcs / g_x         # -G_ta / G_x, as dtaa/dta = 1
+    dx_tr = 0.04 * p2 * r3 / g_x    # -G_tr / G_x, from p5
+    dpa = pa * 4030.183 / ((ta + 235.0) * (ta + 235.0))
+    d_ta = -ts * ((-3.05e-3 - 1.7e-5 * m) * dpa - 0.0014 * m
+                  + 3.96 * fcl * 4.0 * x3 * dx_ta
+                  + fcl * dhcs * (100.0 * dx_ta - 1.0))
+    d_tr = -ts * (3.96 * fcl * 4.0 * (x3 * dx_tr - r3 / 100.0)
+                  + fcl * dhcs * 100.0 * dx_tr)
+    if not shape:
+        return out[0], d_ta[0], d_tr[0]
+    return out.reshape(shape), d_ta.reshape(shape), d_tr.reshape(shape)
 
 
 def pmv(T_cab: float, T_mr: float, R_clo: float, spec: ComfortSpec,

@@ -17,7 +17,8 @@ import yaml
 from .comfort import ComfortSpec
 from .errors import ConfigError
 from .model_core import BusConfig, CopCurve, c_to_k
-from .radiant_geometry import CabinLayout
+from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
+                               STRIP_PANELS, CabinLayout)
 from .scenario import ClimateProfile
 from .solver import default_layout
 
@@ -35,9 +36,9 @@ DEFAULTS: dict = {
         "A_body": 150.6,
     },
     "cabin": {
-        "length": 18.0,
-        "width": 2.4,
-        "height": 2.3,
+        "length": CABIN_LENGTH,
+        "width": CABIN_WIDTH,
+        "height": CABIN_HEIGHT,
     },
     "materials": {
         "alpha_paint": 0.3,
@@ -69,8 +70,8 @@ DEFAULTS: dict = {
         "enabled": False,
         "total_area": 4.0,
         "target_temp_C": 90.0,
-        "n_panels": 5,
-        "panel_width": 0.8,
+        "n_panels": STRIP_PANELS,
+        "panel_width": STRIP_PANEL_WIDTH,
     },
     "comfort": {
         "v_cab": 0.1,

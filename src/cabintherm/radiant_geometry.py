@@ -24,6 +24,11 @@ from .errors import ConfigError
 PASSENGER_SIDE = 0.25   # m, square footprint edge
 PASSENGER_HEIGHT = 1.7  # m
 
+# The built-in cabin of an 18 m city bus, and its centered ceiling strip of
+# radiant panels; the configuration's defaults read these
+CABIN_LENGTH, CABIN_WIDTH, CABIN_HEIGHT = 18.0, 2.4, 2.3   # m
+STRIP_PANELS, STRIP_PANEL_WIDTH = 5, 0.8                   # panels, m
+
 _EPS_AREA = 1e-12
 
 
@@ -236,9 +241,9 @@ class PassengerCuboid:
 class CabinLayout:
     """Cabin interior box and its ceiling RH panels."""
 
-    length: float = 18.0
-    width: float = 2.4
-    height: float = 2.3
+    length: float = CABIN_LENGTH
+    width: float = CABIN_WIDTH
+    height: float = CABIN_HEIGHT
     rh_panels: tuple[Rect3, ...] = ()
 
     def __post_init__(self):
@@ -273,14 +278,13 @@ def _rects_overlap_2d(p: Rect3, q: Rect3) -> bool:
 
 
 def ceiling_panel_strip(layout_length: float, layout_width: float, layout_height: float,
-                        total_area: float, n_panels: int = 5,
-                        panel_width: float = 0.8,
-                        span: tuple[float, float] | None = None) -> tuple[Rect3, ...]:
-    """Evenly spaced centered ceiling strip of ``n_panels`` with a given total area."""
+                        total_area: float, n_panels: int = STRIP_PANELS,
+                        panel_width: float = STRIP_PANEL_WIDTH) -> tuple[Rect3, ...]:
+    """Evenly spaced centered ceiling strip of ``n_panels`` with a given
+    total area, over the middle seven ninths of the cabin's length."""
     if total_area <= 0:
         return ()
-    if span is None:
-        span = (layout_length / 9.0, layout_length * 8.0 / 9.0)
+    span = (layout_length / 9.0, layout_length * 8.0 / 9.0)
     panel_len = total_area / (n_panels * panel_width)
     gap = ((span[1] - span[0]) - n_panels * panel_len) / max(n_panels - 1, 1)
     if gap < 0:

@@ -9,14 +9,12 @@ Two independent routes produce the same operating points:
   its comfort is outside the window is the system re-solved with the PMV
   pinned to the violated limit.
 * **optimization** -- a constrained nonlinear program over separately
-  metered heating/cooling heat and panel power, with the balance as
-  equality constraints and the PMV window as inequalities on a polynomial
-  PMV surrogate, solved by SLSQP with the exact gradient of every function
-  (COP-curve slopes, the balance kernel's Jacobian, the surrogate's
-  monomial derivatives).  The active surrogate bound is moved by a secant
-  step on its (bound, exact PMV) pairs until the *exact* PMV of the
-  solution meets the requested window, so reported comfort is always
-  exact.
+  metered heating/cooling heat, with the balance as equality constraints
+  and the PMV window as inequalities on the exact mean PMV, solved by one
+  SLSQP run with the exact gradient of every function (COP-curve slopes,
+  the balance kernel's Jacobian, the ISO 7730 kernel's partial
+  derivatives).  A Newton solve then polishes the balance at the decided
+  heat, and the polished state's exact PMV must meet the window.
 
 Both routes share one radiant-heater branch selector,
 :class:`ScenarioSweeper`: it solves once with the panels held at their
@@ -59,13 +57,13 @@ from typing import NamedTuple, TypeVar
 import numpy as np
 from scipy.optimize import minimize
 
-from .comfort import (ComfortSpec, clothing_insulation, get_pmv_surrogate,
-                      mean_pmv, pmv_array, ppd as ppd_of)
+from .comfort import ComfortSpec, clothing_insulation, mean_pmv, pmv_array, ppd as ppd_of
 from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
 from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scenario,
                          ThermalState, balance_coefficients, compute_heat_flows,
                          reservoir_balance)
-from .radiant_geometry import (CabinLayout, ceiling_panel_strip,
+from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
+                               STRIP_PANELS, CabinLayout, ceiling_panel_strip,
                                mixed_radiant_temperature, panel_view_weights,
                                place_passengers)
 from .scenario import placement_seed
@@ -76,7 +74,6 @@ LINESEARCH_FACTOR = 0.5
 LINESEARCH_MIN = 1e-4
 BALANCE_RTOL = 1e-6     # per watt of the largest flow
 PSI_ROW_TOL = 1e-8      # PMV units
-PSI_FD_STEP = 1e-3      # K, finite-difference step for the PMV row gradient
 T_BOX = (210.0, 400.0)  # K, Newton iterate clamp
 
 MODE_HEATING = "heating"
@@ -122,10 +119,13 @@ def balance_tolerance_report(result: "SolveResult", scn: Scenario,
     return worst, tol, worst <= tol
 
 
-def default_layout(cfg: BusConfig, length: float = 18.0, width: float = 2.4, height: float = 2.3,
-                   n_panels: int = 5, panel_width: float = 0.8) -> CabinLayout:
+def default_layout(cfg: BusConfig, length: float = CABIN_LENGTH,
+                   width: float = CABIN_WIDTH, height: float = CABIN_HEIGHT,
+                   n_panels: int = STRIP_PANELS,
+                   panel_width: float = STRIP_PANEL_WIDTH) -> CabinLayout:
     """Cabin layout matching ``cfg``: a centered ceiling strip of ``n_panels``
-    panels of total area ``cfg.A_rh`` (no panels when it is zero)."""
+    panels of total area ``cfg.A_rh`` (no panels when it is zero).  With
+    the size defaults it is the built-in cabin."""
     panels = (ceiling_panel_strip(length, width, height, cfg.A_rh, n_panels, panel_width)
               if cfg.A_rh > 0 else ())
     return CabinLayout(length, width, height, panels)
@@ -357,8 +357,6 @@ class _BranchModel:
 _RESTART_SHIFTS = np.array([np.zeros(3)] + [np.random.default_rng(1000 + attempt)
                                              .uniform(-5.0, 5.0, 3)
                                              for attempt in range(1, MAX_RESTARTS + 1)])
-# the perturbed (T_cab, T_si) of the PMV row's difference points
-_FD_STEPS = PSI_FD_STEP * np.eye(2)
 
 
 class _Shape(NamedTuple):
@@ -396,17 +394,17 @@ class _NewtonGroup:
     differ row by row.  Either branch solves ``x = [T_cab, T_si, T_so,
     Q_hvac]``; panels, when on, stay at their target temperature.  Each
     row runs the iteration of one scenario:
-    backtracking line search on the weighted residual norm, up to
-    ``MAX_RESTARTS`` restarts from shifted starting points when it stalls,
-    and the PMV row's gradient by forward differences refreshed every 4th
-    iteration.  Its convergence, steps, restarts and failure are its own
-    masks, so a row takes the same iterates alone as in any stack.  Every
-    evaluation, for all live rows at once, makes one
-    :func:`reservoir_balance` call, one :func:`pmv_array` call (with a PMV
-    row; it also holds the difference points of the rows whose next
-    iteration refreshes the gradient) and one stacked ``np.linalg.solve``.
-    At the end one more :func:`pmv_array` call evaluates the kernel points
-    of every solved row's solution, which :meth:`run` returns with it.
+    backtracking line search on the weighted residual norm and up to
+    ``MAX_RESTARTS`` restarts from shifted starting points when it stalls.
+    The PMV row's gradient is exact at every iterate: the kernel's own
+    partial derivatives (``pmv_array(..., grad=True)``), chained through
+    each passenger's mean radiant temperature.  A row's convergence, steps,
+    restarts and failure are its own masks, so it takes the same iterates
+    alone as in any stack.  Every evaluation, for all live rows at once,
+    makes one :func:`reservoir_balance` call, one :func:`pmv_array` call
+    (with a PMV row) and one stacked ``np.linalg.solve``.  At the end one
+    more :func:`pmv_array` call evaluates the kernel points of every solved
+    row's solution, which :meth:`run` returns with it.
 
     A state's kernel points (:meth:`_points`) are the same for the PMV row
     and the answer: none for an empty bus, one when every passenger sees
@@ -478,64 +476,65 @@ class _NewtonGroup:
 
     def _points(self, pos, t_cab, t_si) -> tuple:
         """Kernel points ``(air C, radiant C, clothing)`` of the states
-        (t_cab, t_si) of the rows ``pos``, state after state."""
+        (t_cab, t_si) of the rows ``pos``, state after state, and per point
+        ``dT_mr/dT_si`` (None when every point is at the inner shell's
+        temperature)."""
         if self.all_uniform:
-            return t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]
+            return (t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]), None
         n = self.n_pts[pos]
         first = np.cumsum(n) - n
         of_pt = np.repeat(np.arange(pos.size), n)
         b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
         t_si_pt = t_si[of_pt]
         tmr = mixed_radiant_temperature(b, t_si_pt, self.t_rh[pos][of_pt])
-        return (t_cab[of_pt] - KELVIN,
-                np.where(self.uniform[pos][of_pt], t_si_pt, tmr) - KELVIN,
-                self.r_clo[pos][of_pt])
+        uniform = self.uniform[pos][of_pt]
+        dtmr = np.where(uniform, 1.0, (1.0 - b) * t_si_pt ** 3 / tmr ** 3)
+        return (t_cab[of_pt] - KELVIN, np.where(uniform, t_si_pt, tmr) - KELVIN,
+                self.r_clo[pos][of_pt]), dtmr
 
-    def _kernel(self, pos, temps) -> tuple[np.ndarray, dict]:
+    def _kernel(self, pos, temps, grad: bool = False) -> tuple[list, dict]:
         """Unclamped PMV of the kernel points of the states ``temps`` (rows of
-        T_cab, T_si) of the rows ``pos``, state after state, by one
-        kernel call, and the errors by state index.  If a point fails, each
-        state is evaluated alone (a point's value does not depend on its
-        batch); a failed state's values are NaN and its error names its
-        scenario."""
-        try:
-            return pmv_array(*self._points(pos, *temps.T), *self.setting), {}
-        except EvaluationError:
-            vals, errors = [], {}
-            for s in range(pos.size):
-                pts = self._points(pos[s:s + 1], *temps[s:s + 1].T)
-                try:
-                    vals.append(pmv_array(*pts, *self.setting))
-                except EvaluationError as err:
-                    vals.append(np.full(pts[0].size, np.nan))
-                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
-            return np.concatenate(vals), errors
+        T_cab, T_si) of the rows ``pos``, state after state, by one kernel
+        call, and the errors by state index.  With ``grad`` the PMV comes
+        with its partial derivatives in the state's T_cab and T_si, point by
+        point.  If a point fails, each state is evaluated alone (a point's
+        outputs do not depend on its batch); a failed state's outputs are
+        NaN and its error names its scenario."""
+        def at(p, t):
+            pts, dtmr = self._points(p, *t.T)
+            if not grad:
+                return [pmv_array(*pts, *self.setting)]
+            val, d_ta, d_tr = pmv_array(*pts, *self.setting, grad=True)
+            return [val, d_ta, d_tr if dtmr is None else d_tr * dtmr]
 
-    def _psi(self, pos, x, grad_rows):
-        """Mean PMV at ``x`` of the rows ``pos`` and, at the rows
-        ``grad_rows`` (indices into ``pos``), its forward-difference
-        gradient in (T_cab, T_si), from one kernel call; then the kernel
-        errors by row, at the state and at the difference points."""
-        m = pos.size
-        temps = x[:, :2]
-        if grad_rows.size:
-            # one state per perturbed temperature
-            temps = np.concatenate([temps, (temps[grad_rows][:, None, :] + _FD_STEPS)
-                                    .reshape(-1, 2)])
-            pos = np.concatenate([pos, np.repeat(pos[grad_rows], 2)])
-        vals, errors = self._kernel(pos, temps)
-        if not self.all_uniform:
-            # the mean over each state's points, as numpy's row mean of the
-            # (states, points) block of one point count
-            n = self.n_pts[pos]
-            first = np.cumsum(n) - n
-            vals, pts = np.empty(pos.size), vals
-            for count in np.unique(n):
-                states = np.flatnonzero(n == count)
-                vals[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
-        grad = (vals[m:].reshape(-1, 2) - vals[grad_rows][:, None]) / PSI_FD_STEP
-        return (vals[:m], grad, {s: err for s, err in errors.items() if s < m},
-                {int(grad_rows[(s - m) // 2]): err for s, err in errors.items() if s >= m})
+        try:
+            return at(pos, temps), {}
+        except EvaluationError:
+            outs, errors = [], {}
+            for s in range(pos.size):
+                try:
+                    outs.append(at(pos[s:s + 1], temps[s:s + 1]))
+                except EvaluationError as err:
+                    n = self._points(pos[s:s + 1], *temps[s:s + 1].T)[0][0].size
+                    outs.append([np.full(n, np.nan)] * (1 + 2 * grad))
+                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
+            return [np.concatenate(c) for c in zip(*outs)], errors
+
+    def _psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Mean PMV at ``x`` of the rows ``pos``, its gradient in (T_cab,
+        T_si) and the kernel errors by row, from one kernel call."""
+        (vals, d_cab, d_si), errors = self._kernel(pos, x[:, :2], grad=True)
+        if self.all_uniform:
+            return vals, np.stack([d_cab, d_si], axis=1), errors
+        # the mean over each state's points, as numpy's mean over the
+        # (states, points) block of one point count
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        pts, out = np.stack([vals, d_cab, d_si], axis=1), np.empty((pos.size, 3))
+        for count in np.unique(n):
+            states = np.flatnonzero(n == count)
+            out[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
+        return out[:, 0], out[:, 1:], errors
 
     def _solution_pmv(self, pos, x) -> list:
         """Per row of ``pos``, the unclamped PMV of the kernel points of its
@@ -543,7 +542,7 @@ class _NewtonGroup:
         sizes = [1] * pos.size if self.all_uniform else self.n_pts[pos].tolist()
         if not any(sizes):
             return [np.zeros(0)] * pos.size
-        vals, errors = self._kernel(pos, x[:, :2])
+        (vals,), errors = self._kernel(pos, x[:, :2])
         return [errors[i] if i in errors else vals[end - n:end]
                 for i, (n, end) in enumerate(zip(sizes, accumulate(sizes)))]
 
@@ -584,20 +583,21 @@ class _NewtonGroup:
         :meth:`_solution_pmv`.
 
         Row state: ``x`` the accepted iterate and ``xt`` the point to
-        evaluate next (a trial step, or the start of an attempt); ``it`` the
-        iteration index within the attempt, -1 before its start is
-        evaluated, so a row refreshes its PMV gradient where ``it + 1`` is a
-        multiple of 4; ``norm`` the weighted residual norm of ``x``, NaN
-        before a start, which is therefore always accepted.  Masks that
-        would hold every live row are not formed.
+        evaluate next (a trial step, or the start of an attempt), and with
+        ``x`` its residuals ``r``, their flow magnitude ``scale``, the
+        balance Jacobian ``bal_jac`` and the PMV gradient ``grad`` (no
+        columns without a PMV row); ``it`` the iteration index within the
+        attempt, -1 before its start is evaluated; ``norm`` the weighted
+        residual norm of ``x``, NaN before a start, which is therefore
+        always accepted.  Masks that would hold every live row are not
+        formed.
         """
         sh = self.shape
         n, cols = len(self.models), sh.cols
         out: list = [None] * n
         pos = np.arange(n)              # the live rows, as request indices
         x = xt = self.x0.copy()
-        r = scale = bal_jac = None
-        grad = np.zeros((n, 2))
+        r = scale = bal_jac = grad = None
         norm = np.full(n, np.nan)
         it = np.full(n, -1)
         attempt = np.zeros(n, int)
@@ -607,11 +607,10 @@ class _NewtonGroup:
         for evaluation in count():
             m = pos.size
             # ---- evaluate every live row at xt
-            errors = grad_errors = {}
-            psi = None
+            errors = {}
+            psi, grad_t = None, np.empty((m, 0))
             if sh.use_psi:
-                refresh = np.flatnonzero((it + 1) % 4 == 0)
-                psi, grad_t, errors, grad_errors = self._psi(pos, xt, refresh)
+                psi, grad_t, errors = self._psi(pos, xt)
             r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
             w = r_t * sh.weights
             norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
@@ -626,17 +625,14 @@ class _NewtonGroup:
                     out[pos[i]] = err
             n_acc = np.count_nonzero(acc)
             if n_acc == m or r is None:
-                x, r, scale, bal_jac, norm = xt, r_t, scale_t, jac_t, norm_t
+                x, r, scale, bal_jac, grad, norm = xt, r_t, scale_t, jac_t, grad_t, norm_t
                 it += 1
             elif n_acc:
-                x, r, scale, bal_jac, norm = (
+                x, r, scale, bal_jac, grad, norm = (
                     np.where(acc.reshape((m,) + (1,) * (new.ndim - 1)), new, old)
                     for new, old in ((xt, x), (r_t, r), (scale_t, scale), (jac_t, bal_jac),
-                                     (norm_t, norm)))
+                                     (grad_t, grad), (norm_t, norm)))
                 it += acc
-            if sh.use_psi and refresh.size:
-                took = acc[refresh]
-                grad[refresh[took]] = grad_t[took]
             # ---- accepted rows: converged, out of iterations, or a Newton step
             if n_acc:
                 conv = self.converged(pos, r, scale)
@@ -648,11 +644,6 @@ class _NewtonGroup:
                 ended = (stepping & (it >= MAX_NEWTON_ITER) if evaluation >= MAX_NEWTON_ITER
                          else np.zeros(m, bool))
                 stepping &= ~ended
-                for i, err in grad_errors.items():
-                    if stepping[i]:
-                        out[pos[i]] = err
-                        stepping[i] = False
-                        done[i] = True
                 n_step = np.count_nonzero(stepping)
                 if n_step == m:
                     dx, singular = self._step(bal_jac, grad, r)
@@ -796,30 +787,7 @@ def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
 # public solves: optimization
 # ---------------------------------------------------------------------------
 
-_OPT_REFINE_MAX = 10
 _OPT_PSI_TOL = 1e-7
-
-
-def _next_bound(pairs: list, bound: float, target: float, psi_e: float) -> float:
-    """The surrogate bound of the next refinement round.
-
-    ``pairs`` holds this bound's earlier (bound, exact PMV) pairs and gets
-    the current one.  While the bound is active the exact PMV follows it
-    with a slope near 1 (the surrogate's error changes slowly along the
-    optimum), so the secant through the last two pairs aims the exact PMV
-    at ``target``.  On the first round, or when the secant slope is outside
-    [0.5, 2] (the bound was not active in both rounds), the bound is
-    shifted by the plain difference ``target - psi_e``.
-    """
-    pairs.append((bound, psi_e))
-    step = target - psi_e
-    if len(pairs) > 1:
-        (b0, p0), (b1, p1) = pairs[-2:]
-        if b1 != b0:
-            slope = (p1 - p0) / (b1 - b0)
-            if 0.5 <= slope <= 2.0:
-                step /= slope
-    return bound + step
 
 
 class _OptProgram:
@@ -832,10 +800,14 @@ class _OptProgram:
     electric power, read off the kernel's panel row.  Every function comes
     with its exact gradient: the objective through :meth:`CopCurve.slope`
     and the panel row's Jacobian, the balance equalities through the
-    Jacobian rows of :func:`model_core.reservoir_balance`, and the
-    surrogate mean PMV through its monomial derivatives
-    (:meth:`PmvSurrogate.value_and_grad`) and, with panel view weights, the
-    chain rule through each passenger's mean radiant temperature.
+    Jacobian rows of :func:`model_core.reservoir_balance`, and the exact
+    mean PMV through the ISO 7730 kernel's own partial derivatives
+    (``pmv_array(..., grad=True)``) and, with panel view weights, the chain
+    rule through each passenger's mean radiant temperature.
+
+    The balance and the mean PMV are each evaluated once per distinct
+    ``z``, when a function first needs them; every function and gradient
+    at that ``z`` reads the same evaluation.
     """
 
     tc, tsi, tso, hp, ac = range(5)
@@ -843,7 +815,8 @@ class _OptProgram:
 
     def __init__(self, model: _BranchModel):
         self.model = model
-        self.surr = get_pmv_surrogate(model.spec)
+        self._key: bytes | None = None
+        self._memo: dict = {}
 
     def start(self) -> np.ndarray:
         """The cold start: Newton's starting temperatures, no HVAC heat."""
@@ -852,42 +825,60 @@ class _OptProgram:
     def bounds(self) -> list:
         return [(T_BOX[0], T_BOX[1])] * self.n_temps + [(0.0, 500.0)] * 2
 
-    def psi(self, z) -> float:
-        """Surrogate mean PMV (view weights exist only with the panels on,
-        else ``uniform_tmr``)."""
-        model = self.model
-        t_cab, t_si = z[self.tc], z[self.tsi]
-        if model.uniform_tmr:
-            return float(self.surr.evaluate(t_cab - KELVIN, t_si - KELVIN, model.r_clo))
-        tmr_c = mixed_radiant_temperature(model.b_weights, t_si, model.cfg.T_rh_tgt) - KELVIN
-        vals = self.surr.evaluate(np.full_like(tmr_c, t_cab - KELVIN), tmr_c, model.r_clo)
-        return float(np.mean(vals))
-
-    def psi_grad(self, z) -> np.ndarray:
-        """d(psi)/dz; per passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``."""
-        model = self.model
-        g = np.zeros(self.nvar)
-        t_cab, t_si = z[self.tc], z[self.tsi]
-        if model.uniform_tmr:
-            d = self.surr.value_and_grad(t_cab - KELVIN, t_si - KELVIN, model.r_clo)[1]
-            g[self.tc], g[self.tsi] = d[0], d[1]
-            return g
-        b = model.b_weights
-        tmr = mixed_radiant_temperature(b, t_si, model.cfg.T_rh_tgt)
-        d = self.surr.value_and_grad(np.full_like(tmr, t_cab - KELVIN), tmr - KELVIN,
-                                     model.r_clo)[1]
-        g[self.tc] = np.mean(d[:, 0])
-        g[self.tsi] = np.mean(d[:, 1] / tmr ** 3 * (1.0 - b)) * t_si ** 3
-        return g
+    def _at(self, z) -> dict:
+        """The evaluations made at ``z`` so far; a new ``z`` starts afresh."""
+        key = z.tobytes()
+        if key != self._key:
+            self._key, self._memo = key, {}
+        return self._memo
 
     def _balance(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Reservoir rows and their Jacobian at ``z``, the panel row (RH
         on) last and at zero panel power: minus the panel power."""
-        model = self.model
-        t_cab, t_si, t_so, hp, ac = z.tolist()
-        _, rows, jac = reservoir_balance(t_cab, model.cfg.T_rh_tgt, t_si, t_so,
-                                         (hp - ac) * 1000.0, 0.0, model.coef, model.rh_on)
-        return rows, jac
+        memo = self._at(z)
+        if "balance" not in memo:
+            model = self.model
+            t_cab, t_si, t_so, hp, ac = z.tolist()
+            memo["balance"] = reservoir_balance(t_cab, model.cfg.T_rh_tgt, t_si, t_so,
+                                                (hp - ac) * 1000.0, 0.0, model.coef,
+                                                model.rh_on)[1:]
+        return memo["balance"]
+
+    def _comfort(self, z) -> tuple[float, np.ndarray]:
+        """Exact unclamped mean PMV at ``z`` and its gradient in z.  View
+        weights exist only with the panels on, else ``uniform_tmr``; per
+        passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``."""
+        memo = self._at(z)
+        if "comfort" not in memo:
+            model = self.model
+            t_cab, t_si = float(z[self.tc]), float(z[self.tsi])
+            g = np.zeros(self.nvar)
+            try:
+                if model.uniform_tmr:
+                    psi, g[self.tc], g[self.tsi] = pmv_array(
+                        t_cab - KELVIN, t_si - KELVIN, model.r_clo,
+                        *_comfort_setting(model.spec), grad=True)
+                else:
+                    b = model.b_weights
+                    tmr = mixed_radiant_temperature(b, t_si, model.cfg.T_rh_tgt)
+                    vals, d_ta, d_tr = pmv_array(
+                        np.full_like(tmr, t_cab - KELVIN), tmr - KELVIN, model.r_clo,
+                        *_comfort_setting(model.spec), grad=True)
+                    psi = np.mean(vals)
+                    g[self.tc] = np.mean(d_ta)
+                    g[self.tsi] = np.mean(d_tr / tmr ** 3 * (1.0 - b)) * t_si ** 3
+            except EvaluationError as err:
+                raise EvaluationError(f"{err} (scenario {model.scn.id!r})") from None
+            memo["comfort"] = float(psi), g
+        return memo["comfort"]
+
+    def psi(self, z) -> float:
+        """Exact unclamped mean PMV."""
+        return self._comfort(z)[0]
+
+    def psi_grad(self, z) -> np.ndarray:
+        """d(psi)/dz."""
+        return self._comfort(z)[1]
 
     def equalities(self, z) -> np.ndarray:
         """The rows of cabin air, inner and outer shell in kW."""
@@ -929,106 +920,63 @@ class _OptProgram:
         return g
 
 
-def _opt_solve_branch(model: _BranchModel, psi_min: float | None, psi_max: float | None
+def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
                       ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
-    """SLSQP minimization of electric power for one RH branch; returns the
-    polished state, the iterations and the PMV of the state's kernel points.
+    """SLSQP minimization of electric power for one RH branch of a bus with
+    passengers; returns the polished state, the iterations and the PMV of
+    the state's kernel points.
 
-    The program and its exact gradients are :class:`_OptProgram`'s.  The
-    PMV window constrains the polynomial surrogate; an outer loop moves the
-    active surrogate bound, by a secant step on its last two (bound, exact
-    PMV) pairs (see :func:`_next_bound`), until the exact PMV of the
-    polished solution is within ``_OPT_PSI_TOL`` of the requested window.
-    A run whose equalities are violated by 1e-6 or more is repeated from
-    the cold start; the run kept must violate them by at most 1e-4.
+    The program and its exact gradients are :class:`_OptProgram`'s; the
+    PMV window constrains the exact mean PMV.  One SLSQP run from the cold
+    start decides the HVAC heat, any heating/cooling overlap is cancelled,
+    and a Newton solve polishes the balance at that heat.  A run whose
+    equalities are violated by more than 1e-4 raises, and so does a
+    polished state whose exact mean PMV is outside the window by more than
+    ``_OPT_PSI_TOL``.
     """
     scn = model.scn
     prog = _OptProgram(model)
-    use_psi = psi_min is not None and scn.N_pass > 0
-    z0 = prog.start()
-    bounds = prog.bounds()
-
     # the vote saturates at +/-3: a window bound on the end of the scale
     # never binds and is dropped from the program
-    use_lo = use_psi and psi_min > -3.0 + 1e-12
-    use_hi = use_psi and psi_max < 3.0 - 1e-12
-    pin_equal = use_lo and use_hi and (psi_max - psi_min) < 1e-12
-    lo, hi = psi_min, psi_max
-    lo_pairs: list = []
-    hi_pairs: list = []
-    total_nit = 0
-    z_start = z0
+    use_lo = psi_min > -3.0 + 1e-12
+    use_hi = psi_max < 3.0 - 1e-12
+    cons = [{"type": "eq", "fun": prog.equalities, "jac": prog.equalities_jac}]
+    if use_lo and use_hi and (psi_max - psi_min) < 1e-12:
+        cons.append({"type": "eq", "fun": lambda z: prog.psi(z) - psi_min,
+                     "jac": prog.psi_grad})
+    elif use_lo or use_hi:
+        # one PMV evaluation serves both rows: psi - lo, hi - psi
+        sign = np.array([1.0] * use_lo + [-1.0] * use_hi)
+        bound = np.array([psi_min] * use_lo + [psi_max] * use_hi)
+        cons.append({"type": "ineq", "fun": lambda z: sign * (prog.psi(z) - bound),
+                     "jac": lambda z: np.outer(sign, prog.psi_grad(z))})
+    res = minimize(prog.objective, prog.start(), method="SLSQP", jac=prog.objective_grad,
+                   bounds=prog.bounds(), constraints=cons,
+                   options={"maxiter": 300, "ftol": 1e-12})
+    if float(np.max(np.abs(prog.equalities(res.x)))) > 1e-4:
+        raise SolverError(
+            f"optimization failed for scenario {scn.id!r} (rh_on={model.rh_on}): "
+            f"{res.message}", last_x=res.x)
+    z = res.x.copy()
 
-    for _ in range(_OPT_REFINE_MAX):
-        cons = [{"type": "eq", "fun": prog.equalities, "jac": prog.equalities_jac}]
-        if pin_equal:
-            cons.append({"type": "eq", "fun": lambda z, c=lo: prog.psi(z) - c,
-                         "jac": prog.psi_grad})
-        elif use_lo or use_hi:
-            # one surrogate evaluation serves both rows: psi - lo, hi - psi
-            sign = np.array([1.0] * use_lo + [-1.0] * use_hi)
-            bound = np.array([lo] * use_lo + [hi] * use_hi)
-            cons.append({"type": "ineq",
-                         "fun": lambda z, s=sign, c=bound: s * (prog.psi(z) - c),
-                         "jac": lambda z, s=sign: np.outer(s, prog.psi_grad(z))})
-        for start in (z_start, z0):
-            res = minimize(prog.objective, start, method="SLSQP", jac=prog.objective_grad,
-                           bounds=bounds, constraints=cons,
-                           options={"maxiter": 300, "ftol": 1e-12})
-            viol = float(np.max(np.abs(prog.equalities(res.x))))
-            if viol < 1e-6:
-                break
-        if viol > 1e-4:
-            raise SolverError(
-                f"optimization failed for scenario {scn.id!r} (rh_on={model.rh_on}): "
-                f"{res.message}", last_x=res.x)
-        total_nit += int(res.nit)
-        z = res.x.copy()
+    # simultaneous heating and cooling is never optimal; cancel overlap
+    m = min(z[prog.hp], z[prog.ac])
+    if m > 0:
+        z[prog.hp] -= m
+        z[prog.ac] -= m
 
-        # simultaneous heating and cooling is never optimal; cancel overlap
-        m = min(z[prog.hp], z[prog.ac])
-        if m > 0:
-            z[prog.hp] -= m
-            z[prog.ac] -= m
-
-        # polish the balance exactly with the decided HVAC heat
-        q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-        state, iters_polish, pmv = yield from model.balance_with_q(
-            q_hvac, np.append(z[:3], q_hvac))
-
-        if not (use_lo or use_hi):
-            break
+    # polish the balance exactly with the decided HVAC heat
+    q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
+    state, iters_polish, pmv = yield from model.balance_with_q(q_hvac, np.append(z[:3], q_hvac))
+    if use_lo or use_hi:
         psi_e = _mean_psi(pmv)
-        if pin_equal:
-            if abs(psi_e - psi_min) <= _OPT_PSI_TOL:
-                break
-            move_lo = True
-        else:
-            lo_ok = not use_lo or psi_e >= psi_min - _OPT_PSI_TOL
-            hi_ok = not use_hi or psi_e <= psi_max + _OPT_PSI_TOL
-            if lo_ok and hi_ok:
-                # exact feasibility; also pin the active bound tightly
-                s_psi = prog.psi(z)
-                miss_lo = abs(psi_e - psi_min) > _OPT_PSI_TOL
-                miss_hi = abs(psi_e - psi_max) > _OPT_PSI_TOL
-                if use_lo and abs(s_psi - lo) < 1e-6 and miss_lo:
-                    move_lo = True
-                elif use_hi and abs(hi - s_psi) < 1e-6 and miss_hi:
-                    move_lo = False
-                else:
-                    break
-            else:
-                # exact PMV outside the window: move the violated bound
-                move_lo = not lo_ok
-        if move_lo:
-            lo = _next_bound(lo_pairs, lo, psi_min, psi_e)
-        else:
-            hi = _next_bound(hi_pairs, hi, psi_max, psi_e)
-        z_start = z
-    else:
-        raise SolverError(f"surrogate refinement did not settle for scenario {scn.id!r}")
-
-    return state, total_nit + iters_polish, pmv
+        if ((use_lo and psi_e < psi_min - _OPT_PSI_TOL)
+                or (use_hi and psi_e > psi_max + _OPT_PSI_TOL)):
+            raise SolverError(
+                f"optimization missed the PMV window [{psi_min}, {psi_max}] for scenario "
+                f"{scn.id!r} (rh_on={model.rh_on}): exact mean PMV {psi_e:.9f}",
+                last_x=res.x)
+    return state, int(res.nit) + iters_polish, pmv
 
 
 def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -1060,7 +1008,9 @@ class ScenarioSweeper:
     ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.
     The branches keep their passive solutions, placement view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
-    setup once.
+    setup once.  A ``layout`` of None is the built-in cabin with ``cfg``'s
+    panel area (:func:`default_layout`), not a loaded configuration's
+    ``AppConfig.layout``.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,

@@ -318,10 +318,10 @@ class TestLockstep:
         bad_clo = clothing_insulation(bad.T_inf)
         original = solver.pmv_array
 
-        def failing(ta, tr, clo, *args):
+        def failing(ta, tr, clo, *args, **kwargs):
             if np.any(np.asarray(clo) == bad_clo):
                 raise EvaluationError("clothing surface temperature iteration did not converge")
-            return original(ta, tr, clo, *args)
+            return original(ta, tr, clo, *args, **kwargs)
 
         monkeypatch.setattr(solver, "pmv_array", failing)
         sweepers = [solver.ScenarioSweeper(s, hp_cfg, spec) for s in scenarios]

@@ -277,6 +277,36 @@ def test_pmv_value_does_not_depend_on_its_batch(data):
         assert _bits(pmv_array(ta[i], tr[i], clo[i], *setting)) == _bits(batch[i])
     sub = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     assert _bits(pmv_array(ta[sub], tr[sub], clo[sub], *setting)) == _bits(batch[sub])
+    # the value and both partial derivatives
+    outs = pmv_array(ta, tr, clo, *setting, grad=True)
+    for i in range(n):
+        alone = pmv_array(ta[i], tr[i], clo[i], *setting, grad=True)
+        assert [_bits(a) for a in alone] == [_bits(out[i]) for out in outs]
+    assert [_bits(a) for a in pmv_array(ta[sub], tr[sub], clo[sub], *setting, grad=True)] \
+        == [_bits(out[sub]) for out in outs]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_gradient_matches_central_differences(data):
+    temps = np.array([data.draw(st.floats(-20.0, 50.0)), data.draw(st.floats(-20.0, 70.0))])
+    clo = data.draw(st.floats(0.0, 2.0))
+    setting = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
+               data.draw(st.floats(0.8, 2.0)))
+    value, *grad = pmv_array(*temps, clo, *setting, grad=True)
+    assert _bits(value) == _bits(pmv_array(*temps, clo, *setting))
+    h = 1e-3
+    for j in range(2):
+        up, down = temps.copy(), temps.copy()
+        up[j] += h
+        down[j] -= h
+        f_up, *g_up = pmv_array(*up, clo, *setting, grad=True)
+        f_down, *g_down = pmv_array(*down, clo, *setting, grad=True)
+        # away from the kink of hc = max(hcf, hcn), where the partials jump
+        # by about 0.01; they move by about 1e-5 between the two points else
+        assume(abs(g_up[j] - g_down[j]) < 1e-3)
+        fd = (f_up - f_down) / (2.0 * h)
+        assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
