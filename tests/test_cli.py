@@ -256,6 +256,15 @@ class TestErrors:
         with pytest.raises(ConfigError, match="concept 'PTC-AC\\+RH': .*higher than"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("setting", ["met: 0", "met: .nan", "v_cab: .inf"])
+    def test_bad_comfort_setting_exit_code(self, tmp_path, setting, capsys):
+        cfg = tmp_path / "comfort.yaml"
+        cfg.write_text(f"comfort: {{{setting}}}\n", encoding="utf-8")
+        rc = main(["solve", "--config", str(cfg), "--t-inf-c", "0", "--month", "1"])
+        assert rc == 2
+        field = setting.split(":")[0]
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad2.yaml"
         cfg.write_text("materiels: {}\n", encoding="utf-8")

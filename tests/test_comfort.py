@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ class TestPmv:
         spec = ComfortSpec()
         assert pmv(c_to_k(-10.0), c_to_k(-10.0), 0.3, spec) == -3.0
         assert pmv(c_to_k(-10.0), c_to_k(-10.0), 0.3, spec, clamp=False) < -3.0
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_nan_input_raises(self, column):
+        # t_a, t_r and clo, as one 0-d point and as one point of a batch;
+        # the kernel raises its own error, with no numpy warning on the way
+        point = [22.0, 22.0, 0.7]
+        point[column] = math.nan
+        batch = [np.array([22.0, 30.0, 10.0]), np.array([22.0, 25.0, 12.0]),
+                 np.array([0.7, 0.5, 1.2])]
+        batch[column][1] = math.nan
+        for args in (point, batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationError, match="did not converge"):
+                    pmv_array(*args, 0.1, 40.0, 1.2)
 
     def test_array_broadcasting(self):
         ta = np.array([20.0, 25.0])
@@ -183,6 +199,16 @@ class TestSpecValidation:
     def test_humidity_range(self):
         with pytest.raises(ConfigError):
             ComfortSpec(phi_cab=1.2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("met", 0.0), ("met", -1.0), ("met", math.nan), ("met", math.inf),
+        ("v_cab", 0.0), ("v_cab", math.inf), ("v_cab", math.nan),
+        ("clo_scale", 0.0), ("clo_scale", -1.0), ("clo_scale", math.nan),
+        ("clo_scale", math.inf),
+    ])
+    def test_settings_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite and positive"):
+            ComfortSpec(**{field: value})
 
     def test_with_helpers_preserve_fields(self):
         spec = ComfortSpec(v_cab=0.2, clo_scale=1.1)

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
                                 ComfortSpec, get_pmv_surrogate, pmv_array)
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
-                                   balance_coefficients, balance_residuals, c_to_k,
+                                   balance_coefficients, balance_residuals, c_to_k, k_to_c,
                                    max_abs_flow, reservoir_balance)
 from cabintherm.radiant_geometry import (CabinLayout, Rect3, ceiling_panel_strip,
                                          panel_view_weights, place_passengers,
                                          vf_parallel_rects, vf_perpendicular_rects)
-from cabintherm.solver import (_BranchModel, _OptProgram, ScenarioSweeper, solve_best,
-                               solve_window_opt, solve_window_rootfind)
+from cabintherm.solver import (T_BOX, _BranchModel, _OptProgram, ScenarioSweeper,
+                               solve_best, solve_window_opt, solve_window_rootfind)
 from flow_reference import (conduction_shell, convective_cabin_to_shell,
                             convective_rh_to_cabin, convective_shell_to_ambient,
                             door_loss, radiative_loss_outer, radiative_rh_to_shell)
@@ -178,17 +178,32 @@ def test_pmv_rises_with_air_and_radiant_temperature(data):
     assert pmv_array(ta, tr + step, clo, *setting) - base >= 0.005 * step
 
 
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_pmv_kernel_matches_the_iso_program(data):
-    # 20 000 random points differed by at most 4.2e-10 over these ranges
+def _check_kernel_against_the_iso_program(data, ta_range, tr_range, clo_range):
+    """One batch of random points in the ranges, within 1e-9 of the oracle."""
     vel, rh, met = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
                     data.draw(st.floats(0.8, 2.0)))
-    points = [(data.draw(st.floats(-20.0, 50.0)), data.draw(st.floats(-20.0, 70.0)),
-               data.draw(st.floats(0.0, 2.0))) for _ in range(data.draw(st.integers(1, 20)))]
+    points = [(data.draw(st.floats(*ta_range)), data.draw(st.floats(*tr_range)),
+               data.draw(st.floats(*clo_range)))
+              for _ in range(data.draw(st.integers(1, 20)))]
     got = pmv_array(*np.array(points).T, vel, rh, met)
     for (ta, tr, clo), value in zip(points, got):
         assert value == pytest.approx(oracle.pmv_iso7730(ta, tr, vel, rh, met, clo), abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_kernel_matches_the_iso_program(data):
+    # 20 000 random points differed by at most 1.1e-10 over these ranges
+    _check_kernel_against_the_iso_program(data, (-20.0, 50.0), (-20.0, 70.0), (0.0, 2.0))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_pmv_kernel_matches_the_iso_program_over_the_optimizer_box(data):
+    # SLSQP may evaluate any air and radiant temperature in T_BOX; 20 000
+    # random points differed by at most 1.4e-10 over these ranges
+    box = (k_to_c(T_BOX[0]), k_to_c(T_BOX[1]))
+    _check_kernel_against_the_iso_program(data, box, box, (0.3, 1.8))
 
 
 @PROPERTY_SETTINGS
