@@ -157,8 +157,10 @@ def _solve_chunk(args):
     :meth:`ScenarioSweeper.solve` in scenario-major order, so a failing
     slice raises the error of its first failing scenario in dataset order,
     and a scenario whose sweeper cannot be built raises only after the
-    scenarios before it.  One view-weight cache serves every concept and
-    window of the slice.
+    scenarios before it.  One :class:`ViewWeightsCache` serves the slice:
+    every scenario, concept and window on one cabin layout reads its view
+    weights from that layout's slot table, so a slice makes one
+    ``panel_view_weights`` call per distinct layout.
     """
     scenarios, concepts, spec, windows, seed, method = args
     cache = ViewWeightsCache()

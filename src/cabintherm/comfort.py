@@ -97,8 +97,10 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float,
 
     Solves the clothing-surface-temperature balance by Newton's method;
     raises :class:`EvaluationError` if a point (a NaN input, say) does not
-    converge within 20 steps.  Inputs in Celsius/clo; broadcasting follows
-    numpy rules.
+    converge within 20 steps, and before any arithmetic if an input is
+    infinite or an air temperature is at or below the vapour-pressure
+    pole (-235 C).  Inputs in Celsius/clo; broadcasting follows numpy
+    rules.
 
     With ``grad`` it returns ``(pmv, dpmv_dta, dpmv_dtr)``, the partial
     derivatives in the air and the radiant temperature (per K), each shaped
@@ -114,11 +116,17 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float,
     inside any batch and inside any sub-batch.  Callers may therefore
     gather the points of many solves into one call.
     """
-    ta, tr, clo = np.broadcast_arrays(np.asarray(ta_c, dtype=float),
-                                      np.asarray(tr_c, dtype=float),
-                                      np.asarray(clo, dtype=float))
+    ta, tr, clo = (np.asarray(ta_c, dtype=float), np.asarray(tr_c, dtype=float),
+                   np.asarray(clo, dtype=float))
+    if not ta.shape == tr.shape == clo.shape:
+        ta, tr, clo = np.broadcast_arrays(ta, tr, clo)
     shape = ta.shape
     ta, tr, clo = ta.ravel(), tr.ravel(), clo.ravel()
+    # such inputs would make numpy warn below; a NaN fails to converge
+    infinite = np.count_nonzero(np.isinf(np.concatenate((ta, tr, clo))))
+    if infinite or np.count_nonzero(ta <= -235.0):
+        raise EvaluationError("PMV inputs must be finite, with the air temperature "
+                              "above -235 C")
 
     pa = _vapor_pressure_pa(ta, rh_pct)
     icl = 0.155 * clo

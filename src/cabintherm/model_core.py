@@ -197,6 +197,9 @@ class Scenario:
     id: str = ""
 
     def __post_init__(self):
+        for name in ("T_inf", "I_dni", "I_dhi", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.T_inf > 0:
             raise ConfigError(f"T_inf must be positive kelvin, got {self.T_inf}")
         if self.I_dni < 0 or self.I_dhi < 0:

@@ -306,29 +306,42 @@ PLACEMENT_PITCH = 0.5   # m
 PLACEMENT_MARGIN = 0.25  # m, slot center clearance from the walls
 
 
-def placement_grid(layout: CabinLayout) -> list[tuple[float, float]]:
-    """Slot centers of the walkable placement grid."""
+def _grid_axes(layout: CabinLayout) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(PLACEMENT_MARGIN, layout.length - PLACEMENT_MARGIN + 1e-9, PLACEMENT_PITCH)
     ys = np.arange(PLACEMENT_MARGIN, layout.width - PLACEMENT_MARGIN + 1e-9, PLACEMENT_PITCH)
+    return xs, ys
+
+
+def placement_grid(layout: CabinLayout) -> list[tuple[float, float]]:
+    """Slot centers of the walkable placement grid."""
+    xs, ys = _grid_axes(layout)
     return [(float(x), float(y)) for x in xs for y in ys]
 
 
-def place_passengers(n: int, seed: int, layout: CabinLayout) -> list[PassengerCuboid]:
-    """Pseudo-random, overlap-free placement of ``n`` passengers.
+def placement_slots(n: int, seed: int, layout: CabinLayout) -> np.ndarray:
+    """Indices into :func:`placement_grid` of ``n`` passengers' slots.
 
-    Slots of a fixed 0.5 m grid over the walkable area are drawn without
-    replacement; the draw is deterministic for a given seed.
+    The slots are drawn without replacement; the draw is deterministic for
+    a given seed.
     """
     if n < 0:
         raise ConfigError("cannot place a negative number of passengers")
+    xs, ys = _grid_axes(layout)
+    n_slots = xs.size * ys.size
+    if n > n_slots:
+        raise ConfigError(f"cannot place {n} passengers on a {n_slots}-slot grid")
+    return np.random.default_rng(seed).permutation(n_slots)[:n]
+
+
+def place_passengers(n: int, seed: int, layout: CabinLayout) -> list[PassengerCuboid]:
+    """Pseudo-random, overlap-free placement of ``n`` passengers on the
+    slots :func:`placement_slots` draws from a fixed 0.5 m grid over the
+    walkable area."""
     if n == 0:
         return []
-    slots = placement_grid(layout)
-    if n > len(slots):
-        raise ConfigError(f"cannot place {n} passengers on a {len(slots)}-slot grid")
-    rng = np.random.default_rng(seed)
-    chosen = rng.permutation(len(slots))[:n]
-    return [PassengerCuboid(*slots[i]) for i in chosen]
+    slots = placement_slots(n, seed, layout)
+    grid = placement_grid(layout)
+    return [PassengerCuboid(*grid[i]) for i in slots]
 
 
 # ---------------------------------------------------------------------------

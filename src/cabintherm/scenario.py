@@ -86,9 +86,15 @@ def solar_altitude(timestamp: float, latitude: float, longitude: float) -> float
     hourly irradiance work.  ``latitude``/``longitude`` in radians, east
     positive.
     """
-    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    if not 1950 <= dt.year <= 2100:
-        raise DataError(f"timestamp year {dt.year} outside the supported range 1950-2100")
+    if not all(map(math.isfinite, (timestamp, latitude, longitude))):
+        raise DataError(f"solar position inputs must be finite, got timestamp {timestamp}, "
+                        f"latitude {latitude}, longitude {longitude}")
+    try:
+        dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError):
+        dt = None
+    if dt is None or not 1950 <= dt.year <= 2100:
+        raise DataError(f"timestamp {timestamp} outside the supported years 1950-2100")
     doy = dt.timetuple().tm_yday
     hours = dt.hour + dt.minute / 60.0 + dt.second / 3600.0
     days_in_year = 366 if dt.year % 4 == 0 and (dt.year % 100 != 0 or dt.year % 400 == 0) else 365
@@ -122,6 +128,12 @@ def _parse_row(row: dict[str, str], lineno: int, has_beta: bool) -> Scenario:
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric value {row[col]!r} in column {col!r}")
 
+    def whole(col):
+        value = num(col)
+        if not value.is_integer():      # NaN and inf included
+            raise DataError(f"line {lineno}: non-integer value {row[col]!r} in column {col!r}")
+        return int(value)
+
     if has_beta:
         beta = math.radians(num("beta_deg"))
     else:
@@ -139,10 +151,10 @@ def _parse_row(row: dict[str, str], lineno: int, has_beta: bool) -> Scenario:
             I_dni=i_dni,
             I_dhi=i_dhi,
             beta=beta,
-            N_pass=int(num("N_pass")),
+            N_pass=whole("N_pass"),
             zeta_door=num("zeta_door"),
             zeta_sh=num("zeta_sh"),
-            month=int(num("month")),
+            month=whole("month"),
             id=row["id"],
         )
     except ConfigError as exc:

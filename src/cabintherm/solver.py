@@ -63,9 +63,9 @@ from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scen
                          ThermalState, balance_coefficients, compute_heat_flows,
                          reservoir_balance)
 from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
-                               STRIP_PANELS, CabinLayout, ceiling_panel_strip,
-                               mixed_radiant_temperature, panel_view_weights,
-                               place_passengers)
+                               STRIP_PANELS, CabinLayout, PassengerCuboid,
+                               ceiling_panel_strip, mixed_radiant_temperature,
+                               panel_view_weights, placement_grid, placement_slots)
 from .scenario import placement_seed
 
 MAX_NEWTON_ITER = 100
@@ -132,25 +132,26 @@ def default_layout(cfg: BusConfig, length: float = CABIN_LENGTH,
 
 
 class ViewWeightsCache:
-    """Memoizes per-passenger panel view weights across solves.
+    """Per-passenger panel view weights from one table per cabin layout.
 
-    Placement and view factors depend only on (scenario id, passenger
-    count, seed, panel geometry), so one entry serves every window and
-    every concept that shares the layout.
+    A passenger stands on a slot of :func:`placement_grid`, so its view
+    weight depends only on the slot and the layout.  The first request for
+    a layout computes the weights of all its slots in one
+    :func:`panel_view_weights` call; a scenario's weights are that table at
+    its seeded slots (:func:`placement_slots`), the same bits as the
+    weights of its placed passengers.  Value-equal layouts share a table,
+    so one table serves every scenario, window and concept on that cabin.
     """
 
     def __init__(self):
-        self._store: dict[tuple, np.ndarray] = {}
+        self._tables: dict[CabinLayout, np.ndarray] = {}
 
     def get(self, scn: Scenario, layout: CabinLayout, seed: int) -> np.ndarray:
-        key = (scn.id, scn.N_pass, seed,
-               tuple((p.origin, p.edge1, p.edge2) for p in layout.rh_panels))
-        w = self._store.get(key)
-        if w is None:
-            passengers = place_passengers(scn.N_pass, seed, layout)
-            w = panel_view_weights(passengers, layout)
-            self._store[key] = w
-        return w
+        table = self._tables.get(layout)
+        if table is None:
+            on_every_slot = [PassengerCuboid(x, y) for x, y in placement_grid(layout)]
+            table = self._tables[layout] = panel_view_weights(on_every_slot, layout)
+        return table[placement_slots(scn.N_pass, seed, layout)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,13 @@ class _BranchModel:
 
     Precomputes everything that does not depend on the unknowns: the
     balance kernel's coefficients (solar gains and passenger heat among
-    them), clothing insulation, and per-passenger panel view weights.  The
-    methods that need a Newton solve are solve steps (generators for
-    :func:`_lockstep`, see the module docstring); they return the solved
-    state with its iterations and the unclamped PMV of its kernel points.
+    them), clothing insulation, and, with the panels on, per-passenger
+    panel view weights.  Those are read off the layout's slot table in
+    ``weights_cache`` (:class:`ViewWeightsCache`), or off a private one
+    when none is passed.  The methods that need a Newton solve are solve
+    steps (generators for :func:`_lockstep`, see the module docstring);
+    they return the solved state with its iterations and the unclamped PMV
+    of its kernel points.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -248,12 +252,8 @@ class _BranchModel:
                 raise ConfigError(
                     f"layout panel area {layout.panel_area:.6f} m^2 does not match "
                     f"A_rh = {cfg.A_rh:.6f} m^2")
-            pseed = placement_seed(scn.id, seed)
-            if weights_cache is not None:
-                self.b_weights = weights_cache.get(scn, layout, pseed)
-            else:
-                passengers = place_passengers(scn.N_pass, pseed, layout)
-                self.b_weights = panel_view_weights(passengers, layout)
+            cache = weights_cache if weights_cache is not None else ViewWeightsCache()
+            self.b_weights = cache.get(scn, layout, placement_seed(scn.id, seed))
         else:
             self.b_weights = np.zeros(scn.N_pass)
         # without panel view weights every passenger sees the same T_mr,
@@ -1006,9 +1006,11 @@ class ScenarioSweeper:
     Builds the RH-off branch and, when the bus has enabled panels, the
     RH-on branch of one scenario; :meth:`solve` solves both by ``method``
     ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.
-    The branches keep their passive solutions, placement view weights and
+    The branches keep their passive solutions, panel view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
-    setup once.  A ``layout`` of None is the built-in cabin with ``cfg``'s
+    setup once.  The view weights come from the layout's slot table in
+    ``weights_cache``: sweepers that share one store compute each layout's
+    table once.  A ``layout`` of None is the built-in cabin with ``cfg``'s
     panel area (:func:`default_layout`), not a loaded configuration's
     ``AppConfig.layout``.
     """

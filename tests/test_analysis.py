@@ -14,6 +14,7 @@ from cabintherm.comfort import ComfortSpec, clothing_insulation, ppd
 from cabintherm.errors import ConfigError, DataError, EvaluationError, SolverError
 from cabintherm.model_core import (BusConfig, CopCurve, HeatFlows, Scenario,
                                    ThermalState, c_to_k)
+from cabintherm.radiant_geometry import placement_grid
 from cabintherm.scenario import ScenarioSet, synthesize_dataset
 from cabintherm.solver import SolveResult
 
@@ -157,25 +158,54 @@ class TestPool:
         assert comparable(pooled) == comparable(serial)
         assert {r.solver for r in pooled} == {"optimization"}
 
+    @staticmethod
+    def _rh_concepts(ptc_rh_cfg, hp_rh_cfg):
+        # PTC-AC+RH and HP-AC+RH build value-equal layouts; the third
+        # concept's smaller panels make a second layout
+        return {"PTC-AC+RH": ptc_rh_cfg, "HP-AC+RH": hp_rh_cfg,
+                "PTC-AC+RH3": ptc_rh_cfg.with_changes(A_rh=3.0)}
+
     def test_concepts_share_view_weights_in_the_pool(self, two_per_month,
                                                       ptc_rh_cfg, hp_rh_cfg,
                                                       tmp_path, monkeypatch):
-        # the workers are forked, so they count into a file
+        # the workers are forked, so they count into a file: one line per
+        # call, the panel area of its layout
         log = tmp_path / "calls"
         log.write_text("")
         original = solver.panel_view_weights
 
         def counting(passengers, layout):
             with open(log, "a") as fh:
-                fh.write("x")
+                fh.write(f"{layout.panel_area:.3f}\n")
             return original(passengers, layout)
 
         monkeypatch.setattr(solver, "panel_view_weights", counting)
-        compare_concepts(two_per_month, {"PTC-AC+RH": ptc_rh_cfg,
-                                         "HP-AC+RH": hp_rh_cfg}, [0.5, 1.0], jobs=2)
-        with_passengers = sum(1 for s in two_per_month if s.N_pass > 0)
-        assert len(log.read_text()) == with_passengers
+        compare_concepts(two_per_month, self._rh_concepts(ptc_rh_cfg, hp_rh_cfg),
+                         [0.5, 1.0], jobs=2)
+        # 24 scenarios over two workers are two tasks of 12; each computes
+        # one slot table per distinct layout, whatever its passengers
+        assert sorted(log.read_text().split()) == ["3.000"] * 2 + ["4.000"] * 2
 
+    def test_one_view_weight_table_per_layout_and_slice(self, two_per_month,
+                                                        ptc_rh_cfg, hp_rh_cfg,
+                                                        monkeypatch):
+        calls = []
+        original = solver.panel_view_weights
+
+        def counting(passengers, layout):
+            calls.append((len(passengers), layout.panel_area))
+            return original(passengers, layout)
+
+        monkeypatch.setattr(solver, "panel_view_weights", counting)
+        monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", 5)
+        concepts = self._rh_concepts(ptc_rh_cfg, hp_rh_cfg)
+        compare_concepts(two_per_month, concepts, [0.5, 1.0], jobs=1)
+        # 24 scenarios in slices of 5 are five slices; each call covers
+        # every slot of the grid, however many RH-on branches carry passengers
+        slots = len(placement_grid(solver.default_layout(ptc_rh_cfg)))
+        assert sorted(calls) == ([(slots, pytest.approx(3.0))] * 5
+                                 + [(slots, pytest.approx(4.0))] * 5)
+        assert sum(s.N_pass > 0 for s in two_per_month) * len(concepts) > 6 * len(calls)
 
     def test_pool_workers_never_exceed_batches(self, two_per_month, hp_cfg, monkeypatch):
         pools = []

@@ -279,6 +279,18 @@ class TestErrors:
                    "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 3
 
+    def test_non_finite_scenario_value_exit_codes(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("id,month,T_inf_C,I_dni,I_dhi,beta_deg,N_pass,zeta_door,zeta_sh\n"
+                        "hot,6,inf,600,90,40,25,0.08,0.25\n", encoding="utf-8")
+        rc = main(["monthly", "--scenarios", str(path),
+                   "--out", str(tmp_path / "o"), "--jobs", "1"])
+        assert rc == 3
+        assert "T_inf must be finite" in capsys.readouterr().err
+        rc = main(["solve", "--t-inf-c", "inf", "--month", "1"])
+        assert rc == 2
+        assert "T_inf must be finite" in capsys.readouterr().err
+
     def test_missing_scenarios_is_data_error(self, tmp_path):
         rc = main(["monthly", "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 3

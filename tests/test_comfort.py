@@ -96,6 +96,24 @@ class TestPmv:
                 with pytest.raises(EvaluationError, match="did not converge"):
                     pmv_array(*args, 0.1, 40.0, 1.2)
 
+    @pytest.mark.parametrize("column, value", [
+        (0, math.inf), (0, -math.inf), (1, math.inf), (1, -math.inf), (2, math.inf),
+        (0, -235.0), (0, -240.0)])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_out_of_domain_input_raises_before_numpy_warns(self, column, value, grad):
+        # infinite inputs and the vapour-pressure pole, as one 0-d point and
+        # as one point of a batch
+        point = [22.0, 22.0, 0.7]
+        point[column] = value
+        batch = [np.array([22.0, 30.0, 10.0]), np.array([22.0, 25.0, 12.0]),
+                 np.array([0.7, 0.5, 1.2])]
+        batch[column][1] = value
+        for args in (point, batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationError, match="must be finite"):
+                    pmv_array(*args, 0.1, 40.0, 1.2, grad=grad)
+
     def test_array_broadcasting(self):
         ta = np.array([20.0, 25.0])
         out = pmv_array(ta, ta, 0.7, 0.1, 40.0, 1.2)

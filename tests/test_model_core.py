@@ -291,6 +291,17 @@ class TestValidation:
             Scenario(T_inf=280.0, I_dni=0.0, I_dhi=0.0, beta=-0.1, N_pass=0,
                      zeta_door=0.0, zeta_sh=0.0, month=13, id="month")
 
+    @pytest.mark.parametrize("field, value", [
+        ("T_inf", math.inf), ("T_inf", math.nan), ("I_dni", math.nan),
+        ("I_dni", math.inf), ("I_dhi", math.inf), ("I_dhi", math.nan),
+        ("beta", math.nan), ("beta", -math.inf)])
+    def test_scenario_rejects_non_finite_inputs(self, field, value):
+        good = dict(T_inf=280.0, I_dni=100.0, I_dhi=50.0, beta=0.5, N_pass=10,
+                    zeta_door=0.1, zeta_sh=0.0, month=6, id="x")
+        Scenario(**good)
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            Scenario(**{**good, field: value})
+
     def test_powered_panel_cannot_be_cold(self):
         with pytest.raises(ConfigError):
             ThermalState(T_cab=300.0, T_rh=290.0, T_si=285.0, T_so=280.0,

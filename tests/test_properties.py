@@ -19,8 +19,9 @@ from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
                                    balance_coefficients, balance_residuals, c_to_k, k_to_c,
                                    max_abs_flow, reservoir_balance)
-from cabintherm.radiant_geometry import (CabinLayout, Rect3, ceiling_panel_strip,
-                                         panel_view_weights, place_passengers,
+from cabintherm.radiant_geometry import (CabinLayout, PassengerCuboid, Rect3,
+                                         ceiling_panel_strip, panel_view_weights,
+                                         place_passengers, placement_grid, placement_slots,
                                          vf_parallel_rects, vf_perpendicular_rects)
 from cabintherm.solver import (T_BOX, _BranchModel, _OptProgram, ScenarioSweeper,
                                solve_best, solve_window_opt, solve_window_rootfind)
@@ -269,6 +270,29 @@ def test_view_weights_are_the_area_weighted_face_sums(data):
         seen = sum(top.area * vf_parallel_rects(top, q) for q in panels)
         seen += sum(f.area * vf_perpendicular_rects(f, q) for f in sides for q in panels)
         assert w == pytest.approx(seen / sum(f.area for f in faces), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_slot_table_gives_each_placements_view_weights(data):
+    length = data.draw(st.floats(2.0, 20.0))
+    width = data.draw(st.floats(1.0, 3.0))
+    height = data.draw(st.floats(1.8, 3.0))
+    n_panels = data.draw(st.integers(1, 12))
+    panel_width = data.draw(st.floats(0.2, width))
+    # up to 95 % of the area the strip's span holds
+    area = data.draw(st.floats(0.05, 0.95)) * length * 7.0 / 9.0 * panel_width
+    layout = CabinLayout(length, width, height,
+                         ceiling_panel_strip(length, width, height, area, n_panels,
+                                             panel_width))
+    grid = placement_grid(layout)
+    n = data.draw(st.integers(1, len(grid)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    table = panel_view_weights([PassengerCuboid(x, y) for x, y in grid], layout)
+    slots = placement_slots(n, seed, layout)
+    passengers = place_passengers(n, seed, layout)
+    assert [grid[i] for i in slots] == [(p.x, p.y) for p in passengers]
+    assert table[slots].tobytes() == panel_view_weights(passengers, layout).tobytes()
 
 
 def _bits(values) -> bytes:

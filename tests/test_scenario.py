@@ -38,6 +38,25 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="line 3"):
             load_scenarios_csv(path)
 
+    @pytest.mark.parametrize("row, field", [
+        ("bad,6,inf,600,90,40,25,0.08,0.25", "T_inf"),
+        ("bad,6,22.5,nan,90,40,25,0.08,0.25", "I_dni"),
+        ("bad,6,22.5,600,inf,40,25,0.08,0.25", "I_dhi"),
+        ("bad,6,22.5,600,90,nan,25,0.08,0.25", "beta")])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, row, field):
+        path = write(tmp_path, HEADER + "a,1,-5.0,0,0,-10,12,0.1,0.45\n" + row + "\n")
+        with pytest.raises(DataError, match=f"line 3: {field} must be finite"):
+            load_scenarios_csv(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("bad,6,22.5,600,90,40,nan,0.08,0.25", "N_pass"),
+        ("bad,6,22.5,600,90,40,2.5,0.08,0.25", "N_pass"),
+        ("bad,inf,22.5,600,90,40,25,0.08,0.25", "month")])
+    def test_non_integer_count_rejected_with_line(self, tmp_path, row, column):
+        path = write(tmp_path, HEADER + "a,1,-5.0,0,0,-10,12,0.1,0.45\n" + row + "\n")
+        with pytest.raises(DataError, match=f"line 3: non-integer value .* '{column}'"):
+            load_scenarios_csv(path)
+
     def test_night_sun_zeroed_with_warning(self, tmp_path):
         path = write(tmp_path, HEADER + "a,1,-5.0,300,50,-10,12,0.1,0.45\n")
         with pytest.warns(UserWarning, match="zeroing"):
@@ -109,6 +128,15 @@ class TestSolarAltitude:
         with pytest.raises(DataError):
             solar_altitude(datetime(1901, 1, 1, tzinfo=timezone.utc).timestamp(),
                            0.0, 0.0)
+        with pytest.raises(DataError, match="supported years"):
+            solar_altitude(1e20, 0.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.8, 0.1), (1.6e9, math.nan, 0.1),
+                                      (1.6e9, 0.8, math.inf)])
+    def test_non_finite_inputs_rejected(self, args):
+        # a NaN latitude would otherwise clamp to the nadir, a night hour
+        with pytest.raises(DataError, match="must be finite"):
+            solar_altitude(*args)
 
 
 class TestSynthesize:
