@@ -9,7 +9,9 @@ as PMV -- a fleet that is +1 in summer and -1 in winter is *not* neutral.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,6 +182,21 @@ def _solve_chunk(args):
     return out
 
 
+# (workers, pool) of every pooled sweep of this process, or None; the lock
+# lets one thread at a time pick, replace and use it
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _retire_pool() -> None:
+    """Shut the shared pool down and join its workers and manager thread,
+    so that the next pool forks from a process with no thread running."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
 def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
                  seed: int, jobs: int = 1, method: str = "rootfind"
                  ) -> list[list[list[SolveResult]]]:
@@ -189,8 +206,20 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
     A layout of None is the configuration's :func:`solver.default_layout`,
     built once here.  The scenarios go in slices of
     ``min(_LOCKSTEP_SCENARIOS, ceil(n / jobs))``: one after the other with
-    ``jobs=1``, else over a pool of up to ``jobs`` workers, one slice a task.
+    ``jobs=1``, else over a pool of ``min(jobs, slices)`` workers, one slice
+    a task.
+
+    The pool lives as long as the process: the first pooled call forks it,
+    later calls with the same worker count reuse its warm workers, and a
+    call that needs another count joins it before forking the next.  Its
+    workers end at interpreter exit.  A worker that dies breaks the call
+    under way (``BrokenProcessPool``), and the next call starts a fresh
+    pool.  Workers run the program's modules as they were when the pool
+    was forked, not as they are at each call: every task carries its own
+    configurations, layouts, comfort setting, windows, seed and method,
+    and nothing else of the caller's state reaches a worker.
     """
+    global _pool
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     concepts = [(cfg, default_layout(cfg) if layout is None else layout)
@@ -204,9 +233,17 @@ def _run_windows(sset: ScenarioSet, concepts, spec: ComfortSpec, windows,
         for task in tasks:
             per_scn += _solve_chunk(task)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for part in pool.map(_solve_chunk, tasks):
-                per_scn += part
+        workers = min(jobs, len(tasks))
+        with _pool_lock:
+            if _pool is None or _pool[0] != workers:
+                _retire_pool()
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            try:
+                for part in _pool[1].map(_solve_chunk, tasks):
+                    per_scn += part
+            except BrokenProcessPool:
+                _retire_pool()
+                raise
     return [[[row[ci][wi] for row in per_scn] for wi in range(len(windows))]
             for ci in range(len(concepts))]
 
@@ -219,6 +256,12 @@ def solve_set(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
     A ``layout`` of None is the built-in cabin with ``cfg``'s panel area
     (:func:`solver.default_layout`), not a loaded configuration's
     ``AppConfig.layout``: pass that one to solve on the configured cabin.
+
+    With ``jobs`` above 1 the scenarios are solved in worker processes of
+    one pool that the process keeps for every later sweep and ends at
+    exit (:func:`_run_windows`).  The workers see the program's modules as
+    they were when the pool was forked; what they solve comes only from
+    this call's arguments.
     """
     return _run_windows(sset, [(cfg, layout)], spec, [(spec.psi_min, spec.psi_max)],
                         seed, jobs, method)[0][0]

@@ -51,7 +51,7 @@ from collections import defaultdict, deque
 from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -402,9 +402,11 @@ class _NewtonGroup:
     restarts and failure are its own masks, so it takes the same iterates
     alone as in any stack.  Every evaluation, for all live rows at once,
     makes one :func:`reservoir_balance` call, one :func:`pmv_array` call
-    (with a PMV row) and one stacked ``np.linalg.solve``.  At the end one
-    more :func:`pmv_array` call evaluates the kernel points of every solved
-    row's solution, which :meth:`run` returns with it.
+    (with a PMV row) and one stacked ``np.linalg.solve``.  :meth:`run`
+    returns each solved row's solution with the PMV of its kernel points.
+    With a PMV row these are the values of the evaluation that accepted the
+    solution; without one, one more :func:`pmv_array` call at the end
+    evaluates them.
 
     A state's kernel points (:meth:`_points`) are the same for the PMV row
     and the answer: none for an empty bus, one when every passenger sees
@@ -520,12 +522,13 @@ class _NewtonGroup:
                     errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
             return [np.concatenate(c) for c in zip(*outs)], errors
 
-    def _psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict]:
+    def _psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict, np.ndarray]:
         """Mean PMV at ``x`` of the rows ``pos``, its gradient in (T_cab,
-        T_si) and the kernel errors by row, from one kernel call."""
+        T_si), the kernel errors by row and the PMV of every kernel point,
+        state after state, from one kernel call."""
         (vals, d_cab, d_si), errors = self._kernel(pos, x[:, :2], grad=True)
         if self.all_uniform:
-            return vals, np.stack([d_cab, d_si], axis=1), errors
+            return vals, np.stack([d_cab, d_si], axis=1), errors, vals
         # the mean over each state's points, as numpy's mean over the
         # (states, points) block of one point count
         n = self.n_pts[pos]
@@ -534,17 +537,25 @@ class _NewtonGroup:
         for count in np.unique(n):
             states = np.flatnonzero(n == count)
             out[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
-        return out[:, 0], out[:, 1:], errors
+        return out[:, 0], out[:, 1:], errors, vals
+
+    def _row_pmv(self, pos, vals, rows) -> list:
+        """Per index of ``rows`` into ``pos``, that row's part of ``vals``,
+        the PMV of the kernel points of the rows ``pos``, state after state."""
+        if self.all_uniform:
+            return [vals[i:i + 1] for i in rows]
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        return [vals[first[i]:first[i] + n[i]] for i in rows]
 
     def _solution_pmv(self, pos, x) -> list:
         """Per row of ``pos``, the unclamped PMV of the kernel points of its
         solution ``x``, or its kernel error."""
-        sizes = [1] * pos.size if self.all_uniform else self.n_pts[pos].tolist()
-        if not any(sizes):
+        if not self.all_uniform and not self.n_pts[pos].any():
             return [np.zeros(0)] * pos.size
         (vals,), errors = self._kernel(pos, x[:, :2])
-        return [errors[i] if i in errors else vals[end - n:end]
-                for i, (n, end) in enumerate(zip(sizes, accumulate(sizes)))]
+        return [errors[i] if i in errors else p
+                for i, p in enumerate(self._row_pmv(pos, vals, range(pos.size)))]
 
     def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
@@ -579,8 +590,11 @@ class _NewtonGroup:
     # -- the iteration ----------------------------------------------------------
 
     def run(self) -> list:
-        """Per request ``(x, iterations, pmv)`` or its error, ``pmv`` by
-        :meth:`_solution_pmv`.
+        """Per request ``(x, iterations, pmv)`` or its error, ``pmv`` the
+        PMV of the kernel points of ``x``.  A row converges only on an
+        iterate it has just accepted, so with a PMV row its ``pmv`` is
+        that evaluation's (the kernel's values do not depend on ``grad`` or
+        the batch); otherwise :meth:`_solution_pmv` evaluates it.
 
         Row state: ``x`` the accepted iterate and ``xt`` the point to
         evaluate next (a trial step, or the start of an attempt), and with
@@ -610,7 +624,7 @@ class _NewtonGroup:
             errors = {}
             psi, grad_t = None, np.empty((m, 0))
             if sh.use_psi:
-                psi, grad_t, errors = self._psi(pos, xt)
+                psi, grad_t, errors, pmv_t = self._psi(pos, xt)
             r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
             w = r_t * sh.weights
             norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
@@ -680,9 +694,12 @@ class _NewtonGroup:
                 restart = np.flatnonzero(ended & ~done)
             n_done = np.count_nonzero(done)
             if n_done:
-                for i in np.flatnonzero(done):
-                    if out[pos[i]] is None:
-                        out[pos[i]] = (x[i].copy(), int(iters[i]))
+                converged_now = [i for i in np.flatnonzero(done) if out[pos[i]] is None]
+                for i in converged_now:
+                    out[pos[i]] = (x[i].copy(), int(iters[i]))
+                if sh.use_psi:
+                    for i, p in zip(converged_now, self._row_pmv(pos, pmv_t, converged_now)):
+                        out[pos[i]] += (p,)
                 if n_done == m:
                     break
             # ---- the next points: trial steps, and the starts of restarts
@@ -702,7 +719,7 @@ class _NewtonGroup:
                 pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt, iters, step, dx = (
                     a[keep] for a in (pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt,
                                       iters, step, dx))
-        solved = [i for i, o in enumerate(out) if type(o) is tuple]
+        solved = [i for i, o in enumerate(out) if type(o) is tuple and len(o) == 2]
         if solved:
             pmv = self._solution_pmv(np.array(solved), np.array([out[i][0] for i in solved]))
             for i, p in zip(solved, pmv):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,28 @@ from cabintherm.comfort import ComfortSpec
 from cabintherm.model_core import (BusConfig, CopCurve, Scenario, balance_coefficients,
                                    c_to_k, reservoir_balance)
 from cabintherm.scenario import synthesize_dataset
+
+# Python 3.12+ warns when a process forks while another of its threads runs
+# (such as a live process pool's manager thread).  os.fork clears that
+# warning when a filter turns it into an error, so a filterwarnings entry
+# cannot fail a test on it; this fixture records it and fails the test.
+FORK_WITH_THREADS = r"This process .* is multi-threaded, use of fork"
+
+
+@pytest.fixture(autouse=True)
+def no_fork_with_threads():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", FORK_WITH_THREADS, DeprecationWarning)
+        yield
+    forks = []
+    for w in caught:
+        if re.match(FORK_WITH_THREADS, str(w.message)):
+            forks.append(str(w.message))
+        else:       # back to pytest's own record
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+    if forks:
+        pytest.fail(f"forked while a thread ran: {forks[0]}")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,18 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cabintherm
 from cabintherm import analysis, solver
 from cabintherm.analysis import (DEFAULT_SENSITIVITY_PARAMS, AnnualSummary,
                                  aggregate_annual, compare_concepts,
@@ -140,8 +148,19 @@ def comparable(results):
             for r in results]
 
 
+@pytest.fixture
+def fresh_pool():
+    """Retires the process's shared pool before and after the test, so the
+    test's monkeypatches reach freshly forked workers and no patched or fake
+    pool outlives it."""
+    analysis._retire_pool()
+    yield
+    analysis._retire_pool()
+
+
 class TestPool:
-    def test_opt_route_runs_in_the_pool(self, two_per_month, hp_cfg, monkeypatch):
+    def test_opt_route_runs_in_the_pool(self, two_per_month, hp_cfg, fresh_pool,
+                                        monkeypatch):
         pools = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -167,7 +186,8 @@ class TestPool:
 
     def test_concepts_share_view_weights_in_the_pool(self, two_per_month,
                                                       ptc_rh_cfg, hp_rh_cfg,
-                                                      tmp_path, monkeypatch):
+                                                      tmp_path, fresh_pool,
+                                                      monkeypatch):
         # the workers are forked, so they count into a file: one line per
         # call, the panel area of its layout
         log = tmp_path / "calls"
@@ -207,7 +227,8 @@ class TestPool:
                                  + [(slots, pytest.approx(4.0))] * 5)
         assert sum(s.N_pass > 0 for s in two_per_month) * len(concepts) > 6 * len(calls)
 
-    def test_pool_workers_never_exceed_batches(self, two_per_month, hp_cfg, monkeypatch):
+    def test_pool_workers_never_exceed_batches(self, two_per_month, hp_cfg, fresh_pool,
+                                               monkeypatch):
         pools = []
 
         class InlinePool:
@@ -216,11 +237,8 @@ class TestPool:
             def __init__(self, max_workers=None):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, wait=True):
+                pass
 
             def map(self, fn, items):
                 return [fn(item) for item in items]
@@ -236,6 +254,106 @@ class TestPool:
     def test_jobs_below_one_rejected(self, two_per_month, hp_cfg, jobs):
         with pytest.raises(ConfigError, match="jobs"):
             solve_set(two_per_month, hp_cfg, ComfortSpec(), jobs=jobs)
+
+
+class TestSharedPool:
+    """One pool serves every pooled sweep of the process."""
+
+    SPEC = ComfortSpec(psi_min=-0.5, psi_max=0.5)
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Replaces the pool class by one that logs its starts (with the
+        threads running at the fork) and its shutdowns."""
+        events = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None):
+                events.append(("start", max_workers, threading.active_count()))
+                super().__init__(max_workers=max_workers)
+                self.workers = max_workers
+
+            def shutdown(self, wait=True, **kwargs):
+                events.append(("shutdown", self.workers, wait))
+                super().shutdown(wait=wait, **kwargs)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+        return events
+
+    def test_consecutive_sweeps_share_one_pool(self, two_per_month, hp_cfg, fresh_pool,
+                                               monkeypatch):
+        events = self._recording(monkeypatch)
+        sub = ScenarioSet(two_per_month.scenarios[:8])
+        first = solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        second = solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        assert [e[:2] for e in events] == [("start", 2)]
+        assert comparable(first) == comparable(second)
+
+    def test_other_worker_count_replaces_the_pool(self, two_per_month, hp_cfg, fresh_pool,
+                                                  monkeypatch):
+        events = self._recording(monkeypatch)
+        sub = ScenarioSet(two_per_month.scenarios[:6])
+        solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        pooled = solve_set(sub, hp_cfg, self.SPEC, jobs=3)
+        assert [e[:2] for e in events] == [("start", 2), ("shutdown", 2), ("start", 3)]
+        assert events[1][2] is True
+        # the old pool's manager thread was joined before the new pool forked
+        assert events[2][2] == events[0][2]
+        assert comparable(pooled) == comparable(solve_set(sub, hp_cfg, self.SPEC, jobs=1))
+
+    def test_solve_error_keeps_the_pool(self, two_per_month, hp_cfg, fresh_pool,
+                                        monkeypatch):
+        events = self._recording(monkeypatch)
+        scenarios = [s for s in two_per_month if s.N_pass > 0][:8]
+        bad = {scenarios[1].id, scenarios[6].id}
+        original = solver._NewtonGroup.converged
+
+        def converged(group, pos, r, scale):
+            ids = np.array([group.models[i].scn.id for i in pos])
+            return original(group, pos, r, scale) & ~np.isin(ids, list(bad))
+
+        monkeypatch.setattr(solver._NewtonGroup, "converged", converged)
+        # one failing scenario in each of the two tasks: the first in
+        # dataset order is raised
+        with pytest.raises(SolverError, match=f"scenario {scenarios[1].id!r}"):
+            solve_set(ScenarioSet(tuple(scenarios)), hp_cfg, self.SPEC, jobs=2)
+        good = ScenarioSet(tuple(scenarios[2:6]))
+        pooled = solve_set(good, hp_cfg, self.SPEC, jobs=2)
+        assert [e[:2] for e in events] == [("start", 2)]
+        assert comparable(pooled) == comparable(solve_set(good, hp_cfg, self.SPEC, jobs=1))
+
+    def test_killed_worker_breaks_one_call(self, two_per_month, hp_cfg, fresh_pool):
+        sub = ScenarioSet(two_per_month.scenarios[:8])
+        solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        os.kill(workers[0].pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        pooled = solve_set(sub, hp_cfg, self.SPEC, jobs=2)
+        assert not {p.pid for p in workers} & {p.pid for p in multiprocessing.active_children()}
+        assert comparable(pooled) == comparable(solve_set(sub, hp_cfg, self.SPEC, jobs=1))
+
+    def test_workers_end_with_the_interpreter(self):
+        script = (
+            "import multiprocessing\n"
+            "from cabintherm.analysis import solve_set\n"
+            "from cabintherm.comfort import ComfortSpec\n"
+            "from cabintherm.model_core import BusConfig\n"
+            "from cabintherm.scenario import synthesize_dataset\n"
+            "solve_set(synthesize_dataset(24, seed=21), BusConfig(), ComfortSpec(), jobs=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        src = os.path.dirname(os.path.dirname(cabintherm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("CABINTHERM_CONFIG", None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestLockstep:
