@@ -22,7 +22,7 @@ from .model_core import BusConfig
 from .radiant_geometry import CabinLayout
 from .scenario import ScenarioSet
 from .solver import (MODE_COOLING, MODE_HEATING, MODE_PASSIVE, ScenarioSweeper,
-                     SolveResult, ViewWeightsCache, default_layout, settle)
+                     SolveResult, default_layout, settle)
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,20 @@ def _solve_chunk(args):
     :meth:`ScenarioSweeper.solve` in scenario-major order, so a failing
     slice raises the error of its first failing scenario in dataset order,
     and a scenario whose sweeper cannot be built raises only after the
-    scenarios before it.  One :class:`ViewWeightsCache` serves the slice:
-    every scenario, concept and window on one cabin layout reads its view
-    weights from that layout's slot table, so a slice makes one
-    ``panel_view_weights`` call per distinct layout.
+    scenarios before it.  View weights come from the process's store in
+    :mod:`solver`, which computes each layout's table once per process (in
+    a pool worker, once per worker), so a slice makes no
+    ``panel_view_weights`` call for a layout that an earlier slice of the
+    process has seen.
     """
     scenarios, concepts, spec, windows, seed, method = args
-    cache = ViewWeightsCache()
     rows: list[list[ScenarioSweeper]] = []
     build_error = None
     try:
         for scn in scenarios:
             rows.append([])
             for cfg, layout in concepts:
-                rows[-1].append(ScenarioSweeper(scn, cfg, spec, layout, seed, cache, method))
+                rows[-1].append(ScenarioSweeper(scn, cfg, spec, layout, seed, method=method))
     except CabinThermError as err:
         build_error = err
     settle([sw for row in rows for sw in row], windows)
@@ -377,8 +377,11 @@ def oat_sensitivity(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
     (scenarios with a baseline below 1 W carry no meaningful relative
     change and are excluded from the percentiles).  A ``layout`` of None
     is the built-in cabin of each perturbed configuration (see
-    :func:`solve_set`).
+    :func:`solve_set`).  ``delta`` must be finite and in [0, 1); zero
+    re-solves the baseline.
     """
+    if not 0.0 <= delta < 1.0:
+        raise ConfigError(f"sensitivity delta must be finite and in [0, 1), got {delta}")
     for name in parameters:
         _apply_param(cfg, spec, name, 1.0)  # fail fast on unknown names
 

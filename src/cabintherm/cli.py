@@ -330,7 +330,7 @@ def cmd_sensitivity(args) -> int:
                              "p5_pct", "p95_pct"], rows))
     _write_manifest(out, args, "sensitivity", args.scenarios, duration)
     for e in entries:
-        arrow = {1: "+1%", -1: "-1%", 0: "  0"}[e.direction]
+        arrow = f"{e.direction * args.delta * 100.0:+g}%" if e.direction else "  0"
         print(f"{e.parameter:16s} {arrow}: {e.rel_change_pct:+8.4f} %  "
               f"[{e.p5_pct:+.3f}, {e.p95_pct:+.3f}]")
     return EXIT_OK

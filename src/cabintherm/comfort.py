@@ -7,9 +7,9 @@ Newton's method where the standard's program uses a damped fixed point.
 air and radiant temperature, by implicit differentiation of the converged
 balance; both solve routes use that one kernel and its gradient.
 :func:`fit_pmv_surrogate` builds a polynomial approximation in (air
-temperature, mean radiant temperature, clothing insulation) with exact
-derivatives.  No solve uses it: it is kept with its checked accuracy
-envelope, and the benchmark fits it in its set-up.
+temperature, mean radiant temperature, clothing insulation).  No solve
+uses it: it is kept with its checked accuracy envelope, and the benchmark
+fits it in its set-up.
 """
 
 from __future__ import annotations
@@ -269,43 +269,16 @@ class PmvSurrogate:
     hi: tuple[float, float, float]
     max_fit_error: float
 
-    def _points(self, ta_c, tr_c, clo) -> tuple[tuple, np.ndarray]:
-        """Broadcast shape of the inputs and their normalized ``(n, 3)`` points."""
+    def evaluate(self, ta_c, tr_c, clo):
+        """Surrogate PMV; inputs in Celsius/clo, broadcastable."""
         shape = np.broadcast(ta_c, tr_c, clo).shape
         pts = np.empty(shape + (3,))
         pts[..., 0] = ta_c
         pts[..., 1] = tr_c
         pts[..., 2] = clo
-        return shape, _normalize(pts.reshape(-1, 3), self.lo, self.hi)
-
-    def evaluate(self, ta_c, tr_c, clo):
-        """Surrogate PMV; inputs in Celsius/clo, broadcastable."""
-        shape, x = self._points(ta_c, tr_c, clo)
+        x = _normalize(pts.reshape(-1, 3), self.lo, self.hi)
         out = _monomials(x, self.degree) @ self.coeffs
         return out.reshape(shape) if shape else float(out[0])
-
-    def value_and_grad(self, ta_c, tr_c, clo):
-        """Surrogate PMV and its exact gradient in (ta_c, tr_c, clo).
-
-        The value is the one :meth:`evaluate` returns.  Each monomial is
-        differentiated exactly, ``d(x**e)/dx = e * x**(e-1)``, and scaled by
-        the normalization's ``2 / (hi - lo)``.  Returns the value (a float
-        for scalar inputs) and the gradient, of shape ``shape + (3,)``.
-        """
-        shape, x = self._points(ta_c, tr_c, clo)
-        exps = _exponents(self.degree)
-        pows = _power_tables(x, self.degree)
-        f0, f1, f2 = (p.take(e, axis=0) for p, e in zip(pows, exps))
-        d0, d1, d2 = (p.take(np.maximum(e - 1, 0), axis=0) for p, e in zip(pows, exps))
-        c = self.coeffs
-        value = (f0 * f1 * f2).T @ c
-        grad = np.stack([(d0 * f1 * f2).T @ (exps[0] * c),
-                         (f0 * d1 * f2).T @ (exps[1] * c),
-                         (f0 * f1 * d2).T @ (exps[2] * c)], axis=-1)
-        grad *= 2.0 / (np.asarray(self.hi) - np.asarray(self.lo))
-        if not shape:
-            return float(value[0]), grad[0]
-        return value.reshape(shape), grad.reshape(shape + (3,))
 
 
 def _normalize(pts: np.ndarray, lo, hi) -> np.ndarray:
@@ -349,8 +322,7 @@ def _power_tables(x: np.ndarray, degree: int) -> np.ndarray:
     ``(3, degree + 1, n)``.
 
     The running product builds ``x**d`` as ``x**(d-1) * x`` in one numpy
-    call; the optimizer evaluates single points, where a call per power
-    would dominate.
+    call; on a single point a call per power would dominate.
     """
     pows = np.empty((3, degree + 1, x.shape[0]))
     pows[:, 0] = 1.0

@@ -62,6 +62,8 @@ class CopCurve:
     def __post_init__(self):
         if len(self.breakpoints) < 1:
             raise ConfigError("COP curve needs at least one breakpoint")
+        if not all(math.isfinite(v) for b in self.breakpoints for v in b):
+            raise ConfigError(f"COP curve values must be finite, got {self.breakpoints}")
         deltas = [b[0] for b in self.breakpoints]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("COP curve breakpoints must be strictly increasing in delta_T")

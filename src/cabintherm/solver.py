@@ -20,8 +20,10 @@ Both routes share one radiant-heater branch selector,
 :class:`ScenarioSweeper`: it solves once with the panels held at their
 target temperature and once with them removed, by the route it was built
 for, and keeps whichever needs less total electric power.  The routes also
-share the heat balance (:func:`model_core.reservoir_balance`) and the
-per-branch result assembly.  Both branches solve the same four unknowns,
+share the heat balance (:func:`model_core.reservoir_balance`), the comfort
+of a state (:class:`_StateComfort`), the process's one store of panel view
+weights (:class:`ViewWeightsCache`) and the per-branch result assembly.
+Both branches solve the same four unknowns,
 ``[T_cab, T_si, T_so, Q_hvac]``: a panel held at its target temperature is
 data, and its electric power is read off the balance's panel row.
 
@@ -60,8 +62,8 @@ from scipy.optimize import minimize
 from .comfort import ComfortSpec, clothing_insulation, mean_pmv, pmv_array, ppd as ppd_of
 from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
 from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scenario,
-                         ThermalState, balance_coefficients, compute_heat_flows,
-                         reservoir_balance)
+                         ThermalState, balance_coefficients, balance_residuals,
+                         compute_heat_flows, max_abs_flow, reservoir_balance)
 from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
                                STRIP_PANELS, CabinLayout, PassengerCuboid,
                                ceiling_panel_strip, mixed_radiant_temperature,
@@ -112,7 +114,6 @@ def balance_tolerance_report(result: "SolveResult", scn: Scenario,
     Returns (worst residual W, tolerance W, within-tolerance flag); the
     tolerance is relative to the largest flow of the operating point.
     """
-    from .model_core import balance_residuals, max_abs_flow
     res = balance_residuals(result.state, scn, cfg, result.rh_used)
     tol = BALANCE_RTOL * max(1.0, max_abs_flow(result.flows))
     worst = float(np.max(np.abs(res)))
@@ -139,8 +140,7 @@ class ViewWeightsCache:
     a layout computes the weights of all its slots in one
     :func:`panel_view_weights` call; a scenario's weights are that table at
     its seeded slots (:func:`placement_slots`), the same bits as the
-    weights of its placed passengers.  Value-equal layouts share a table,
-    so one table serves every scenario, window and concept on that cabin.
+    weights of its placed passengers.  Value-equal layouts share a table.
     """
 
     def __init__(self):
@@ -152,6 +152,12 @@ class ViewWeightsCache:
             on_every_slot = [PassengerCuboid(x, y) for x, y in placement_grid(layout)]
             table = self._tables[layout] = panel_view_weights(on_every_slot, layout)
         return table[placement_slots(scn.N_pass, seed, layout)]
+
+
+# The view-weight store of the process, read by every branch model: each
+# layout's table is computed once per process.  A forked pool worker
+# inherits it and fills its own copy, once per layout.
+_VIEW_WEIGHTS = ViewWeightsCache()
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +235,8 @@ class _BranchModel:
     Precomputes everything that does not depend on the unknowns: the
     balance kernel's coefficients (solar gains and passenger heat among
     them), clothing insulation, and, with the panels on, per-passenger
-    panel view weights.  Those are read off the layout's slot table in
-    ``weights_cache`` (:class:`ViewWeightsCache`), or off a private one
-    when none is passed.  The methods that need a Newton solve are solve
+    panel view weights, read off the layout's slot table in the process's
+    store (``_VIEW_WEIGHTS``).  The methods that need a Newton solve are solve
     steps (generators for :func:`_lockstep`, see the module docstring);
     they return the solved state with its iterations and the unclamped PMV
     of its kernel points.
@@ -239,7 +244,7 @@ class _BranchModel:
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                  rh_on: bool, layout: CabinLayout | None = None,
-                 seed: int = 0, weights_cache: ViewWeightsCache | None = None):
+                 seed: int = 0):
         self.scn = scn
         self.cfg = cfg
         self.spec = spec
@@ -252,8 +257,7 @@ class _BranchModel:
                 raise ConfigError(
                     f"layout panel area {layout.panel_area:.6f} m^2 does not match "
                     f"A_rh = {cfg.A_rh:.6f} m^2")
-            cache = weights_cache if weights_cache is not None else ViewWeightsCache()
-            self.b_weights = cache.get(scn, layout, placement_seed(scn.id, seed))
+            self.b_weights = _VIEW_WEIGHTS.get(scn, layout, placement_seed(scn.id, seed))
         else:
             self.b_weights = np.zeros(scn.N_pass)
         # without panel view weights every passenger sees the same T_mr,
@@ -350,6 +354,120 @@ class _BranchModel:
 
 
 # ---------------------------------------------------------------------------
+# the comfort of solve states
+# ---------------------------------------------------------------------------
+
+class _StateComfort:
+    """Exact comfort of the states ``(T_cab, T_si)`` of a list of branch
+    models with one comfort setting, for both solve routes: the PMV row of
+    :class:`_NewtonGroup` and the PMV constraint of :class:`_OptProgram`.
+
+    A state's kernel points are none for an empty bus, one when every
+    passenger sees the same T_mr (the inner shell's temperature), else one
+    per passenger at that passenger's mean radiant temperature.  Every
+    method takes ``pos``, the indices of the models whose states it gets,
+    and evaluates all their points in one :func:`pmv_array` call.
+    """
+
+    def __init__(self, models: list[_BranchModel]):
+        self.models = models
+        self.t_rh = np.array([m.cfg.T_rh_tgt for m in models])
+        self.setting = _comfort_setting(models[0].spec)
+        self.r_clo = np.array([m.r_clo for m in models])
+        # whether each state is one point, at the inner shell's temperature
+        self.all_uniform = all(m.uniform_tmr and m.scn.N_pass > 0 for m in models)
+        if not self.all_uniform:
+            n_pts = [0 if m.scn.N_pass == 0 else 1 if m.uniform_tmr else m.scn.N_pass
+                     for m in models]
+            self.n_pts = np.array(n_pts)
+            self.uniform = np.array([m.uniform_tmr for m in models])
+            self.b_flat = np.concatenate([np.zeros(k) if m.uniform_tmr else m.b_weights
+                                          for m, k in zip(models, n_pts)])
+            self.b_start = np.cumsum(self.n_pts) - self.n_pts
+
+    def points(self, pos, t_cab, t_si) -> tuple:
+        """Kernel points ``(air C, radiant C, clothing)`` of the states
+        (t_cab, t_si) of the rows ``pos``, state after state, and per point
+        ``dT_mr/dT_si`` (None when every point is at the inner shell's
+        temperature)."""
+        if self.all_uniform:
+            return (t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]), None
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        of_pt = np.repeat(np.arange(pos.size), n)
+        b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
+        t_si_pt = t_si[of_pt]
+        tmr = mixed_radiant_temperature(b, t_si_pt, self.t_rh[pos][of_pt])
+        uniform = self.uniform[pos][of_pt]
+        dtmr = np.where(uniform, 1.0, (1.0 - b) * t_si_pt ** 3 / tmr ** 3)
+        return (t_cab[of_pt] - KELVIN, np.where(uniform, t_si_pt, tmr) - KELVIN,
+                self.r_clo[pos][of_pt]), dtmr
+
+    def kernel(self, pos, temps, grad: bool = False) -> tuple[list, dict]:
+        """Unclamped PMV of the kernel points of the states ``temps`` (rows of
+        T_cab, T_si) of the rows ``pos``, state after state, by one kernel
+        call, and the errors by state index.  With ``grad`` the PMV comes
+        with its partial derivatives in the state's T_cab and T_si, point by
+        point.  If a point fails, each state is evaluated alone (a point's
+        outputs do not depend on its batch); a failed state's outputs are
+        NaN and its error names its scenario."""
+        def at(p, t):
+            pts, dtmr = self.points(p, *t.T)
+            if not grad:
+                return [pmv_array(*pts, *self.setting)]
+            val, d_ta, d_tr = pmv_array(*pts, *self.setting, grad=True)
+            return [val, d_ta, d_tr if dtmr is None else d_tr * dtmr]
+
+        try:
+            return at(pos, temps), {}
+        except EvaluationError:
+            outs, errors = [], {}
+            for s in range(pos.size):
+                try:
+                    outs.append(at(pos[s:s + 1], temps[s:s + 1]))
+                except EvaluationError as err:
+                    n = self.points(pos[s:s + 1], *temps[s:s + 1].T)[0][0].size
+                    outs.append([np.full(n, np.nan)] * (1 + 2 * grad))
+                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
+            return [np.concatenate(c) for c in zip(*outs)], errors
+
+    def psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict, np.ndarray]:
+        """Mean PMV at ``x`` of the rows ``pos``, its gradient in (T_cab,
+        T_si), the kernel errors by row and the PMV of every kernel point,
+        state after state, from one kernel call."""
+        (vals, d_cab, d_si), errors = self.kernel(pos, x[:, :2], grad=True)
+        if self.all_uniform:
+            return vals, np.array([d_cab, d_si]).T, errors, vals
+        # the mean over each state's points, as numpy's mean over the
+        # (states, points) block of one point count
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        pts, out = np.stack([vals, d_cab, d_si], axis=1), np.empty((pos.size, 3))
+        for count in np.unique(n):
+            states = np.flatnonzero(n == count)
+            out[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
+        return out[:, 0], out[:, 1:], errors, vals
+
+    def row_pmv(self, pos, vals, rows) -> list:
+        """Per index of ``rows`` into ``pos``, that row's part of ``vals``,
+        the PMV of the kernel points of the rows ``pos``, state after state."""
+        if self.all_uniform:
+            return [vals[i:i + 1] for i in rows]
+        n = self.n_pts[pos]
+        first = np.cumsum(n) - n
+        return [vals[first[i]:first[i] + n[i]] for i in rows]
+
+    def solution_pmv(self, pos, x) -> list:
+        """Per row of ``pos``, the unclamped PMV of the kernel points of its
+        solution ``x``, or its kernel error."""
+        if not self.all_uniform and not self.n_pts[pos].any():
+            return [np.zeros(0)] * pos.size
+        (vals,), errors = self.kernel(pos, x[:, :2])
+        return [errors[i] if i in errors else p
+                for i, p in enumerate(self.row_pmv(pos, vals, range(pos.size)))]
+
+
+# ---------------------------------------------------------------------------
 # array Newton
 # ---------------------------------------------------------------------------
 
@@ -406,12 +524,9 @@ class _NewtonGroup:
     returns each solved row's solution with the PMV of its kernel points.
     With a PMV row these are the values of the evaluation that accepted the
     solution; without one, one more :func:`pmv_array` call at the end
-    evaluates them.
-
-    A state's kernel points (:meth:`_points`) are the same for the PMV row
-    and the answer: none for an empty bus, one when every passenger sees
-    the same T_mr (the inner shell's temperature), else one per passenger
-    at that passenger's mean radiant temperature.
+    evaluates them.  The PMV row and the answers both read one
+    :class:`_StateComfort` of the group's models, so a state's kernel
+    points are the same for both.
     """
 
     def __init__(self, requests: list[_NewtonRequest]):
@@ -425,21 +540,9 @@ class _NewtonGroup:
             self.x0[:, 3] = [req.frozen_q for req in requests]
         self.coef = np.array([m.coef for m in models])
         self.floor = np.array([m.flow_floor for m in models])
-        self.t_rh = np.array([m.cfg.T_rh_tgt for m in models])
         if sh.use_psi:
             self.psi_tgt = np.array(self.psi_tgts)
-        self.setting = _comfort_setting(first.model.spec)
-        self.r_clo = np.array([m.r_clo for m in models])
-        # whether each state is one point, at the inner shell's temperature
-        self.all_uniform = all(m.uniform_tmr and m.scn.N_pass > 0 for m in models)
-        if not self.all_uniform:
-            n_pts = [0 if m.scn.N_pass == 0 else 1 if m.uniform_tmr else m.scn.N_pass
-                     for m in models]
-            self.n_pts = np.array(n_pts)
-            self.uniform = np.array([m.uniform_tmr for m in models])
-            self.b_flat = np.concatenate([np.zeros(k) if m.uniform_tmr else m.b_weights
-                                          for m, k in zip(models, n_pts)])
-            self.b_start = np.cumsum(self.n_pts) - self.n_pts
+        self.comfort = _StateComfort(models)
 
     # -- one evaluation -------------------------------------------------------
 
@@ -460,10 +563,10 @@ class _NewtonGroup:
         if x.shape[0] == 1:
             (t_cab, t_si, t_so, q_hvac), = x.tolist()
             i = 0 if pos is None else pos[0]
-            coef, t_rh = self.models[i].coef, float(self.t_rh[i])
+            coef, t_rh = self.models[i].coef, float(self.comfort.t_rh[i])
         else:
             t_cab, t_si, t_so, q_hvac = x.T
-            coef, t_rh = BalanceCoefficients(*pick(self.coef).T), pick(self.t_rh)
+            coef, t_rh = BalanceCoefficients(*pick(self.coef).T), pick(self.comfort.t_rh)
         f, bal, jac = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0, coef,
                                         self.rh_on)
         mags = [f["Q_door"], f["Q_h_si"], f["Q_k"], f["Q_h_so"], f["Q_r_so"], q_hvac]
@@ -475,87 +578,6 @@ class _NewtonGroup:
             rows[:, 3] = psi - pick(self.psi_tgt)
         scale = np.maximum(pick(self.floor), np.abs(mags).max(axis=0))
         return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])[:, :3]
-
-    def _points(self, pos, t_cab, t_si) -> tuple:
-        """Kernel points ``(air C, radiant C, clothing)`` of the states
-        (t_cab, t_si) of the rows ``pos``, state after state, and per point
-        ``dT_mr/dT_si`` (None when every point is at the inner shell's
-        temperature)."""
-        if self.all_uniform:
-            return (t_cab - KELVIN, t_si - KELVIN, self.r_clo[pos]), None
-        n = self.n_pts[pos]
-        first = np.cumsum(n) - n
-        of_pt = np.repeat(np.arange(pos.size), n)
-        b = self.b_flat[np.arange(of_pt.size) + np.repeat(self.b_start[pos] - first, n)]
-        t_si_pt = t_si[of_pt]
-        tmr = mixed_radiant_temperature(b, t_si_pt, self.t_rh[pos][of_pt])
-        uniform = self.uniform[pos][of_pt]
-        dtmr = np.where(uniform, 1.0, (1.0 - b) * t_si_pt ** 3 / tmr ** 3)
-        return (t_cab[of_pt] - KELVIN, np.where(uniform, t_si_pt, tmr) - KELVIN,
-                self.r_clo[pos][of_pt]), dtmr
-
-    def _kernel(self, pos, temps, grad: bool = False) -> tuple[list, dict]:
-        """Unclamped PMV of the kernel points of the states ``temps`` (rows of
-        T_cab, T_si) of the rows ``pos``, state after state, by one kernel
-        call, and the errors by state index.  With ``grad`` the PMV comes
-        with its partial derivatives in the state's T_cab and T_si, point by
-        point.  If a point fails, each state is evaluated alone (a point's
-        outputs do not depend on its batch); a failed state's outputs are
-        NaN and its error names its scenario."""
-        def at(p, t):
-            pts, dtmr = self._points(p, *t.T)
-            if not grad:
-                return [pmv_array(*pts, *self.setting)]
-            val, d_ta, d_tr = pmv_array(*pts, *self.setting, grad=True)
-            return [val, d_ta, d_tr if dtmr is None else d_tr * dtmr]
-
-        try:
-            return at(pos, temps), {}
-        except EvaluationError:
-            outs, errors = [], {}
-            for s in range(pos.size):
-                try:
-                    outs.append(at(pos[s:s + 1], temps[s:s + 1]))
-                except EvaluationError as err:
-                    n = self._points(pos[s:s + 1], *temps[s:s + 1].T)[0][0].size
-                    outs.append([np.full(n, np.nan)] * (1 + 2 * grad))
-                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
-            return [np.concatenate(c) for c in zip(*outs)], errors
-
-    def _psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict, np.ndarray]:
-        """Mean PMV at ``x`` of the rows ``pos``, its gradient in (T_cab,
-        T_si), the kernel errors by row and the PMV of every kernel point,
-        state after state, from one kernel call."""
-        (vals, d_cab, d_si), errors = self._kernel(pos, x[:, :2], grad=True)
-        if self.all_uniform:
-            return vals, np.stack([d_cab, d_si], axis=1), errors, vals
-        # the mean over each state's points, as numpy's mean over the
-        # (states, points) block of one point count
-        n = self.n_pts[pos]
-        first = np.cumsum(n) - n
-        pts, out = np.stack([vals, d_cab, d_si], axis=1), np.empty((pos.size, 3))
-        for count in np.unique(n):
-            states = np.flatnonzero(n == count)
-            out[states] = pts[first[states, None] + np.arange(count)].mean(axis=1)
-        return out[:, 0], out[:, 1:], errors, vals
-
-    def _row_pmv(self, pos, vals, rows) -> list:
-        """Per index of ``rows`` into ``pos``, that row's part of ``vals``,
-        the PMV of the kernel points of the rows ``pos``, state after state."""
-        if self.all_uniform:
-            return [vals[i:i + 1] for i in rows]
-        n = self.n_pts[pos]
-        first = np.cumsum(n) - n
-        return [vals[first[i]:first[i] + n[i]] for i in rows]
-
-    def _solution_pmv(self, pos, x) -> list:
-        """Per row of ``pos``, the unclamped PMV of the kernel points of its
-        solution ``x``, or its kernel error."""
-        if not self.all_uniform and not self.n_pts[pos].any():
-            return [np.zeros(0)] * pos.size
-        (vals,), errors = self._kernel(pos, x[:, :2])
-        return [errors[i] if i in errors else p
-                for i, p in enumerate(self._row_pmv(pos, vals, range(pos.size)))]
 
     def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
@@ -594,7 +616,8 @@ class _NewtonGroup:
         PMV of the kernel points of ``x``.  A row converges only on an
         iterate it has just accepted, so with a PMV row its ``pmv`` is
         that evaluation's (the kernel's values do not depend on ``grad`` or
-        the batch); otherwise :meth:`_solution_pmv` evaluates it.
+        the batch); otherwise :meth:`_StateComfort.solution_pmv` evaluates
+        it.
 
         Row state: ``x`` the accepted iterate and ``xt`` the point to
         evaluate next (a trial step, or the start of an attempt), and with
@@ -624,7 +647,7 @@ class _NewtonGroup:
             errors = {}
             psi, grad_t = None, np.empty((m, 0))
             if sh.use_psi:
-                psi, grad_t, errors, pmv_t = self._psi(pos, xt)
+                psi, grad_t, errors, pmv_t = self.comfort.psi(pos, xt)
             r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
             w = r_t * sh.weights
             norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
@@ -698,7 +721,7 @@ class _NewtonGroup:
                 for i in converged_now:
                     out[pos[i]] = (x[i].copy(), int(iters[i]))
                 if sh.use_psi:
-                    for i, p in zip(converged_now, self._row_pmv(pos, pmv_t, converged_now)):
+                    for i, p in zip(converged_now, self.comfort.row_pmv(pos, pmv_t, converged_now)):
                         out[pos[i]] += (p,)
                 if n_done == m:
                     break
@@ -721,7 +744,7 @@ class _NewtonGroup:
                                       iters, step, dx))
         solved = [i for i, o in enumerate(out) if type(o) is tuple and len(o) == 2]
         if solved:
-            pmv = self._solution_pmv(np.array(solved), np.array([out[i][0] for i in solved]))
+            pmv = self.comfort.solution_pmv(np.array(solved), np.array([out[i][0] for i in solved]))
             for i, p in zip(solved, pmv):
                 out[i] = p if isinstance(p, CabinThermError) else out[i] + (p,)
         return out
@@ -805,6 +828,7 @@ def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
 # ---------------------------------------------------------------------------
 
 _OPT_PSI_TOL = 1e-7
+_ONE_ROW = np.zeros(1, dtype=int)   # the rows of a one-model _StateComfort
 
 
 class _OptProgram:
@@ -818,9 +842,8 @@ class _OptProgram:
     with its exact gradient: the objective through :meth:`CopCurve.slope`
     and the panel row's Jacobian, the balance equalities through the
     Jacobian rows of :func:`model_core.reservoir_balance`, and the exact
-    mean PMV through the ISO 7730 kernel's own partial derivatives
-    (``pmv_array(..., grad=True)``) and, with panel view weights, the chain
-    rule through each passenger's mean radiant temperature.
+    mean PMV through :class:`_StateComfort`, the evaluator of Newton's PMV
+    row.
 
     The balance and the mean PMV are each evaluated once per distinct
     ``z``, when a function first needs them; every function and gradient
@@ -832,6 +855,7 @@ class _OptProgram:
 
     def __init__(self, model: _BranchModel):
         self.model = model
+        self.comfort = _StateComfort([model])
         self._key: bytes | None = None
         self._memo: dict = {}
 
@@ -862,31 +886,16 @@ class _OptProgram:
         return memo["balance"]
 
     def _comfort(self, z) -> tuple[float, np.ndarray]:
-        """Exact unclamped mean PMV at ``z`` and its gradient in z.  View
-        weights exist only with the panels on, else ``uniform_tmr``; per
-        passenger ``dT_mr/dT_si = (1 - b) T_si^3 / T_mr^3``."""
+        """Exact unclamped mean PMV at ``z`` and its gradient in z, from
+        the program's :class:`_StateComfort` at the state ``z[:2]``."""
         memo = self._at(z)
         if "comfort" not in memo:
-            model = self.model
-            t_cab, t_si = float(z[self.tc]), float(z[self.tsi])
+            psi, grad, errors, _ = self.comfort.psi(_ONE_ROW, z[None, :2])
+            if errors:
+                raise errors[0]
             g = np.zeros(self.nvar)
-            try:
-                if model.uniform_tmr:
-                    psi, g[self.tc], g[self.tsi] = pmv_array(
-                        t_cab - KELVIN, t_si - KELVIN, model.r_clo,
-                        *_comfort_setting(model.spec), grad=True)
-                else:
-                    b = model.b_weights
-                    tmr = mixed_radiant_temperature(b, t_si, model.cfg.T_rh_tgt)
-                    vals, d_ta, d_tr = pmv_array(
-                        np.full_like(tmr, t_cab - KELVIN), tmr - KELVIN, model.r_clo,
-                        *_comfort_setting(model.spec), grad=True)
-                    psi = np.mean(vals)
-                    g[self.tc] = np.mean(d_ta)
-                    g[self.tsi] = np.mean(d_tr / tmr ** 3 * (1.0 - b)) * t_si ** 3
-            except EvaluationError as err:
-                raise EvaluationError(f"{err} (scenario {model.scn.id!r})") from None
-            memo["comfort"] = float(psi), g
+            g[:2] = grad[0]     # z starts [T_cab, T_si]
+            memo["comfort"] = float(psi[0]), g
         return memo["comfort"]
 
     def psi(self, z) -> float:
@@ -1025,24 +1034,21 @@ class ScenarioSweeper:
     ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.
     The branches keep their passive solutions, panel view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
-    setup once.  The view weights come from the layout's slot table in
-    ``weights_cache``: sweepers that share one store compute each layout's
-    table once.  A ``layout`` of None is the built-in cabin with ``cfg``'s
+    setup once.  The view weights come from the layout's slot table in the
+    process's store, computed once per layout.  A ``layout`` of None is the built-in cabin with ``cfg``'s
     panel area (:func:`default_layout`), not a loaded configuration's
     ``AppConfig.layout``.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                  layout: CabinLayout | None = None, seed: int = 0,
-                 weights_cache: ViewWeightsCache | None = None,
                  method: str = "rootfind"):
         if method not in SOLVER_NAMES:
             raise ConfigError(f"unknown solver method {method!r}")
         self.method = method
-        self.models = [_BranchModel(scn, cfg, spec, False, layout, seed, weights_cache)]
+        self.models = [_BranchModel(scn, cfg, spec, False, layout, seed)]
         if cfg.rh_enabled and cfg.A_rh > 0:
-            self.models.append(_BranchModel(scn, cfg, spec, True, layout, seed,
-                                            weights_cache))
+            self.models.append(_BranchModel(scn, cfg, spec, True, layout, seed))
         # (window, result or error) solved by settle(), in window order
         self._settled: deque = deque()
 

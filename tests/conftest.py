@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cabintherm import analysis, solver
 from cabintherm.comfort import ComfortSpec
 from cabintherm.model_core import (BusConfig, CopCurve, Scenario, balance_coefficients,
                                    c_to_k, reservoir_balance)
@@ -30,6 +31,20 @@ def no_fork_with_threads():
                                    source=w.source)
     if forks:
         pytest.fail(f"forked while a thread ran: {forks[0]}")
+
+
+@pytest.fixture
+def fresh_view_weights(monkeypatch):
+    """An empty view-weight store for the test, installed before any pool
+    worker forks: the shared pool is retired first, so the workers the test
+    starts inherit the empty store (and the test's monkeypatches), and
+    again after, so none of them outlives it.  Earlier tests cannot have
+    filled the store, whatever their order."""
+    analysis._retire_pool()
+    store = solver.ViewWeightsCache()
+    monkeypatch.setattr(solver, "_VIEW_WEIGHTS", store)
+    yield store
+    analysis._retire_pool()
 
 
 @pytest.fixture(scope="session")

@@ -186,29 +186,38 @@ class TestPool:
 
     def test_concepts_share_view_weights_in_the_pool(self, two_per_month,
                                                       ptc_rh_cfg, hp_rh_cfg,
-                                                      tmp_path, fresh_pool,
+                                                      tmp_path, fresh_view_weights,
                                                       monkeypatch):
         # the workers are forked, so they count into a file: one line per
-        # call, the panel area of its layout
+        # call, the worker's pid and the panel area of its layout
         log = tmp_path / "calls"
         log.write_text("")
         original = solver.panel_view_weights
 
         def counting(passengers, layout):
             with open(log, "a") as fh:
-                fh.write(f"{layout.panel_area:.3f}\n")
+                fh.write(f"{os.getpid()}:{layout.panel_area:.3f}\n")
             return original(passengers, layout)
 
         monkeypatch.setattr(solver, "panel_view_weights", counting)
-        compare_concepts(two_per_month, self._rh_concepts(ptc_rh_cfg, hp_rh_cfg),
-                         [0.5, 1.0], jobs=2)
-        # 24 scenarios over two workers are two tasks of 12; each computes
-        # one slot table per distinct layout, whatever its passengers
-        assert sorted(log.read_text().split()) == ["3.000"] * 2 + ["4.000"] * 2
+        monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", 3)
+        concepts = self._rh_concepts(ptc_rh_cfg, hp_rh_cfg)
+        compare_concepts(two_per_month, concepts, [0.5, 1.0], jobs=2)
+        # 24 scenarios in slices of 3 are eight tasks over two workers; a
+        # worker computes one slot table per distinct layout, whatever its
+        # tasks and their passengers
+        calls = log.read_text().split()
+        assert len(calls) == len(set(calls)) <= 4
+        assert {c.split(":")[1] for c in calls} == {"3.000", "4.000"}
+        assert str(os.getpid()) not in {c.split(":")[0] for c in calls}
+        # the workers keep their tables for the next sweep of the process
+        compare_concepts(two_per_month, concepts, [0.5], jobs=2)
+        assert log.read_text().split() == calls
 
-    def test_one_view_weight_table_per_layout_and_slice(self, two_per_month,
-                                                        ptc_rh_cfg, hp_rh_cfg,
-                                                        monkeypatch):
+    def test_one_view_weight_table_per_layout_and_process(self, two_per_month,
+                                                          ptc_rh_cfg, hp_rh_cfg,
+                                                          fresh_view_weights,
+                                                          monkeypatch):
         calls = []
         original = solver.panel_view_weights
 
@@ -220,12 +229,16 @@ class TestPool:
         monkeypatch.setattr(analysis, "_LOCKSTEP_SCENARIOS", 5)
         concepts = self._rh_concepts(ptc_rh_cfg, hp_rh_cfg)
         compare_concepts(two_per_month, concepts, [0.5, 1.0], jobs=1)
-        # 24 scenarios in slices of 5 are five slices; each call covers
-        # every slot of the grid, however many RH-on branches carry passengers
+        # 24 scenarios in slices of 5 are five slices, which share the
+        # process's tables; each call covers every slot of the grid, however
+        # many RH-on branches carry passengers
         slots = len(placement_grid(solver.default_layout(ptc_rh_cfg)))
-        assert sorted(calls) == ([(slots, pytest.approx(3.0))] * 5
-                                 + [(slots, pytest.approx(4.0))] * 5)
+        expected = [(slots, pytest.approx(3.0)), (slots, pytest.approx(4.0))]
+        assert sorted(calls) == expected
         assert sum(s.N_pass > 0 for s in two_per_month) * len(concepts) > 6 * len(calls)
+        # a later sweep of the process computes none again
+        compare_concepts(two_per_month, concepts, [0.0], jobs=1)
+        assert sorted(calls) == expected
 
     def test_pool_workers_never_exceed_batches(self, two_per_month, hp_cfg, fresh_pool,
                                                monkeypatch):
@@ -558,3 +571,9 @@ class TestSensitivity:
         with pytest.raises(ConfigError):
             oat_sensitivity(year_set.subset(10), hp_cfg, ComfortSpec(),
                             parameters=["warp_drive"])
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -0.01, 1.0, 1.5])
+    def test_delta_outside_unit_interval_rejected(self, year_set, hp_cfg, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            oat_sensitivity(year_set.subset(10), hp_cfg, ComfortSpec(),
+                            parameters=["k_body"], delta=delta)

@@ -233,6 +233,27 @@ class TestSensitivityCmd:
         assert rows[0]["parameter"] == "baseline"
         assert len(rows) == 1 + 2 * 2
 
+    @pytest.mark.parametrize("delta, labels", [(None, ("+1%", "-1%")),
+                                               ("0.05", ("+5%", "-5%")),
+                                               ("0.025", ("+2.5%", "-2.5%"))])
+    def test_rows_labelled_with_delta(self, tmp_path, capsys, delta, labels):
+        path = str(tmp_path / "s.csv")
+        save_scenarios_csv(synthesize_dataset(36, seed=8), path)
+        argv = ["sensitivity", "--scenarios", path, "--out", str(tmp_path / "sens"),
+                "--params", "k_body", "--jobs", "1"]
+        assert main(argv + (["--delta", delta] if delta else [])) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0].split()[1] for line in lines[1:]] == list(labels)
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-0.01", "1"])
+    def test_bad_delta_exit_code(self, tmp_path, capsys, delta):
+        path = str(tmp_path / "s.csv")
+        save_scenarios_csv(synthesize_dataset(36, seed=8), path)
+        rc = main(["sensitivity", "--scenarios", path, "--out", str(tmp_path / "sens"),
+                   "--params", "k_body", "--jobs", "1", "--delta", delta])
+        assert rc == 2
+        assert "delta" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_bad_config_exit_code(self, tmp_path):
@@ -264,6 +285,13 @@ class TestErrors:
         assert rc == 2
         field = setting.split(":")[0]
         assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+    def test_non_finite_cop_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cop.yaml"
+        cfg.write_text("hvac: {heating_cop: [[0, .nan]]}\n", encoding="utf-8")
+        rc = main(["solve", "--config", str(cfg), "--t-inf-c", "0", "--month", "1"])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad2.yaml"

@@ -225,6 +225,14 @@ class TestCopCurve:
         with pytest.raises(ConfigError):
             CopCurve(((10.0, -1.0),))
 
+    @pytest.mark.parametrize("point", [(0.0, math.nan), (0.0, math.inf), (math.nan, 2.0),
+                                       (math.inf, 2.0), (-math.inf, 2.0)])
+    def test_non_finite_points_rejected(self, point):
+        with pytest.raises(ConfigError, match="finite"):
+            CopCurve((point,))
+        with pytest.raises(ConfigError, match="finite"):
+            CopCurve(((-20.0, 3.0), point))
+
 
 class TestBalance:
     def test_isothermal_equilibrium_is_zero(self, hp_cfg):

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cabintherm.comfort import (SURROGATE_DOMAIN_HI, SURROGATE_DOMAIN_LO,
-                                ComfortSpec, get_pmv_surrogate, pmv_array)
+from cabintherm.comfort import ComfortSpec, pmv_array
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
                                    balance_coefficients, balance_residuals, c_to_k, k_to_c,
                                    max_abs_flow, reservoir_balance)
@@ -295,6 +294,29 @@ def test_slot_table_gives_each_placements_view_weights(data):
     assert table[slots].tobytes() == panel_view_weights(passengers, layout).tobytes()
 
 
+# each draw is up to 120 scalar view factors, about 0.5 ms each
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_passenger_face_to_panel_reciprocity(data):
+    # a passenger on a random slot of a random cabin and strip; panels may
+    # lie partly behind a side face, which the view factor clips away
+    length = data.draw(st.floats(2.0, 20.0))
+    width = data.draw(st.floats(1.0, 3.0))
+    height = data.draw(st.floats(1.8, 3.0))
+    n_panels = data.draw(st.integers(1, 12))
+    panel_width = data.draw(st.floats(0.2, width))
+    area = data.draw(st.floats(0.05, 0.95)) * length * 7.0 / 9.0 * panel_width
+    layout = CabinLayout(length, width, height,
+                         ceiling_panel_strip(length, width, height, area, n_panels,
+                                             panel_width))
+    x, y = data.draw(st.sampled_from(placement_grid(layout)))
+    faces = _passenger_faces(PassengerCuboid(x, y))
+    for f in faces:
+        vf = vf_parallel_rects if f is faces[0] else vf_perpendicular_rects
+        for q in layout.rh_panels:
+            assert abs(f.area * vf(f, q) - q.area * vf(q, f)) <= 1e-9
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -371,23 +393,6 @@ def decision_vector(data, prog, t_lo=240.0, t_hi=380.0):
     for j in range(prog.n_temps, prog.nvar):
         z[j] = data.draw(st.floats(0.0, 20.0))
     return z
-
-
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_surrogate_gradient_matches_central_differences(data):
-    surr = get_pmv_surrogate(ComfortSpec())
-    p = np.array([data.draw(st.floats(lo, hi))
-                  for lo, hi in zip(SURROGATE_DOMAIN_LO, SURROGATE_DOMAIN_HI)])
-    value, grad = surr.value_and_grad(*p)
-    assert value == surr.evaluate(*p)
-    fd = central_differences(lambda q: surr.evaluate(*q), p, [1e-4, 1e-4, 1e-5])
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7 * max(1.0, np.max(np.abs(fd))))
-    # a batch gives each point the gradient it has alone
-    vals, grads = surr.value_and_grad(np.full(3, p[0]), np.full(3, p[1]), p[2])
-    assert grads.shape == (3, 3)
-    np.testing.assert_allclose(grads, np.tile(grad, (3, 1)), rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(vals, value, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("rh_on", [False, True])

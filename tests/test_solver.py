@@ -252,13 +252,11 @@ class TestInvariants:
                                   layout=bad_layout)
 
     def test_panel_areas_computed_once(self, ptc_rh_cfg, winter_scn, window_spec,
-                                       monkeypatch):
+                                       fresh_view_weights, monkeypatch):
         # the panels compute their areas when the layout is built: branch
         # models that check the layout's panel area compute none again
         layout = default_layout(ptc_rh_cfg)
-        cache = solver.ViewWeightsCache()
-        solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout,
-                            weights_cache=cache)
+        solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout)
         calls = []
         original = np.cross
 
@@ -268,9 +266,29 @@ class TestInvariants:
 
         monkeypatch.setattr(np, "cross", counting)
         for _ in range(10):
-            solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout,
-                                weights_cache=cache)
+            solver._BranchModel(winter_scn, ptc_rh_cfg, window_spec, True, layout)
         assert calls == []
+
+    def test_one_view_weight_table_per_layout_across_solves(self, ptc_rh_cfg,
+                                                            fresh_view_weights,
+                                                            monkeypatch):
+        # separate solves on one layout read one slot table: the store is
+        # the process's, not the call's
+        calls = []
+        original = solver.panel_view_weights
+
+        def counting(passengers, layout):
+            calls.append(len(passengers))
+            return original(passengers, layout)
+
+        monkeypatch.setattr(solver, "panel_view_weights", counting)
+        layout = default_layout(ptc_rh_cfg)
+        spec = ComfortSpec(psi_min=-0.5, psi_max=0.5)
+        busy = [s for s in synthesize_dataset(200, seed=7101) if s.N_pass > 0][:80]
+        results = [solve_best(scn, ptc_rh_cfg, spec, layout=layout) for scn in busy]
+        assert len(results) == 80
+        assert calls == [len(solver.placement_grid(layout))]
+        assert fresh_view_weights._tables.keys() == {layout}
 
 
 class TestNewton:
