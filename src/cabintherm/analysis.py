@@ -393,8 +393,7 @@ def oat_sensitivity(sset: ScenarioSet, cfg: BusConfig, spec: ComfortSpec,
     for name in parameters:
         for direction in (+1, -1):
             cfg2, spec2 = _apply_param(cfg, spec, name, 1.0 + direction * delta)
-            layout2 = default_layout(cfg2) if layout is None else layout
-            results = solve_set(sset, cfg2, spec2, layout2, seed, jobs)
+            results = solve_set(sset, cfg2, spec2, layout, seed, jobs)
             annual = aggregate_annual(results, sset).annual_mean_P_tot
             rel = ((annual - base_annual) / base_annual * 100.0
                    if base_annual > 0 else 0.0)

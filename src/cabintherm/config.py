@@ -16,7 +16,7 @@ import yaml
 
 from .comfort import ComfortSpec
 from .errors import ConfigError
-from .model_core import BusConfig, CopCurve, c_to_k
+from .model_core import BusConfig, CopCurve, c_to_k, k_to_c
 from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
                                STRIP_PANELS, CabinLayout)
 from .scenario import ClimateProfile
@@ -24,59 +24,42 @@ from .solver import default_layout
 
 ENV_CONFIG_VAR = "CABINTHERM_CONFIG"
 
-DEFAULT_HEATING_COP = [[10.0, 3.0], [20.0, 2.5], [30.0, 2.0], [40.0, 1.6]]
-DEFAULT_COOLING_COP = [[5.0, 3.0], [10.0, 2.6], [15.0, 2.2], [20.0, 1.9]]
+_BUS = BusConfig()
+_COMFORT = ComfortSpec()
+
+# The BusConfig fields that a configuration key of the same name sets, by
+# section; each key's default is the field's.
+_BUS_SECTIONS: dict[str, tuple[str, ...]] = {
+    "geometry": ("h_door", "w_door_tot", "A_roof", "A_wall", "A_body"),
+    "materials": ("alpha_paint", "tau_win", "zeta_roof", "zeta_win", "zeta_cab", "k_body"),
+    "convection": ("h_in", "h_out", "h_rh"),
+    "door_flow": ("C_d", "rho_inf", "c_p_a", "g"),
+    "passengers": ("q_met_per_pass",),
+}
+# the ComfortSpec fields of the ``comfort`` section with the spec's defaults
+_COMFORT_SETTING = ("v_cab", "phi_cab", "met")
 
 DEFAULTS: dict = {
-    "geometry": {
-        "h_door": 1.95,
-        "w_door_tot": 4.4,
-        "A_roof": 48.6,
-        "A_wall": 102.0,
-        "A_body": 150.6,
-    },
+    **{section: {name: getattr(_BUS, name) for name in fields}
+       for section, fields in _BUS_SECTIONS.items()},
     "cabin": {
         "length": CABIN_LENGTH,
         "width": CABIN_WIDTH,
         "height": CABIN_HEIGHT,
     },
-    "materials": {
-        "alpha_paint": 0.3,
-        "tau_win": 0.8,
-        "zeta_roof": 0.7,
-        "zeta_win": 0.35,
-        "zeta_cab": 0.5,
-        "k_body": 450.0,
-    },
-    "convection": {
-        "h_in": 7.0,
-        "h_out": 20.0,
-        "h_rh": 3.0,
-    },
-    "door_flow": {
-        "C_d": 0.6,
-        "rho_inf": 1.25,
-        "c_p_a": 1005.0,
-        "g": 9.81,
-    },
-    "passengers": {
-        "q_met_per_pass": 125.6,
-    },
     "hvac": {
-        "heating_cop": DEFAULT_HEATING_COP,
-        "cooling_cop": DEFAULT_COOLING_COP,
+        "heating_cop": [list(b) for b in _BUS.cop_heating.breakpoints],
+        "cooling_cop": [list(b) for b in _BUS.cop_cooling.breakpoints],
     },
     "radiant_heaters": {
-        "enabled": False,
+        "enabled": _BUS.rh_enabled,
         "total_area": 4.0,
-        "target_temp_C": 90.0,
+        "target_temp_C": k_to_c(_BUS.T_rh_tgt),
         "n_panels": STRIP_PANELS,
         "panel_width": STRIP_PANEL_WIDTH,
     },
     "comfort": {
-        "v_cab": 0.1,
-        "phi_cab": 0.40,
-        "met": 1.2,
+        **{name: getattr(_COMFORT, name) for name in _COMFORT_SETTING},
         "psi_min": -1.0,
         "psi_max": 1.0,
     },
@@ -101,7 +84,6 @@ class AppConfig:
     comfort: ComfortSpec
     climate: ClimateProfile
     concepts: dict[str, "ConceptConfig"]
-    raw: dict
 
 
 @dataclass(frozen=True)
@@ -135,32 +117,11 @@ def _cop_curve(raw, where: str) -> CopCurve:
 
 
 def _build_bus(cfg: dict) -> BusConfig:
-    geo = cfg["geometry"]
-    mat = cfg["materials"]
-    conv = cfg["convection"]
-    door = cfg["door_flow"]
     rh = cfg["radiant_heaters"]
     a_rh = float(rh["total_area"]) if rh["enabled"] else 0.0
     return BusConfig(
-        h_door=float(geo["h_door"]),
-        w_door_tot=float(geo["w_door_tot"]),
-        A_roof=float(geo["A_roof"]),
-        A_wall=float(geo["A_wall"]),
-        A_body=float(geo["A_body"]),
-        alpha_paint=float(mat["alpha_paint"]),
-        tau_win=float(mat["tau_win"]),
-        zeta_roof=float(mat["zeta_roof"]),
-        zeta_win=float(mat["zeta_win"]),
-        zeta_cab=float(mat["zeta_cab"]),
-        k_body=float(mat["k_body"]),
-        h_in=float(conv["h_in"]),
-        h_out=float(conv["h_out"]),
-        h_rh=float(conv["h_rh"]),
-        C_d=float(door["C_d"]),
-        rho_inf=float(door["rho_inf"]),
-        c_p_a=float(door["c_p_a"]),
-        g=float(door["g"]),
-        q_met_per_pass=float(cfg["passengers"]["q_met_per_pass"]),
+        **{name: float(cfg[section][name])
+           for section, fields in _BUS_SECTIONS.items() for name in fields},
         A_rh=a_rh,
         T_rh_tgt=c_to_k(float(rh["target_temp_C"])),
         rh_enabled=bool(rh["enabled"]),
@@ -179,9 +140,8 @@ def _build_layout(cfg: dict, bus: BusConfig) -> CabinLayout:
 
 def _build_comfort(cfg: dict) -> ComfortSpec:
     c = cfg["comfort"]
-    return ComfortSpec(v_cab=float(c["v_cab"]), phi_cab=float(c["phi_cab"]),
-                       met=float(c["met"]), psi_min=float(c["psi_min"]),
-                       psi_max=float(c["psi_max"]))
+    return ComfortSpec(**{name: float(c[name])
+                          for name in _COMFORT_SETTING + ("psi_min", "psi_max")})
 
 
 def _build_climate(cfg: dict) -> ClimateProfile:
@@ -231,4 +191,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> AppCo
         except ConfigError as exc:
             raise ConfigError(f"concept {name!r}: {exc}") from exc
     return AppConfig(bus=bus, layout=layout, comfort=_build_comfort(merged),
-                     climate=_build_climate(merged), concepts=concepts, raw=merged)
+                     climate=_build_climate(merged), concepts=concepts)

@@ -10,9 +10,11 @@ forms once.  The functions before them give the sources that do not depend
 on the state (passenger and solar heat) and the HVAC electric power.  The
 panels, when on, are held at their target temperature, so both branches
 solve the same four unknowns (``T_cab``, ``T_si``, ``T_so``, ``Q_hvac``)
-and the panel row then gives the electric panel power.  The reporting path
-(:func:`compute_heat_flows`, :func:`balance_residuals`), the Newton solver
-and the optimizer all evaluate the kernel.  All temperatures are kelvin
+and the panel row then gives the electric panel power.  The Newton solver,
+the optimizer, the solver's result assembly and the reporting path
+(:func:`compute_heat_flows`, :func:`balance_residuals`) all evaluate the
+kernel, and :func:`assemble_heat_flows` is the one place that turns its
+flows into a :class:`HeatFlows`.  All temperatures are kelvin
 internally; degrees Celsius appear only in configuration files and reports.
 
 Sign conventions:
@@ -438,17 +440,25 @@ def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficie
     return flows, rows, jac
 
 
+def assemble_heat_flows(state: ThermalState, c: BalanceCoefficients, flows: dict,
+                        cfg: BusConfig, rh_on: bool) -> HeatFlows:
+    """The :class:`HeatFlows` of ``state``: ``flows``, the state-dependent
+    flows :func:`reservoir_balance` gives at it with the one-row
+    coefficients ``c``, the state-independent sources of ``c``, and the
+    electric powers."""
+    p_rh = state.P_rh if rh_on else 0.0
+    p_hvac = hvac_power(state.Q_hvac, state.T_cab, c.T_inf, cfg)
+    return HeatFlows(Q_pass=c.Q_pass, Q_sol_so=c.Q_sol_so, Q_sol_cab=c.Q_sol_cab,
+                     Q_sol_si=c.Q_sol_si, **{k: float(v) for k, v in flows.items()},
+                     Q_hvac=state.Q_hvac, P_rh=p_rh, P_hvac=p_hvac, P_tot=p_rh + p_hvac)
+
+
 def _evaluate(state: ThermalState, scn: Scenario, cfg: BusConfig,
               rh_on: bool) -> tuple[HeatFlows, np.ndarray]:
     c = balance_coefficients(scn, cfg)
     flows, rows, _ = reservoir_balance(state.T_cab, state.T_rh, state.T_si, state.T_so,
                                        state.Q_hvac, state.P_rh, c, rh_on)
-    p_rh = state.P_rh if rh_on else 0.0
-    p_hvac = hvac_power(state.Q_hvac, state.T_cab, scn.T_inf, cfg)
-    return HeatFlows(Q_pass=c.Q_pass, Q_sol_so=c.Q_sol_so, Q_sol_cab=c.Q_sol_cab,
-                     Q_sol_si=c.Q_sol_si, **{k: float(v) for k, v in flows.items()},
-                     Q_hvac=state.Q_hvac, P_rh=p_rh, P_hvac=p_hvac,
-                     P_tot=p_rh + p_hvac), rows
+    return assemble_heat_flows(state, c, flows, cfg, rh_on), rows
 
 
 def compute_heat_flows(state: ThermalState, scn: Scenario, cfg: BusConfig,

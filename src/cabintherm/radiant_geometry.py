@@ -4,11 +4,12 @@ Ceiling-mounted radiant-heater panels exchange long-wave radiation with the
 cabin.  A passenger is an upright 0.25 m x 0.25 m x 1.7 m cuboid that acts
 as a passive sensor: its five exposed faces (four sides and the top) see
 either a panel or the inner shell, so per face the two view factors close
-to one exactly.  The analytic rectangle-rectangle view factors below handle
-parallel and perpendicular rectangles of arbitrary size and position with
-parallel boundaries.  Mean radiant temperature has one path, for the
-solver and the reports alike: :func:`mixed_radiant_temperature` of the
-passengers' :func:`panel_view_weights`.
+to one exactly.  :func:`panel_view_weights` sums the analytic corner-sum
+view factors of parallel and perpendicular rectangles with parallel
+boundaries over every face and panel.  Mean radiant temperature has one
+path, for the solver and the reports alike:
+:func:`mixed_radiant_temperature` of the passengers'
+:func:`panel_view_weights`.
 """
 
 from __future__ import annotations
@@ -151,90 +152,17 @@ def _perp_corner_sum(sa, va, sb, wb):
     return total / (math.pi * np.abs(area))
 
 
-def _facing_parallel(a: Rect3, b: Rect3) -> bool:
-    gap = b.plane_coord - a.plane_coord
-    na = a.normal[a.axis]
-    nb = b.normal[b.axis]
-    # b in front of a, a in front of b, normals opposed
-    return gap * na > 0 and -gap * nb > 0
-
-
-def vf_parallel_rects(a: Rect3, b: Rect3) -> float:
-    """View factor from ``a`` to a parallel rectangle ``b``.
-
-    The rectangles must lie in distinct parallel axis-aligned planes; the
-    result is zero unless they face each other.  Reciprocity
-    ``A_a F_ab = A_b F_ba`` holds to machine precision by symmetry of the
-    corner sum.
-    """
-    if a.axis != b.axis:
-        raise ConfigError("rectangles are not parallel")
-    if abs(a.plane_coord - b.plane_coord) < 1e-12:
-        raise ConfigError("parallel rectangles must lie in distinct planes")
-    if not _facing_parallel(a, b):
-        return 0.0
-    axes = [ax for ax in range(3) if ax != a.axis]
-    z = abs(b.plane_coord - a.plane_coord)
-    f = _parallel_corner_sum(a.extent(axes[0]), a.extent(axes[1]),
-                             b.extent(axes[0]), b.extent(axes[1]), z)
-    return float(np.clip(f, 0.0, 1.0))
-
-
-def vf_perpendicular_rects(a: Rect3, b: Rect3) -> float:
-    """View factor from ``a`` to a perpendicular rectangle ``b``.
-
-    Portions of either rectangle behind the other's plane exchange no
-    radiation; they are clipped away analytically (the source area in the
-    denominator stays the full area of ``a``).
-    """
-    if a.axis == b.axis:
-        raise ConfigError("rectangles are not perpendicular")
-    shared = ({0, 1, 2} - {a.axis, b.axis}).pop()
-
-    # clip target to the source's front half-space along a's normal
-    bw_lo, bw_hi = b.extent(a.axis)
-    if a.normal[a.axis] > 0:
-        w0 = max(bw_lo - a.plane_coord, 0.0)
-        w1 = max(bw_hi - a.plane_coord, 0.0)
-    else:
-        w0 = max(a.plane_coord - bw_hi, 0.0)
-        w1 = max(a.plane_coord - bw_lo, 0.0)
-    if w1 - w0 <= _EPS_AREA:
-        return 0.0
-
-    # clip source to the target's front half-space along b's normal
-    av_lo, av_hi = a.extent(b.axis)
-    if b.normal[b.axis] > 0:
-        v0 = max(av_lo - b.plane_coord, 0.0)
-        v1 = max(av_hi - b.plane_coord, 0.0)
-    else:
-        v0 = max(b.plane_coord - av_hi, 0.0)
-        v1 = max(b.plane_coord - av_lo, 0.0)
-    if v1 - v0 <= _EPS_AREA:
-        return 0.0
-
-    frac_a = (v1 - v0) / (av_hi - av_lo)  # clipped share of the source area
-    f = _perp_corner_sum(a.extent(shared), (v0, v1), b.extent(shared), (w0, w1))
-    return float(np.clip(f * frac_a, 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # cabin layout
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PassengerCuboid:
-    """Standing passenger with a square footprint centered at ``(x, y)``."""
+    """Standing passenger, a ``PASSENGER_SIDE`` square footprint centered at
+    ``(x, y)`` and ``PASSENGER_HEIGHT`` tall."""
 
     x: float
     y: float
-    side: float = PASSENGER_SIDE
-    height: float = PASSENGER_HEIGHT
-
-    @property
-    def footprint(self) -> tuple[float, float, float, float]:
-        h = self.side / 2.0
-        return (self.x - h, self.x + h, self.y - h, self.y + h)
 
 
 @dataclass(frozen=True)
@@ -364,12 +292,12 @@ def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
     py = np.array([p.extent(1) for p in layout.rh_panels])
     cx = np.array([p.x for p in passengers])[:, None]  # (N, 1)
     cy = np.array([p.y for p in passengers])[:, None]
-    half = np.array([p.side / 2.0 for p in passengers])[:, None]
-    hgt = np.array([p.height for p in passengers])[:, None]
+    half = PASSENGER_SIDE / 2.0
+    hgt = PASSENGER_HEIGHT
     zp = layout.height
 
     # top face: parallel to the ceiling panels
-    a_top = (2 * half[:, 0]) ** 2
+    a_top = (2 * half) ** 2
     f_top = _parallel_corner_sum(
         (cx - half, cx + half), (cy - half, cy + half),
         (px[None, :, 0], px[None, :, 1]), (py[None, :, 0], py[None, :, 1]),
@@ -378,8 +306,8 @@ def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
 
     # side faces: perpendicular to the panels; clip each panel to the
     # half-space in front of the face
-    v_pair = (zp - hgt, zp * np.ones_like(hgt))  # distances of face top/bottom edges
-    a_side = (2 * half[:, 0]) * hgt[:, 0]
+    v_pair = (zp - hgt, zp)  # distances of face top/bottom edges
+    a_side = (2 * half) * hgt
 
     def side(face_plane, outward_pos, shared_a, shared_b, off):
         # off: panel bounds along the face normal axis, shape (1, P, 2)

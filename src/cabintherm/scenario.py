@@ -60,7 +60,10 @@ class ScenarioSet:
         return hist
 
     def subset(self, n: int, seed: int = 0) -> "ScenarioSet":
-        """Deterministic random subset of ``n`` scenarios."""
+        """Deterministic random subset of ``n`` scenarios (all of them when
+        ``n`` is at least their number)."""
+        if n < 0:
+            raise DataError(f"subset size must be non-negative, got {n}")
         if n >= len(self.scenarios):
             return self
         rng = np.random.default_rng(seed)
@@ -285,8 +288,28 @@ class ClimateProfile:
             raise ConfigError("monthly stds must be non-negative")
         if len(self.passenger_lambda_by_hour) != 24:
             raise ConfigError("passenger_lambda_by_hour must have 24 entries")
+        if not all(0.0 <= lam < math.inf for lam in self.passenger_lambda_by_hour):
+            raise ConfigError("passenger_lambda_by_hour entries must be finite and "
+                              "non-negative")
         if any(d > SOLAR_CONSTANT for d in self.dni_clear_max):
             raise ConfigError("clear-sky DNI cannot exceed the solar constant")
+        if any(not 0.0 <= p <= 1.0 for p in self.p_clear):
+            raise ConfigError(f"p_clear entries must be in [0, 1], got {self.p_clear}")
+        for name in ("door_beta_a", "door_beta_b"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.door_max_fraction <= 1.0:
+            raise ConfigError(f"door_max_fraction must be in [0, 1], "
+                              f"got {self.door_max_fraction}")
+        if not self.passenger_max >= 0:
+            raise ConfigError(f"passenger_max must be non-negative, got {self.passenger_max}")
+        # the ephemeris of solar_altitude covers 1950-2100
+        if not (isinstance(self.year, int) and 1950 <= self.year <= 2100):
+            raise ConfigError(f"year must be a whole year in 1950-2100, got {self.year!r}")
+        hours = (self.service_hour_start, self.service_hour_end)
+        if not (all(isinstance(h, int) for h in hours) and hours[0] < hours[1]):
+            raise ConfigError(f"service_hour_start and service_hour_end must be whole hours, "
+                              f"start before end, got {hours[0]!r} and {hours[1]!r}")
 
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)

@@ -62,8 +62,8 @@ from scipy.optimize import minimize
 from .comfort import ComfortSpec, clothing_insulation, mean_pmv, pmv_array, ppd as ppd_of
 from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
 from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scenario,
-                         ThermalState, balance_coefficients, balance_residuals,
-                         compute_heat_flows, max_abs_flow, reservoir_balance)
+                         ThermalState, assemble_heat_flows, balance_coefficients,
+                         balance_residuals, max_abs_flow, reservoir_balance)
 from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PANEL_WIDTH,
                                STRIP_PANELS, CabinLayout, PassengerCuboid,
                                ceiling_panel_strip, mixed_radiant_temperature,
@@ -88,6 +88,9 @@ SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
 _T = TypeVar("_T")
 # solve steps returning a _T: yield Newton requests, are sent their answers
 _Steps = Generator[tuple, object, _T]
+# a Newton answer: the solution x, its iterations and the unclamped PMV of
+# its kernel points
+_Answer = tuple[np.ndarray, int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,8 @@ class _BranchModel:
     panel view weights, read off the layout's slot table in the process's
     store (``_VIEW_WEIGHTS``).  The methods that need a Newton solve are solve
     steps (generators for :func:`_lockstep`, see the module docstring);
-    they return the solved state with its iterations and the unclamped PMV
-    of its kernel points.
+    each returns a Newton answer ``(x, iterations, pmv)``, which
+    :func:`_finalize` turns into the reported state.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -265,7 +268,7 @@ class _BranchModel:
         self.uniform_tmr = scn.N_pass == 0 or not np.any(self.b_weights > 0.0)
         # the balance's flow magnitude floor: 1 W and the state-independent gains
         self.flow_floor = max(1.0, abs(self.coef.Q_pass), self.coef.Q_sol_so)
-        self._passive: tuple[ThermalState, int, np.ndarray] | None = None
+        self._passive: _Answer | None = None
         self._last_pinned: np.ndarray | None = None
 
     # -- unknowns: [T_cab, T_si, T_so, Q_hvac] on either branch --------------
@@ -274,69 +277,40 @@ class _BranchModel:
         t_inf = self.scn.T_inf
         return np.array([min(max(t_inf, 285.0), 299.0), t_inf, t_inf, 0.0])
 
-    def state_from(self, x: np.ndarray, frozen_q: float | None = None) -> ThermalState:
-        """The state at ``x``: the panels, when on, at their target
-        temperature and drawing the power their row of the balance fixes;
-        without them ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero."""
-        t_cab, t_si, t_so, q_hvac = x.tolist()
-        if frozen_q is not None:
-            q_hvac = frozen_q
-        if abs(q_hvac) < 1e-9:
-            q_hvac = 0.0
-        t_rh, p_rh = t_cab, 0.0
-        if self.rh_on:
-            t_rh = self.cfg.T_rh_tgt
-            p_rh = -reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0, self.coef,
-                                      True)[1][3]
-        return ThermalState(T_cab=float(t_cab), T_rh=float(t_rh), T_si=float(t_si),
-                            T_so=float(t_so), Q_hvac=float(q_hvac),
-                            P_rh=float(max(p_rh, 0.0)))
-
     # -- damped Newton ------------------------------------------------------
 
     def newton(self, x0: np.ndarray, psi_tgt: float | None,
-               frozen_q: float | None = None
-               ) -> _Steps[tuple[np.ndarray, int, np.ndarray]]:
+               frozen_q: float | None = None) -> _Steps[_Answer]:
         """Damped Newton on the square system (solve steps); returns
         ``(x, iterations, pmv)``, ``pmv`` the unclamped PMV of the kernel
         points of the solution.
 
-        ``frozen_q`` removes Q_hvac from the unknowns and holds it at the
-        given value (passive solves use 0); ``psi_tgt`` appends the PMV row.
-        The solve is one :class:`_NewtonRequest`, run by :func:`_lockstep`
-        as a row of an array Newton (:class:`_NewtonGroup`).
+        ``frozen_q`` removes Q_hvac from the unknowns and holds ``x[3]`` at
+        the given value (passive solves use 0); ``psi_tgt`` appends the PMV
+        row.  The solve is one :class:`_NewtonRequest`, run by
+        :func:`_lockstep` as a row of an array Newton (:class:`_NewtonGroup`).
         """
         return (yield _NewtonRequest(self, x0, psi_tgt, frozen_q))
 
     # -- branch-level solves (solve steps) ----------------------------------
-    # each returns (state, iterations, PMV of the state's kernel points)
 
-    def passive(self) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
+    def passive(self) -> _Steps[_Answer]:
         """Zero-HVAC-heat solution (panels, when on, still at target)."""
         if self._passive is None:
-            x, iters, pmv = yield from self.newton(self.init_vector(), None, frozen_q=0.0)
-            self._passive = (self.state_from(x, frozen_q=0.0), iters, pmv)
+            self._passive = yield from self.newton(self.init_vector(), None, frozen_q=0.0)
         return self._passive
 
-    def pinned(self, psi_tgt: float) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
+    def pinned(self, psi_tgt: float) -> _Steps[_Answer]:
         """Solve with the mean PMV pinned to ``psi_tgt``."""
         x0 = self._last_pinned if self._last_pinned is not None else self.init_vector()
         try:
-            x, iters, pmv = yield from self.newton(x0.copy(), psi_tgt)
+            answer = yield from self.newton(x0.copy(), psi_tgt)
         except SolverError:
-            x, iters, pmv = yield from self.newton(self.init_vector(), psi_tgt)
-        self._last_pinned = x
-        return self.state_from(x), iters, pmv
+            answer = yield from self.newton(self.init_vector(), psi_tgt)
+        self._last_pinned = answer[0]
+        return answer
 
-    def balance_with_q(self, q_hvac: float, x0: np.ndarray | None = None
-                       ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
-        """Solve the temperatures for a prescribed HVAC heat."""
-        x0 = x0 if x0 is not None else self.init_vector()
-        x, iters, pmv = yield from self.newton(x0, None, frozen_q=q_hvac)
-        return self.state_from(x, frozen_q=q_hvac), iters, pmv
-
-    def window(self, psi_min: float, psi_max: float
-               ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
+    def window(self, psi_min: float, psi_max: float) -> _Steps[_Answer]:
         """Passive-first window logic; pin to the violated limit if needed.
 
         The vote saturates at +/-3, so a window bound at the end of the
@@ -349,8 +323,8 @@ class _BranchModel:
         if psi_min - 1e-12 <= psi_pass <= psi_max + 1e-12:
             return passive
         tgt = psi_min if psi_pass < psi_min else psi_max
-        state, iters, pmv = yield from self.pinned(tgt)
-        return state, passive[1] + iters, pmv
+        x, iters, pmv = yield from self.pinned(tgt)
+        return x, passive[1] + iters, pmv
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +733,26 @@ def _mean_psi(pmv: np.ndarray) -> float:
     return float(pmv[0]) if pmv.size == 1 else float(pmv.mean())
 
 
-def _finalize(model: _BranchModel, state: ThermalState, pmv: np.ndarray,
-              solver_name: str, iterations: int) -> SolveResult:
-    """The :class:`SolveResult` of a solved state, ``pmv`` the unclamped PMV
-    of its kernel points."""
-    flows = compute_heat_flows(state, model.scn, model.cfg, model.rh_on)
+def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveResult:
+    """The :class:`SolveResult` of a Newton answer ``(x, iterations, pmv)``
+    of ``model``, ``pmv`` the unclamped PMV of the kernel points of ``x``.
+
+    One balance kernel call on the model's coefficients gives every flow
+    of the state and, with the panels on (at their target temperature),
+    their electric power: the panel row at zero panel power is minus it.
+    Without panels ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero.
+    """
+    x, iterations, pmv = answer
+    t_cab, t_si, t_so, q_hvac = x.tolist()
+    if abs(q_hvac) < 1e-9:
+        q_hvac = 0.0
+    t_rh = float(model.cfg.T_rh_tgt) if model.rh_on else t_cab
+    kernel_flows, rows, _ = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0,
+                                              model.coef, model.rh_on)
+    p_rh = max(-float(rows[3]), 0.0) if model.rh_on else 0.0
+    state = ThermalState(T_cab=t_cab, T_rh=t_rh, T_si=t_si, T_so=t_so, Q_hvac=q_hvac,
+                         P_rh=p_rh)
+    flows = assemble_heat_flows(state, model.coef, kernel_flows, model.cfg, model.rh_on)
     n = model.scn.N_pass
     if n:
         # a single point stands for every passenger
@@ -802,13 +791,12 @@ def _solve_branch(model: _BranchModel, method: str, psi_min: float,
     no comfort constraint, so the optimization route returns the passive
     solution without running the optimizer."""
     if method == "rootfind":
-        solved = yield from model.window(psi_min, psi_max)
+        answer = yield from model.window(psi_min, psi_max)
     elif model.scn.N_pass == 0:
-        solved = yield from model.passive()
+        answer = yield from model.passive()
     else:
-        solved = yield from _opt_solve_branch(model, psi_min, psi_max)
-    state, iters, pmv = solved
-    return _finalize(model, state, pmv, SOLVER_NAMES[method], iters)
+        answer = yield from _opt_solve_branch(model, psi_min, psi_max)
+    return _finalize(model, answer, SOLVER_NAMES[method])
 
 
 # ---------------------------------------------------------------------------
@@ -947,10 +935,10 @@ class _OptProgram:
 
 
 def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
-                      ) -> _Steps[tuple[ThermalState, int, np.ndarray]]:
+                      ) -> _Steps[_Answer]:
     """SLSQP minimization of electric power for one RH branch of a bus with
-    passengers; returns the polished state, the iterations and the PMV of
-    the state's kernel points.
+    passengers; returns the Newton answer of the polished state with the
+    SLSQP iterations added.
 
     The program and its exact gradients are :class:`_OptProgram`'s; the
     PMV window constrains the exact mean PMV.  One SLSQP run from the cold
@@ -993,7 +981,8 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
 
     # polish the balance exactly with the decided HVAC heat
     q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-    state, iters_polish, pmv = yield from model.balance_with_q(q_hvac, np.append(z[:3], q_hvac))
+    x, iters_polish, pmv = yield from model.newton(np.append(z[:3], q_hvac), None,
+                                                   frozen_q=q_hvac)
     if use_lo or use_hi:
         psi_e = _mean_psi(pmv)
         if ((use_lo and psi_e < psi_min - _OPT_PSI_TOL)
@@ -1002,7 +991,7 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
                 f"optimization missed the PMV window [{psi_min}, {psi_max}] for scenario "
                 f"{scn.id!r} (rh_on={model.rh_on}): exact mean PMV {psi_e:.9f}",
                 last_x=res.x)
-    return state, int(res.nit) + iters_polish, pmv
+    return x, int(res.nit) + iters_polish, pmv
 
 
 def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,

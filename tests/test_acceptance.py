@@ -17,11 +17,11 @@ from cabintherm.comfort import (ComfortSpec, get_pmv_surrogate, pmv, pmv_array,
                                 ppd)
 from cabintherm.model_core import (BusConfig, CopCurve, balance_residuals,
                                    c_to_k, irradiance_wall_mean, max_abs_flow)
-from cabintherm.radiant_geometry import (Rect3, vf_parallel_rects,
-                                         vf_perpendicular_rects)
+from cabintherm.radiant_geometry import Rect3
 from cabintherm.scenario import synthesize_dataset
 from cabintherm.solver import solve_window_opt, solve_window_rootfind
 from conftest import kernel_flows, mc_view_factor
+from geometry_reference import vf_parallel_rects, vf_perpendicular_rects
 
 SEED = 42
 WINDOW = ComfortSpec(psi_min=-1.0, psi_max=1.0)

@@ -293,6 +293,16 @@ class TestErrors:
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("climate, message", [
+        ("service_hour_start: 23, service_hour_end: 5", "start before end, got 23 and 5"),
+        ("door_beta_a: 0", "door_beta_a must be positive")])
+    def test_bad_climate_exit_code(self, tmp_path, climate, message, capsys):
+        cfg = tmp_path / "climate.yaml"
+        cfg.write_text(f"climate: {{{climate}}}\n", encoding="utf-8")
+        rc = main(["gen", "--config", str(cfg), "--n", "5", "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad2.yaml"
         cfg.write_text("materiels: {}\n", encoding="utf-8")

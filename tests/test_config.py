@@ -1,0 +1,33 @@
+import pytest
+
+from cabintherm.comfort import ComfortSpec
+from cabintherm.config import DEFAULTS, load_config
+from cabintherm.model_core import BusConfig, CopCurve, c_to_k
+
+
+def test_defaults_are_the_dataclass_defaults():
+    app = load_config(None)
+    assert app.bus == BusConfig()
+    # the configured window is +-1; the rest is ComfortSpec's
+    assert app.comfort == ComfortSpec(psi_min=-1.0, psi_max=1.0)
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in ("geometry", "materials", "convection", "door_flow",
+                                   "passengers")
+    for key in DEFAULTS[section]])
+def test_each_bus_key_sets_its_field(section, key):
+    value = DEFAULTS[section][key] * 1.01
+    bus = load_config(None, {section: {key: value}}).bus
+    assert bus == BusConfig(**{key: value})
+
+
+def test_hvac_and_panel_keys():
+    bus = load_config(None, {"hvac": {"heating_cop": [[0.0, 1.0]],
+                                      "cooling_cop": [[0.0, 2.0]]},
+                             "radiant_heaters": {"enabled": True,
+                                                 "target_temp_C": 80.0}}).bus
+    assert bus == BusConfig(cop_heating=CopCurve.constant(1.0),
+                            cop_cooling=CopCurve.constant(2.0), rh_enabled=True,
+                            A_rh=DEFAULTS["radiant_heaters"]["total_area"],
+                            T_rh_tgt=c_to_k(80.0))

@@ -18,15 +18,15 @@ from cabintherm.comfort import ComfortSpec, pmv_array
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
                                    balance_coefficients, balance_residuals, c_to_k, k_to_c,
                                    max_abs_flow, reservoir_balance)
-from cabintherm.radiant_geometry import (CabinLayout, PassengerCuboid, Rect3,
-                                         ceiling_panel_strip, panel_view_weights,
-                                         place_passengers, placement_grid, placement_slots,
-                                         vf_parallel_rects, vf_perpendicular_rects)
+from cabintherm.radiant_geometry import (PASSENGER_HEIGHT, CabinLayout, PassengerCuboid,
+                                         Rect3, ceiling_panel_strip, panel_view_weights,
+                                         place_passengers, placement_grid, placement_slots)
 from cabintherm.solver import (T_BOX, _BranchModel, _OptProgram, ScenarioSweeper,
                                solve_best, solve_window_opt, solve_window_rootfind)
 from flow_reference import (conduction_shell, convective_cabin_to_shell,
                             convective_rh_to_cabin, convective_shell_to_ambient,
                             door_loss, radiative_loss_outer, radiative_rh_to_shell)
+from geometry_reference import footprint, vf_parallel_rects, vf_perpendicular_rects
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -239,8 +239,8 @@ def test_power_does_not_rise_with_the_window(scn, cfg):
 
 def _passenger_faces(p):
     """The five radiating faces of a passenger cuboid, normals outward."""
-    x0, x1, y0, y1 = p.footprint
-    h = p.height
+    x0, x1, y0, y1 = footprint(p)
+    h = PASSENGER_HEIGHT
     return [Rect3.horizontal(x0, x1, y0, y1, h, facing_up=True),
             Rect3((x1, y0, 0.0), (0.0, y1 - y0, 0.0), (0.0, 0.0, h)),
             Rect3((x0, y0, 0.0), (0.0, 0.0, h), (0.0, y1 - y0, 0.0)),

@@ -8,9 +8,9 @@ from cabintherm.radiant_geometry import (PASSENGER_HEIGHT, CabinLayout,
                                          ceiling_panel_strip,
                                          mixed_radiant_temperature,
                                          panel_view_weights, place_passengers,
-                                         placement_grid, vf_parallel_rects,
-                                         vf_perpendicular_rects)
+                                         placement_grid)
 from conftest import mc_view_factor
+from geometry_reference import footprint, vf_parallel_rects, vf_perpendicular_rects
 
 
 def unit_square_pair(separation):
@@ -159,7 +159,7 @@ class TestPlacement:
         pax = place_passengers(30, 7, layout)
         assert len(pax) == 30
         for p in pax:
-            x0, x1, y0, y1 = p.footprint
+            x0, x1, y0, y1 = footprint(p)
             assert 0 <= x0 and x1 <= layout.length
             assert 0 <= y0 and y1 <= layout.width
         for i, p in enumerate(pax):

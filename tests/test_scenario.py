@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from cabintherm.errors import DataError
+from cabintherm.errors import ConfigError, DataError
 from cabintherm.model_core import KELVIN
 from cabintherm.scenario import (ClimateProfile, SOLAR_CONSTANT, ScenarioSet,
                                  load_scenarios_csv, placement_seed,
@@ -207,6 +207,19 @@ class TestScenarioSet:
         assert a.scenarios == b.scenarios
         assert len(a) == 20
 
+    def test_negative_subset_rejected(self):
+        with pytest.raises(DataError, match="non-negative"):
+            synthesize_dataset(50, seed=1).subset(-3)
+
     def test_climate_profile_validation(self):
         with pytest.raises(Exception):
             ClimateProfile(monthly_mean_C=(1.0,) * 11)
+
+    @pytest.mark.parametrize("field, value", [
+        ("service_hour_start", 24), ("service_hour_end", 5.5), ("door_beta_a", 0.0),
+        ("door_beta_b", -1.0), ("door_max_fraction", 1.5), ("passenger_max", -1),
+        ("year", 10000), ("year", 1900), ("p_clear", (0.3,) * 11 + (1.2,)),
+        ("passenger_lambda_by_hour", (2.0,) * 5 + (-1.0,) + (2.0,) * 18)])
+    def test_climate_profile_rejects_what_generation_cannot_use(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ClimateProfile(**{field: value})

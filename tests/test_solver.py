@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cabintherm import solver
+from cabintherm import analysis, model_core, solver
 from cabintherm.comfort import ComfortSpec, pmv
 from cabintherm.errors import ConfigError
 from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
-                                   max_abs_flow)
+                                   compute_heat_flows, max_abs_flow)
 from cabintherm.radiant_geometry import mixed_radiant_temperature
 from cabintherm.scenario import synthesize_dataset
 from cabintherm.solver import (default_layout, solve_best, solve_window_opt,
@@ -343,16 +343,67 @@ class TestKernelCalls:
     def test_opt_one_call_per_polish(self, hp_cfg, winter_scn, window_spec, calls,
                                      monkeypatch):
         polishes = []
-        original = solver._BranchModel.balance_with_q
+        original = solver._BranchModel.newton
 
-        def counting(model, *args):
-            polishes.append(args)
-            return original(model, *args)
+        def counting(model, x0, psi_tgt, frozen_q=None):
+            # a polish holds the decided heat and has no PMV row
+            if frozen_q is not None and psi_tgt is None:
+                polishes.append(frozen_q)
+            return original(model, x0, psi_tgt, frozen_q)
 
-        monkeypatch.setattr(solver._BranchModel, "balance_with_q", counting)
+        monkeypatch.setattr(solver._BranchModel, "newton", counting)
         res = solve_window_opt(winter_scn, hp_cfg, window_spec, rh_on=False)
         assert res.mode == "heating"
         # the polish answers the exact-PMV check and the report; the other
         # calls are the PMV constraint's, value and gradient together
         answers = [size for size, grad in calls if not grad]
         assert len(polishes) == 1 and answers == [1]
+
+
+class TestResultAssembly:
+    """A solve step's Newton answer becomes a result with one balance
+    kernel call on its branch model's own coefficients."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"balance_coefficients": 0, "reservoir_balance": 0}
+
+        def wrap(module, name):
+            original = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for module in (solver, model_core):
+            for name in calls:
+                wrap(module, name)
+        return calls
+
+    @pytest.mark.parametrize("cfg, per_scenario", [
+        ("hp_cfg", 1), ("ptc_rh_cfg", 2)])
+    def test_one_coefficient_set_per_branch_model(self, cfg, per_scenario, request,
+                                                   counted):
+        sset = synthesize_dataset(240, seed=7101)
+        results = analysis.solve_set(sset, request.getfixturevalue(cfg),
+                                     ComfortSpec(psi_min=-0.5, psi_max=0.5))
+        assert len(results) == 240
+        assert counted["balance_coefficients"] == 240 * per_scenario
+
+    @pytest.mark.parametrize("rh_on", [False, True])
+    @pytest.mark.parametrize("n_pass", [0, 30])
+    def test_one_kernel_call_per_result(self, ptc_rh_cfg, winter_scn, window_spec, rh_on,
+                                        n_pass, counted):
+        scn = replace(winter_scn, N_pass=n_pass)
+        model = solver._BranchModel(scn, ptc_rh_cfg, window_spec, rh_on)
+        answer = solver._run(model.window(-0.5, 0.5))
+        before = dict(counted)
+        res = solver._finalize(model, answer, "rootfind")
+        assert counted["reservoir_balance"] == before["reservoir_balance"] + 1
+        assert counted["balance_coefficients"] == before["balance_coefficients"]
+        assert res.iterations == answer[1]
+        assert (res.state.P_rh > 0.0) == rh_on
+        # the same flows as the reporting path, to the bit
+        assert res.flows == compute_heat_flows(res.state, scn, ptc_rh_cfg, rh_on)
