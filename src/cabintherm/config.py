@@ -101,7 +101,12 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         free_form = path.startswith("concepts") or path == "climate"
         if key not in base and not free_form:
             raise ConfigError(f"unknown configuration key {here!r}")
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
+        if isinstance(base.get(key), dict):
+            # an empty section overrides nothing
+            if val is None:
+                continue
+            if not isinstance(val, dict):
+                raise ConfigError(f"{here} must be a mapping, got {val!r}")
             out[key] = _deep_merge(base[key], val, here)
         else:
             out[key] = copy.deepcopy(val)
@@ -116,41 +121,71 @@ def _cop_curve(raw, where: str) -> CopCurve:
     return CopCurve(pts)
 
 
+def _number(cfg: dict, section: str, key: str, kind: type = float):
+    """``kind(cfg[section][key])``; a value of the wrong type, or for an
+    ``int`` one that is not whole, raises :class:`ConfigError` naming its
+    key."""
+    val = cfg[section][key]
+    try:
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and out != val):
+        whole = "whole " if kind is int else ""
+        raise ConfigError(f"{section}.{key} must be a {whole}number, got {val!r}")
+    return out
+
+
 def _build_bus(cfg: dict) -> BusConfig:
     rh = cfg["radiant_heaters"]
-    a_rh = float(rh["total_area"]) if rh["enabled"] else 0.0
+    enabled = rh["enabled"]
+    if not isinstance(enabled, bool):
+        raise ConfigError(f"radiant_heaters.enabled must be true or false, got {enabled!r}")
+    a_rh = _number(cfg, "radiant_heaters", "total_area") if enabled else 0.0
     return BusConfig(
-        **{name: float(cfg[section][name])
+        **{name: _number(cfg, section, name)
            for section, fields in _BUS_SECTIONS.items() for name in fields},
         A_rh=a_rh,
-        T_rh_tgt=c_to_k(float(rh["target_temp_C"])),
-        rh_enabled=bool(rh["enabled"]),
+        T_rh_tgt=c_to_k(_number(cfg, "radiant_heaters", "target_temp_C")),
+        rh_enabled=enabled,
         cop_heating=_cop_curve(cfg["hvac"]["heating_cop"], "hvac.heating_cop"),
         cop_cooling=_cop_curve(cfg["hvac"]["cooling_cop"], "hvac.cooling_cop"),
     )
 
 
 def _build_layout(cfg: dict, bus: BusConfig) -> CabinLayout:
-    cab = cfg["cabin"]
-    rh = cfg["radiant_heaters"]
-    return default_layout(bus, float(cab["length"]), float(cab["width"]),
-                          float(cab["height"]), int(rh["n_panels"]),
-                          float(rh["panel_width"]))
+    length, width, height = (_number(cfg, "cabin", key)
+                             for key in ("length", "width", "height"))
+    return default_layout(bus, length, width, height,
+                          _number(cfg, "radiant_heaters", "n_panels", int),
+                          _number(cfg, "radiant_heaters", "panel_width"))
 
 
 def _build_comfort(cfg: dict) -> ComfortSpec:
-    c = cfg["comfort"]
-    return ComfortSpec(**{name: float(c[name])
+    return ComfortSpec(**{name: _number(cfg, "comfort", name)
                           for name in _COMFORT_SETTING + ("psi_min", "psi_max")})
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float))
+
+
 def _build_climate(cfg: dict) -> ClimateProfile:
-    overrides = cfg.get("climate") or {}
-    valid = set(ClimateProfile.__dataclass_fields__)
-    unknown = set(overrides) - valid
+    overrides = cfg["climate"]
+    fields = ClimateProfile.__dataclass_fields__
+    unknown = set(overrides) - set(fields)
     if unknown:
         raise ConfigError(f"unknown climate keys {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
+    kwargs = {}
+    for key, val in overrides.items():
+        # a tuple field takes a list of numbers, any other field a number
+        if isinstance(fields[key].default, tuple):
+            if not (isinstance(val, (list, tuple)) and all(map(_is_number, val))):
+                raise ConfigError(f"climate.{key} must be a list of numbers, got {val!r}")
+            val = tuple(val)
+        elif not _is_number(val):
+            raise ConfigError(f"climate.{key} must be a number, got {val!r}")
+        kwargs[key] = val
     return ClimateProfile(**kwargs)
 
 

@@ -303,6 +303,17 @@ class TestErrors:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("climate: {monthly_mean_C: 5}", "climate.monthly_mean_C must be a list of numbers"),
+        ("materials: {k_body: abc}", "materials.k_body must be a number"),
+        ("materials: 5", "materials must be a mapping")])
+    def test_wrong_type_exit_code(self, tmp_path, setting, message, capsys):
+        cfg = tmp_path / "typed.yaml"
+        cfg.write_text(f"{setting}\n", encoding="utf-8")
+        rc = main(["gen", "--config", str(cfg), "--n", "5", "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad2.yaml"
         cfg.write_text("materiels: {}\n", encoding="utf-8")

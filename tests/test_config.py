@@ -2,6 +2,7 @@ import pytest
 
 from cabintherm.comfort import ComfortSpec
 from cabintherm.config import DEFAULTS, load_config
+from cabintherm.errors import ConfigError
 from cabintherm.model_core import BusConfig, CopCurve, c_to_k
 
 
@@ -31,3 +32,20 @@ def test_hvac_and_panel_keys():
                             cop_cooling=CopCurve.constant(2.0), rh_enabled=True,
                             A_rh=DEFAULTS["radiant_heaters"]["total_area"],
                             T_rh_tgt=c_to_k(80.0))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"cabin": {"width": "wide"}}, "cabin.width must be a number"),
+    ({"comfort": {"met": [1.2]}}, "comfort.met must be a number"),
+    # a count that is not whole was truncated, an infinite one crashed
+    ({"radiant_heaters": {"n_panels": 2.7}}, "radiant_heaters.n_panels must be a whole number"),
+    ({"radiant_heaters": {"n_panels": float("inf")}}, "n_panels must be a whole number"),
+    # any string switched the panels on
+    ({"radiant_heaters": {"enabled": "false"}}, "radiant_heaters.enabled must be true or false")])
+def test_wrong_type_names_its_key(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, overrides)
+
+
+def test_empty_section_overrides_nothing():
+    assert load_config(None, {"materials": None, "climate": None}) == load_config(None)

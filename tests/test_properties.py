@@ -7,11 +7,12 @@ stays within a few seconds.
 """
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cabintherm.comfort import ComfortSpec, pmv_array
@@ -321,28 +322,47 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+# the kernel's documented envelope: SLSQP's temperature box, and the
+# clothing, air speeds and metabolic rates of its iteration limit
+# (comfort._MAX_TCL_ITER), at 5-95 % humidity
+_BOX_C = st.floats(T_BOX[0] - 273.15, T_BOX[1] - 273.15)
+_KERNEL_POINT = st.tuples(_BOX_C, _BOX_C, st.floats(0.0, 2.5))
+_KERNEL_SETTING = st.tuples(st.floats(0.001, 3.2), st.floats(5.0, 95.0), st.floats(0.7, 4.0))
+# clothing on either side of the switch of fcl at icl = 0.155 clo = 0.078,
+# and none at all
+_FCL_SWITCH = 0.078 / 0.155
+_EDGE_CLO = (math.nextafter(_FCL_SWITCH, 0.0), _FCL_SWITCH,
+             math.nextafter(_FCL_SWITCH, math.inf), 0.0)
+
+
 @PROPERTY_SETTINGS
-@given(data=st.data())
-def test_pmv_value_does_not_depend_on_its_batch(data):
-    n = data.draw(st.integers(1, 40))
-    points = data.draw(st.lists(st.tuples(st.floats(-20.0, 50.0), st.floats(-20.0, 70.0),
-                                          st.floats(0.0, 2.0)),
-                                min_size=n, max_size=n))
+@given(points=st.lists(_KERNEL_POINT, min_size=2, max_size=40), setting=_KERNEL_SETTING,
+       sub=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=80))
+@example(points=[(22.0, 25.0, c) for c in _EDGE_CLO], setting=(0.1, 40.0, 1.2), sub=[3, 0])
+@example(points=[(T_BOX[0] - 273.15, T_BOX[1] - 273.15, c) for c in _EDGE_CLO],
+         setting=(3.2, 95.0, 4.0), sub=[1, 2])
+@example(points=[(T_BOX[1] - 273.15, T_BOX[0] - 273.15, c) for c in _EDGE_CLO],
+         setting=(0.001, 5.0, 0.7), sub=[0, 1, 2, 3])
+def test_pmv_value_does_not_depend_on_its_batch(points, setting, sub):
+    # a call of one point runs the float path, a larger one the array loop
+    n = len(points)
     ta, tr, clo = (np.array(col) for col in zip(*points))
-    setting = (data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(10.0, 90.0)),
-               data.draw(st.floats(0.8, 2.0)))
+    sub = [k % n for k in sub]
     batch = pmv_array(ta, tr, clo, *setting)
-    for i in range(n):
-        assert _bits(pmv_array(ta[i:i + 1], tr[i:i + 1], clo[i:i + 1], *setting)) \
-            == _bits(batch[i:i + 1])
-        assert _bits(pmv_array(ta[i], tr[i], clo[i], *setting)) == _bits(batch[i])
-    sub = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    assert _bits(pmv_array(ta[sub], tr[sub], clo[sub], *setting)) == _bits(batch[sub])
-    # the value and both partial derivatives
     outs = pmv_array(ta, tr, clo, *setting, grad=True)
     for i in range(n):
+        alone = pmv_array(ta[i], tr[i], clo[i], *setting)
+        assert type(alone) is np.float64 and _bits(alone) == _bits(batch[i])
+        one = pmv_array(ta[i:i + 1], tr[i:i + 1], clo[i:i + 1], *setting)
+        assert one.shape == (1,) and _bits(one) == _bits(batch[i:i + 1])
+        # the value and both partial derivatives
         alone = pmv_array(ta[i], tr[i], clo[i], *setting, grad=True)
+        assert all(type(a) is np.float64 for a in alone)
         assert [_bits(a) for a in alone] == [_bits(out[i]) for out in outs]
+        one = pmv_array(ta[i:i + 1], tr[i:i + 1], clo[i:i + 1], *setting, grad=True)
+        assert all(o.shape == (1,) for o in one)
+        assert [_bits(o) for o in one] == [_bits(out[i:i + 1]) for out in outs]
+    assert _bits(pmv_array(ta[sub], tr[sub], clo[sub], *setting)) == _bits(batch[sub])
     assert [_bits(a) for a in pmv_array(ta[sub], tr[sub], clo[sub], *setting, grad=True)] \
         == [_bits(out[sub]) for out in outs]
 
