@@ -13,12 +13,12 @@ comfort of one solver state whose passengers all see the inner shell's
 temperature, as in every SLSQP evaluation with the panels off) runs it in
 Python floats.  Any other call runs the masked array loop, the reference
 the tests compare the float path against.  The two give the same bits
-because the float path takes every transcendental from a numpy ufunc
-applied to a float, which runs the array loop on one element.  The
-alternatives do not: on an AVX-512 machine ``math.exp`` differs from
-numpy's ``exp`` loop at about 4.6 % of random points, a float's ``**
-0.25`` from ``np.power`` at about 5 %, and ``**`` on an ``np.float64``
-calls libm's ``pow``.
+because both are written in IEEE basic operations (``+ - * /`` and the
+square root, correctly rounded on every platform; powers are products,
+``|s|^0.25`` is two square roots) plus one transcendental, the vapour
+pressure's ``np.exp``, a numpy ufunc on both paths (on a float it runs the
+array loop on one element; ``math.exp`` differs from it on some CPUs).  The
+metabolic factor's ``math.exp`` is one float, the same on both paths.
 
 :func:`fit_pmv_surrogate` builds a polynomial approximation in (air
 temperature, mean radiant temperature, clothing insulation).  No solve
@@ -166,48 +166,45 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float,
     tcla = taa + (35.5 - ta) / (3.5 * (6.45 * icl + 0.1))
     p1 = icl * fcl
     p2 = p1 * 3.96
-    p5 = 308.7 - 0.028 * mw + p2 * (tra / 100.0) ** 4
+    r = tra / 100.0
+    r2 = r * r
+    r3 = r2 * r
+    r4 = r2 * r2
+    p5 = 308.7 - 0.028 * mw + p2 * r4
 
     # Newton on G(x) = 100 x + p1 hc s + p2 x^4 - p5 with s = 100 x - taa,
-    # for the points still iterating (``live``; ``*_l`` are their inputs).
-    # G_x >= 100, and a point's x (after its last step) and hc are kept
-    # from the first step shorter than the tolerance.
-    xn_done = np.empty(ta.size)
-    hc_done = np.empty(ta.size)
-    live = np.arange(ta.size)
+    # G_x >= 100.  Every point steps until its first step shorter than the
+    # tolerance; from then on ``live`` is False there and its x (after that
+    # step) and hc are kept.  A NaN step never ends, so a NaN point stays live.
+    live = np.ones(ta.size, dtype=bool)
     xn = tcla / 100.0
-    taa_l, p1_l, p2_l, p5_l, g1, g4 = taa, p1, p2, p5, 100.0 * p1, 4.0 * p2
+    hc = hcf   # every point is live in the first step
+    g1, g4 = 100.0 * p1, 4.0 * p2
     for _ in range(_MAX_TCL_ITER):
         x100 = 100.0 * xn
-        s = x100 - taa_l
-        hcn = 2.38 * np.abs(s) ** 0.25
-        hc = np.maximum(hcf, hcn)
+        s = x100 - taa
+        hcn = 2.38 * np.sqrt(np.sqrt(np.abs(s)))
+        hc_t = np.maximum(hcf, hcn)
         x3 = xn * xn * xn
         # where hc = hcn, d(hc s)/ds = 1.25 hc; at hc = hcf it is hc
-        step = ((x100 + p1_l * hc * s + p2_l * x3 * xn - p5_l)
-                / (100.0 + g1 * np.where(hcn > hcf, 1.25 * hc, hc) + g4 * x3))
-        xn = xn - step
-        done = np.abs(step) < _TCL_TOL
-        n_done = np.count_nonzero(done)   # cheaper than done.any() on small arrays
-        if n_done:
-            xn_done[live[done]] = xn[done]
-            hc_done[live[done]] = hc[done]
-            if n_done == live.size:
-                break
-            go = ~done
-            live, xn = live[go], xn[go]
-            taa_l, p1_l, p2_l, p5_l, g1, g4 = (taa_l[go], p1_l[go], p2_l[go], p5_l[go],
-                                               g1[go], g4[go])
+        step = ((x100 + p1 * hc_t * s + p2 * x3 * xn - p5)
+                / (100.0 + g1 * np.where(hcn > hcf, 1.25 * hc_t, hc_t) + g4 * x3))
+        xn = np.where(live, xn - step, xn)
+        hc = np.where(live, hc_t, hc)
+        live &= ~(np.abs(step) < _TCL_TOL)
+        if not np.count_nonzero(live):   # cheaper than live.any() on small arrays
+            break
     else:
         raise EvaluationError(_NO_CONVERGENCE)
-    xn, hc = xn_done, hc_done
 
     tcl = 100.0 * xn - 273.0
     hl1 = 3.05e-3 * (5733.0 - 6.99 * mw - pa)
     hl2 = max(0.42 * (mw - 58.15), 0.0)
     hl3 = 1.7e-5 * m * (5867.0 - pa)
     hl4 = 0.0014 * m * (34.0 - ta)
-    hl5 = 3.96 * fcl * (xn ** 4 - (tra / 100.0) ** 4)
+    x2 = xn * xn
+    x3 = x2 * xn
+    hl5 = 3.96 * fcl * (x2 * x2 - r4)
     hl6 = fcl * hc * (tcl - ta)
     ts = 0.303 * math.exp(-0.036 * m) + 0.028
     out = ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6)
@@ -218,7 +215,6 @@ def pmv_array(ta_c, tr_c, clo, vel: float, rh_pct: float, met: float,
     # and hl6 = fcl hc s.  Where hc = hcn = 2.38 |s|^0.25, d(hc s)/ds =
     # 1.25 hc, so no derivative divides by s; at hc = hcf it is hc.
     dhcs = np.where(hc > hcf, 1.25 * hc, hc)
-    x3, r3 = xn * xn * xn, (tra / 100.0) ** 3
     g_x = 100.0 + 100.0 * p1 * dhcs + 4.0 * p2 * x3
     dx_ta = p1 * dhcs / g_x         # -G_ta / G_x, as dtaa/dta = 1
     dx_tr = 0.04 * p2 * r3 / g_x    # -G_tr / G_x, from p5
@@ -236,10 +232,9 @@ def _pmv_point(ta: float, tr: float, clo: float, vel: float, rh_pct: float, met:
     """The balance of :func:`pmv_array` for one point, in Python floats:
     ``(pmv,)``, or with ``grad`` ``(pmv, dpmv_dta, dpmv_dtr)``.
 
-    Line for line the array loop, in its operation order.  Every
-    transcendental is a numpy ufunc applied to a float (``np.exp``,
-    ``np.power``, see the module docstring); the rest is ``+ - * /``,
-    ``abs``, ``max`` and ``if``.
+    Line for line the array loop, in its operation order: ``+ - * /``,
+    ``math.sqrt``, ``abs``, ``max`` and ``if``, and the vapour pressure's
+    ``np.exp`` applied to a float (see the module docstring).
     """
     if math.isinf(ta) or math.isinf(tr) or math.isinf(clo) or ta <= -235.0:
         raise EvaluationError(_OUT_OF_DOMAIN)
@@ -255,7 +250,10 @@ def _pmv_point(ta: float, tr: float, clo: float, vel: float, rh_pct: float, met:
     tcla = taa + (35.5 - ta) / (3.5 * (6.45 * icl + 0.1))
     p1 = icl * fcl
     p2 = p1 * 3.96
-    r4 = float(np.power(tra / 100.0, 4))
+    r = tra / 100.0
+    r2 = r * r
+    r3 = r2 * r
+    r4 = r2 * r2
     p5 = 308.7 - 0.028 * mw + p2 * r4
 
     xn = tcla / 100.0
@@ -263,7 +261,7 @@ def _pmv_point(ta: float, tr: float, clo: float, vel: float, rh_pct: float, met:
     for _ in range(_MAX_TCL_ITER):
         x100 = 100.0 * xn
         s = x100 - taa
-        hcn = 2.38 * float(np.power(abs(s), 0.25))
+        hcn = 2.38 * math.sqrt(math.sqrt(abs(s)))
         hc = max(hcf, hcn)
         x3 = xn * xn * xn
         step = ((x100 + p1 * hc * s + p2 * x3 * xn - p5)
@@ -279,7 +277,9 @@ def _pmv_point(ta: float, tr: float, clo: float, vel: float, rh_pct: float, met:
     hl2 = max(0.42 * (mw - 58.15), 0.0)
     hl3 = 1.7e-5 * m * (5867.0 - pa)
     hl4 = 0.0014 * m * (34.0 - ta)
-    hl5 = 3.96 * fcl * (float(np.power(xn, 4)) - r4)
+    x2 = xn * xn
+    x3 = x2 * xn
+    hl5 = 3.96 * fcl * (x2 * x2 - r4)
     hl6 = fcl * hc * (tcl - ta)
     ts = 0.303 * math.exp(-0.036 * m) + 0.028
     out = ts * (mw - hl1 - hl2 - hl3 - hl4 - hl5 - hl6)
@@ -287,7 +287,6 @@ def _pmv_point(ta: float, tr: float, clo: float, vel: float, rh_pct: float, met:
         return (out,)
 
     dhcs = 1.25 * hc if hc > hcf else hc
-    x3, r3 = xn * xn * xn, float(np.power(tra / 100.0, 3))
     g_x = 100.0 + 100.0 * p1 * dhcs + 4.0 * p2 * x3
     dx_ta = p1 * dhcs / g_x
     dx_tr = 0.04 * p2 * r3 / g_x

@@ -348,25 +348,18 @@ class BalanceCoefficients(NamedTuple):
 
 def balance_coefficients(scn: Scenario, cfg: BusConfig) -> BalanceCoefficients:
     """The one-row :class:`BalanceCoefficients` of ``scn`` under ``cfg``."""
-    door = (cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * cfg.h_door ** 3) / 3.0
+    h = cfg.h_door
+    door = (cfg.rho_inf * cfg.c_p_a * cfg.C_d * math.sqrt(cfg.g * (h * h * h)) / 3.0
             * cfg.w_door_tot * scn.zeta_door)
     a_in = cfg.h_in * (cfg.A_roof + cfg.A_wall)
     hA_out = cfg.h_out * cfg.A_body
+    # T_inf^4 as the kernel forms T_so^4, so Q_r_so is 0 at T_so == T_inf
+    t_inf2 = scn.T_inf * scn.T_inf
     return BalanceCoefficients(
-        scn.T_inf, scn.T_inf ** 4, door, 1.0 / math.sqrt(scn.T_inf), a_in, cfg.k_body,
+        scn.T_inf, t_inf2 * t_inf2, door, 1.0 / math.sqrt(scn.T_inf), a_in, cfg.k_body,
         hA_out, cfg.sigma * cfg.A_body, -cfg.k_body - hA_out, 4.0 * cfg.sigma * cfg.A_body,
         cfg.sigma * cfg.A_rh, cfg.h_rh * cfg.A_rh, 4.0 * cfg.sigma * cfg.A_rh,
         passenger_heat(scn.N_pass, cfg), *solar_heat_flows(scn, cfg))
-
-
-def _pow(t, p: float):
-    """``t ** p`` by the C library's ``pow``, for a float and elementwise
-    for an array: numpy's array loop differs from it in the last bit for
-    about 5 % of values, and a row must evaluate the same alone, stacked,
-    and as a float."""
-    if isinstance(t, np.ndarray):
-        return np.array([v ** p for v in t.ravel().tolist()]).reshape(t.shape)
-    return t ** p
 
 
 def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficients,
@@ -395,25 +388,27 @@ def reservoir_balance(T_cab, T_rh, T_si, T_so, Q_hvac, P_rh, c: BalanceCoefficie
     T_si^4)``: coplanar ceiling panels see none of each other, so all they
     emit lands on the inner shell.
 
-    Every operation is elementwise: IEEE arithmetic and square roots, and
-    powers by the C library (:func:`_pow`), so a row gives the same bits as
-    floats, alone and inside any stack.
+    Every operation is elementwise and one of ``+ - * /`` and the square
+    root, which IEEE 754 rounds correctly everywhere (powers are products),
+    so a row gives the same bits as floats, alone and inside any stack.
     """
     dt = T_cab - c.T_inf
     q_door = c.door * np.sqrt(np.abs(dt)) * c.inv_sqrt_T_inf * dt
     q_h_si = c.a_in * (T_cab - T_si)
     q_k = c.k * (T_si - T_so)
     q_h_so = c.hA_out * (T_so - c.T_inf)
-    q_r_so = c.sA_body * (_pow(T_so, 4) - c.T_inf4)
+    so2 = T_so * T_so
+    q_r_so = c.sA_body * (so2 * so2 - c.T_inf4)
     # dt + (dt == 0) is dt, or 1 where q_door is zero with dt
     d_door = 1.5 * q_door / (dt + (dt == 0.0))
-    d_so = c.d_so - c.c_so * _pow(T_so, 3)
+    d_so = c.d_so - c.c_so * (so2 * T_so)
     shape = np.shape(dt)
     if rh_on:
-        q_r_rh = c.sA_rh * (_pow(T_rh, 4) - _pow(T_si, 4))
+        si2, rh2 = T_si * T_si, T_rh * T_rh
+        q_r_rh = c.sA_rh * (rh2 * rh2 - si2 * si2)
         q_h_rh = c.hr * (T_rh - T_cab)
         hr = c.hr
-        rr_si = c.c_rh * _pow(T_si, 3)
+        rr_si = c.c_rh * (si2 * T_si)
     else:
         # Python floats, so that a one-row evaluation stays float arithmetic
         q_r_rh = q_h_rh = hr = rr_si = 0.0

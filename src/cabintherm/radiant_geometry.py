@@ -341,6 +341,8 @@ def panel_view_weights(passengers, layout: CabinLayout) -> np.ndarray:
 
 def mixed_radiant_temperature(b, T_si, T_rh):
     """Mean radiant temperature (K) behind panel view weight ``b``:
-    ``((1 - b) T_si^4 + b T_rh^4)^(1/4)``, broadcasting over arrays."""
-    return ((1.0 - b) * T_si ** 4 + b * T_rh ** 4) ** 0.25
+    ``((1 - b) T_si^4 + b T_rh^4)^(1/4)``, broadcasting over arrays, in
+    products and square roots."""
+    si2, rh2 = T_si * T_si, T_rh * T_rh
+    return np.sqrt(np.sqrt((1.0 - b) * (si2 * si2) + b * (rh2 * rh2)))
 

@@ -373,7 +373,8 @@ class _StateComfort:
         t_si_pt = t_si[of_pt]
         tmr = mixed_radiant_temperature(b, t_si_pt, self.t_rh[pos][of_pt])
         uniform = self.uniform[pos][of_pt]
-        dtmr = np.where(uniform, 1.0, (1.0 - b) * t_si_pt ** 3 / tmr ** 3)
+        dtmr = np.where(uniform, 1.0, (1.0 - b) * (t_si_pt * t_si_pt * t_si_pt)
+                        / (tmr * tmr * tmr))
         return (t_cab[of_pt] - KELVIN, np.where(uniform, t_si_pt, tmr) - KELVIN,
                 self.r_clo[pos][of_pt]), dtmr
 
@@ -758,7 +759,7 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
         # a single point stands for every passenger
         per_pax = (np.full(n, min(3.0, max(-3.0, float(pmv[0])))) if pmv.size == 1
                    else np.clip(pmv, -3.0, 3.0))
-        psi = float(np.clip(mean_pmv(per_pax), -3.0, 3.0))
+        psi = min(3.0, max(-3.0, mean_pmv(per_pax)))
         dissat = ppd_of(psi)
     else:
         per_pax = pmv

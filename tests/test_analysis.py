@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -341,6 +342,9 @@ class TestSharedPool:
         workers = multiprocessing.active_children()
         assert len(workers) == 2
         os.kill(workers[0].pid, signal.SIGKILL)
+        # the signal is delivered asynchronously: without this wait the
+        # other worker can finish the next call before the pool sees a death
+        multiprocessing.connection.wait([workers[0].sentinel], timeout=30)
         with pytest.raises(BrokenProcessPool):
             solve_set(sub, hp_cfg, self.SPEC, jobs=2)
         pooled = solve_set(sub, hp_cfg, self.SPEC, jobs=2)

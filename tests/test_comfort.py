@@ -120,6 +120,17 @@ class TestPmv:
         assert out.shape == (2,)
         assert out[1] > out[0]
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_zero_points_give_empty_outputs(self, shape):
+        empty = np.zeros(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pmv_array(empty, empty, empty, 0.1, 40.0, 1.2)
+            outs = pmv_array(empty, empty, empty, 0.1, 40.0, 1.2, grad=True)
+        assert out.shape == shape
+        assert len(outs) == 3
+        assert all(o.shape == shape for o in outs)
+
 
 class TestPpd:
     def test_minimum_five_percent(self):
