@@ -41,9 +41,9 @@ call, one PMV kernel call (with a PMV row) and one stacked linear solve for
 every live row, and one more PMV kernel call answers the points of every
 solved row.  A single solve is the same scheduler with one task, and its
 Newton a stack of one row.  The arithmetic of each solve (Newton steps,
-line search, restarts, warm starts) stays its own and does not depend on
-what it runs beside: the kernels work row by row and point by point, so a
-value is the same bits in any batch.  :func:`settle` runs many sweepers
+line search, warm starts) stays its own and does not depend on what it
+runs beside: the kernels work row by row and point by point, so a value is
+the same bits in any batch.  :func:`settle` runs many sweepers
 (:class:`ScenarioSweeper`) window by window.
 """
 
@@ -53,7 +53,6 @@ from collections import defaultdict, deque
 from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -71,7 +70,6 @@ from .radiant_geometry import (CABIN_HEIGHT, CABIN_LENGTH, CABIN_WIDTH, STRIP_PA
 from .scenario import placement_seed
 
 MAX_NEWTON_ITER = 100
-MAX_RESTARTS = 5
 LINESEARCH_FACTOR = 0.5
 LINESEARCH_MIN = 1e-4
 BALANCE_RTOL = 1e-6     # per watt of the largest flow
@@ -446,12 +444,6 @@ class _StateComfort:
 # array Newton
 # ---------------------------------------------------------------------------
 
-# the starting-point shift of each restart, on the temperatures
-_RESTART_SHIFTS = np.array([np.zeros(3)] + [np.random.default_rng(1000 + attempt)
-                                             .uniform(-5.0, 5.0, 3)
-                                             for attempt in range(1, MAX_RESTARTS + 1)])
-
-
 class _Shape(NamedTuple):
     """What the systems of one :class:`_NewtonGroup` share."""
 
@@ -485,23 +477,22 @@ class _NewtonGroup:
     unknowns (Q_hvac frozen or free), the same PMV row (present or not) and
     the same comfort setting; scenarios, configurations and clothing may
     differ row by row.  Either branch solves ``x = [T_cab, T_si, T_so,
-    Q_hvac]``; panels, when on, stay at their target temperature.  Each
-    row runs the iteration of one scenario:
-    backtracking line search on the weighted residual norm and up to
-    ``MAX_RESTARTS`` restarts from shifted starting points when it stalls.
-    The PMV row's gradient is exact at every iterate: the kernel's own
-    partial derivatives (``pmv_array(..., grad=True)``), chained through
-    each passenger's mean radiant temperature.  A row's convergence, steps,
-    restarts and failure are its own masks, so it takes the same iterates
-    alone as in any stack.  Every evaluation, for all live rows at once,
-    makes one :func:`reservoir_balance` call, one :func:`pmv_array` call
-    (with a PMV row) and one stacked ``np.linalg.solve``.  :meth:`run`
-    returns each solved row's solution with the PMV of its kernel points.
-    With a PMV row these are the values of the evaluation that accepted the
-    solution; without one, one more :func:`pmv_array` call at the end
-    evaluates them.  The PMV row and the answers both read one
-    :class:`_StateComfort` of the group's models, so a state's kernel
-    points are the same for both.
+    Q_hvac]``; panels, when on, stay at their target temperature.  Each row
+    runs the iteration of one scenario from one start, with a backtracking
+    line search on the weighted residual norm, and fails when the search
+    stalls, J is singular or ``MAX_NEWTON_ITER`` steps pass: the balance
+    has one root (an M-function), and no failing request of the
+    wide-envelope search in ``tests/test_properties.py`` solves from a
+    shifted start.  A row's convergence, steps and failure are its own
+    masks, so it takes the same iterates alone as in any stack.  The PMV
+    row's gradient is exact at every iterate: the kernel's own partial
+    derivatives (``pmv_array(..., grad=True)``), chained through each
+    passenger's mean radiant temperature.  Every evaluation, for all live
+    rows at once, makes one :func:`reservoir_balance` call, one
+    :func:`pmv_array` call (with a PMV row) and one stacked
+    ``np.linalg.solve``.  The PMV row and the answers of :meth:`run` both
+    read one :class:`_StateComfort` of the group's models, so a state's
+    kernel points are the same for both.
     """
 
     def __init__(self, requests: list[_NewtonRequest]):
@@ -595,14 +586,13 @@ class _NewtonGroup:
         it.
 
         Row state: ``x`` the accepted iterate and ``xt`` the point to
-        evaluate next (a trial step, or the start of an attempt), and with
-        ``x`` its residuals ``r``, their flow magnitude ``scale``, the
-        balance Jacobian ``bal_jac`` and the PMV gradient ``grad`` (no
-        columns without a PMV row); ``it`` the iteration index within the
-        attempt, -1 before its start is evaluated; ``norm`` the weighted
-        residual norm of ``x``, NaN before a start, which is therefore
-        always accepted.  Masks that would hold every live row are not
-        formed.
+        evaluate next (the start, or a trial step), and with ``x`` its
+        residuals ``r``, their flow magnitude ``scale``, the balance
+        Jacobian ``bal_jac`` and the PMV gradient ``grad`` (no columns
+        without a PMV row); ``iters`` the Newton steps taken; ``norm`` the
+        weighted residual norm of ``x``, NaN before the start, which is
+        therefore always accepted.  Masks that would hold every live row
+        are not formed.
         """
         sh = self.shape
         n, cols = len(self.models), sh.cols
@@ -611,12 +601,10 @@ class _NewtonGroup:
         x = xt = self.x0.copy()
         r = scale = bal_jac = grad = None
         norm = np.full(n, np.nan)
-        it = np.full(n, -1)
-        attempt = np.zeros(n, int)
         iters = np.zeros(n, int)
         step = np.ones(n)
         dx = np.zeros((n, sh.k))
-        for evaluation in count():
+        while True:
             m = pos.size
             # ---- evaluate every live row at xt
             errors = {}
@@ -638,13 +626,11 @@ class _NewtonGroup:
             n_acc = np.count_nonzero(acc)
             if n_acc == m or r is None:
                 x, r, scale, bal_jac, grad, norm = xt, r_t, scale_t, jac_t, grad_t, norm_t
-                it += 1
             elif n_acc:
                 x, r, scale, bal_jac, grad, norm = (
                     np.where(acc.reshape((m,) + (1,) * (new.ndim - 1)), new, old)
                     for new, old in ((xt, x), (r_t, r), (scale_t, scale), (jac_t, bal_jac),
                                      (grad_t, grad), (norm_t, norm)))
-                it += acc
             # ---- accepted rows: converged, out of iterations, or a Newton step
             if n_acc:
                 conv = self.converged(pos, r, scale)
@@ -652,9 +638,7 @@ class _NewtonGroup:
                     conv &= acc
                 done = conv if failed is None else conv | failed
                 stepping = ~conv if n_acc == m else acc & ~conv
-                # no row has taken more steps than there were evaluations
-                ended = (stepping & (it >= MAX_NEWTON_ITER) if evaluation >= MAX_NEWTON_ITER
-                         else np.zeros(m, bool))
+                ended = stepping & (iters >= MAX_NEWTON_ITER)
                 stepping &= ~ended
                 n_step = np.count_nonzero(stepping)
                 if n_step == m:
@@ -670,26 +654,21 @@ class _NewtonGroup:
             else:
                 done = np.zeros(m, bool) if failed is None else failed
                 ended = np.zeros(m, bool)
-            # ---- a rejected trial halves its step; too short ends the attempt
+            # ---- a rejected trial halves its step; too short ends the row
             if n_acc == m:
                 step = np.ones(m)
             else:
                 step = np.where(acc, 1.0, step * LINESEARCH_FACTOR)
                 ended |= step < LINESEARCH_MIN
-            # ---- ended attempts restart, or fail after the last one
-            restart = None
+            # ---- ended rows fail
             if failed is not None:
                 ended &= ~failed
-            if np.count_nonzero(ended):
-                attempt += ended
-                for i in np.flatnonzero(ended & (attempt > MAX_RESTARTS)):
-                    out[pos[i]] = SolverError(
-                        f"Newton did not converge for scenario "
-                        f"{self.models[pos[i]].scn.id!r} "
-                        f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
-                        last_x=x[i].copy(), last_residuals=r[i].copy())
-                    done[i] = True
-                restart = np.flatnonzero(ended & ~done)
+            for i in np.flatnonzero(ended):
+                out[pos[i]] = SolverError(
+                    f"Newton did not converge for scenario {self.models[pos[i]].scn.id!r} "
+                    f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
+                    last_x=x[i].copy(), last_residuals=r[i].copy())
+                done[i] = True
             n_done = np.count_nonzero(done)
             if n_done:
                 converged_now = [i for i in np.flatnonzero(done) if out[pos[i]] is None]
@@ -700,23 +679,18 @@ class _NewtonGroup:
                         out[pos[i]] += (p,)
                 if n_done == m:
                     break
-            # ---- the next points: trial steps, and the starts of restarts
+            # ---- the next points: trial steps
             if cols == slice(None):
                 xt = x + step[:, None] * dx
             else:
                 xt = x.copy()
                 xt[:, cols] += step[:, None] * dx
             np.minimum(np.maximum(xt[:, :3], T_BOX[0]), T_BOX[1], out=xt[:, :3])
-            if restart is not None and restart.size:
-                xt[restart] = self.x0[pos[restart]]
-                xt[restart, :3] += _RESTART_SHIFTS[attempt[restart]]
-                it[restart] = -1
-                norm[restart] = np.nan
             if n_done:
                 keep = ~done
-                pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt, iters, step, dx = (
-                    a[keep] for a in (pos, x, xt, r, scale, bal_jac, grad, norm, it, attempt,
-                                      iters, step, dx))
+                pos, x, xt, r, scale, bal_jac, grad, norm, iters, step, dx = (
+                    a[keep] for a in (pos, x, xt, r, scale, bal_jac, grad, norm, iters, step,
+                                      dx))
         solved = [i for i, o in enumerate(out) if type(o) is tuple and len(o) == 2]
         if solved:
             pmv = self.comfort.solution_pmv(np.array(solved), np.array([out[i][0] for i in solved]))
@@ -741,7 +715,9 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
     One balance kernel call on the model's coefficients gives every flow
     of the state and, with the panels on (at their target temperature),
     their electric power: the panel row at zero panel power is minus it.
-    Without panels ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero.
+    Without panels ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero.  A
+    state that :class:`ThermalState` rejects (powered panels colder than
+    the cabin air) raises a :class:`SolverError` that names the scenario.
     """
     x, iterations, pmv = answer
     t_cab, t_si, t_so, q_hvac = x.tolist()
@@ -751,8 +727,12 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
     kernel_flows, rows, _ = reservoir_balance(t_cab, t_rh, t_si, t_so, q_hvac, 0.0,
                                               model.coef, model.rh_on)
     p_rh = max(-float(rows[3]), 0.0) if model.rh_on else 0.0
-    state = ThermalState(T_cab=t_cab, T_rh=t_rh, T_si=t_si, T_so=t_so, Q_hvac=q_hvac,
-                         P_rh=p_rh)
+    try:
+        state = ThermalState(T_cab=t_cab, T_rh=t_rh, T_si=t_si, T_so=t_so, Q_hvac=q_hvac,
+                             P_rh=p_rh)
+    except ConfigError as err:
+        raise SolverError(f"{err}: scenario {model.scn.id!r} (rh_on={model.rh_on}) solved to "
+                          f"T_rh = {t_rh:.3f} K, T_cab = {t_cab:.3f} K", last_x=x) from err
     flows = assemble_heat_flows(state, model.coef, kernel_flows, model.cfg, model.rh_on)
     n = model.scn.N_pass
     if n:
@@ -1025,9 +1005,9 @@ class ScenarioSweeper:
     The branches keep their passive solutions, panel view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
     setup once.  The view weights come from the layout's slot table in the
-    process's store, computed once per layout.  A ``layout`` of None is the built-in cabin with ``cfg``'s
-    panel area (:func:`default_layout`), not a loaded configuration's
-    ``AppConfig.layout``.
+    process's store, computed once per layout.  A ``layout`` of None is the
+    built-in cabin with ``cfg``'s panel area (:func:`default_layout`), not a
+    loaded configuration's ``AppConfig.layout``.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,

@@ -16,13 +16,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cabintherm.comfort import ComfortSpec, pmv_array
+from cabintherm.errors import CabinThermError, SolverError
 from cabintherm.model_core import (BalanceCoefficients, BusConfig, CopCurve, Scenario,
                                    balance_coefficients, balance_residuals, c_to_k, k_to_c,
                                    max_abs_flow, reservoir_balance)
 from cabintherm.radiant_geometry import (PASSENGER_HEIGHT, CabinLayout, PassengerCuboid,
                                          Rect3, ceiling_panel_strip, panel_view_weights,
                                          place_passengers, placement_grid, placement_slots)
-from cabintherm.solver import (T_BOX, _BranchModel, _OptProgram, ScenarioSweeper,
+from cabintherm.solver import (T_BOX, _BranchModel, _NewtonGroup, _NewtonRequest, _OptProgram,
+                               _run, _solve_branch, ScenarioSweeper, default_layout,
                                solve_best, solve_window_opt, solve_window_rootfind)
 from flow_reference import (conduction_shell, convective_cabin_to_shell,
                             convective_rh_to_cabin, convective_shell_to_ambient,
@@ -236,6 +238,100 @@ def test_power_does_not_rise_with_the_window(scn, cfg):
     p_tot = [sweeper.solve(-w, w).P_tot for w in (0.0, 0.25, 0.5, 1.0, 2.0)]
     for narrow, wide in zip(p_tot, p_tot[1:]):
         assert wide <= narrow + 1e-9 * max(1.0, narrow)
+
+
+# ---------------------------------------------------------------------------
+# Newton's one start per request
+# ---------------------------------------------------------------------------
+
+# the starts Newton once restarted a failed request from, after its own:
+# that start with each shift added to its temperatures
+_RESTART_SHIFTS = [np.random.default_rng(1000 + a).uniform(-5.0, 5.0, 3) for a in range(1, 6)]
+_SEATS = len(placement_grid(default_layout(BusConfig(A_rh=1.0))))
+# a PMV window bound: an end of the scale, or anywhere on it
+_PMV_BOUND = st.one_of(st.just(-3.0), st.just(3.0), st.floats(-3.0, 3.0))
+_WINDOWS = st.lists(st.one_of(st.tuples(_PMV_BOUND, _PMV_BOUND).map(sorted),
+                              _PMV_BOUND.map(lambda b: (b, b))), min_size=1, max_size=4)
+
+
+@st.composite
+def wide_cases(draw):
+    """A scenario and a configuration, either branch, over a wider
+    envelope than :func:`scenarios` and :func:`configs`: -45 to 60 C, a
+    sealed to an always-open door, up to 200 passengers (the cabin's seats
+    with panels), 20 to 5000 W/K of shell and panels at 40 to 140 C."""
+    rh = draw(st.booleans())
+    cfg = BusConfig(
+        k_body=math.exp(draw(st.floats(math.log(20.0), math.log(5000.0)))),
+        h_in=draw(st.floats(1.0, 30.0)),
+        h_out=draw(st.floats(3.0, 80.0)),
+        h_rh=draw(st.floats(1.0, 6.0)),
+        alpha_paint=draw(st.floats(0.1, 0.9)),
+        tau_win=draw(st.floats(0.3, 0.9)),
+        cop_heating=(CopCurve.constant(1.0) if draw(st.booleans())
+                     else BusConfig().cop_heating),
+        rh_enabled=rh,
+        A_rh=draw(st.floats(1.0, 8.0)) if rh else 0.0,
+        T_rh_tgt=c_to_k(draw(st.floats(40.0, 140.0))),
+    )
+    beta = draw(st.floats(-0.5, 1.4))
+    sun = beta > 0.0
+    scn = Scenario(
+        T_inf=c_to_k(draw(st.floats(-45.0, 60.0))),
+        I_dni=draw(st.floats(0.0, 900.0)) if sun else 0.0,
+        I_dhi=draw(st.floats(0.0, 250.0)) if sun else 0.0,
+        beta=beta,
+        N_pass=draw(st.integers(0, _SEATS if rh else 200)),
+        zeta_door=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+        zeta_sh=draw(st.floats(0.0, 1.0)),
+        month=draw(st.integers(1, 12)),
+        id=f"w{draw(st.integers(0, 10 ** 6))}",
+    )
+    return scn, cfg
+
+
+def test_no_failed_request_is_solved_from_a_shifted_start():
+    # Newton gives a request one start: the balance has one root.  Every
+    # Newton request of this search that fails (passive, warm and cold
+    # pinned solves, the SLSQP polish) must fail from each shifted start
+    # too; an input that a shifted start solves would need restarts back
+    original = _NewtonGroup.run
+    failed = []
+
+    def run(group):
+        out = original(group)
+        for i, answer in enumerate(out):
+            if isinstance(answer, SolverError):
+                x0 = group.x0[i]
+                failed.append(_NewtonRequest(group.models[i], x0, group.psi_tgts[i],
+                                             x0[3] if group.shape.frozen else None))
+        return out
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(case=wide_cases(), windows=_WINDOWS,
+           method=st.sampled_from(["rootfind", "rootfind", "rootfind", "opt"]))
+    def search(case, windows, method):
+        # each branch on its own: a sweeper stops at its first failure
+        for model in ScenarioSweeper(*case, ComfortSpec(), method=method).models:
+            for lo, hi in windows:
+                try:
+                    _run(_solve_branch(model, method, lo, hi))
+                except CabinThermError:
+                    pass
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_NewtonGroup, "run", run)
+        search()
+    # the search reaches requests with no root on both branches: a nearly
+    # sealed, well-insulated bus whose passive cabin air runs into the
+    # iterate clamp at 400 K
+    assert {req.model.rh_on for req in failed} == {False, True}
+    for req in failed:
+        for shift in _RESTART_SHIFTS:
+            x0 = req.x0.copy()
+            x0[:3] += shift
+            answer, = original(_NewtonGroup([req._replace(x0=x0)]))
+            assert isinstance(answer, SolverError), (req.model.scn, req.model.cfg, req.psi_tgt)
 
 
 def _passenger_faces(p):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cabintherm import analysis, model_core, solver
 from cabintherm.comfort import ComfortSpec, pmv
-from cabintherm.errors import ConfigError
+from cabintherm.errors import ConfigError, SolverError
 from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
                                    compute_heat_flows, max_abs_flow)
 from cabintherm.radiant_geometry import mixed_radiant_temperature
@@ -220,6 +221,21 @@ class TestSolveBest:
         assert a.rh_used == b.rh_used
         assert abs(a.P_tot - b.P_tot) / max(a.P_tot, 1.0) <= 1e-4
 
+    def test_unusable_panel_state_names_its_scenario(self, ptc_rh_cfg):
+        # a June hour of synthesize_dataset(2000, 7101): with the panels
+        # held at 30 C, the RH-on branch at +-2 solves to a cabin warmer
+        # than its powered panels, which no ThermalState may hold
+        scn = Scenario(T_inf=293.08299999999997, I_dni=695.05, I_dhi=65.82,
+                       beta=0.9881460812846216, N_pass=15, zeta_door=0.1028, zeta_sh=0.25,
+                       month=6, id="syn-7101-00018")
+        cfg = replace(ptc_rh_cfg, T_rh_tgt=c_to_k(30.0))
+        with pytest.raises(SolverError, match=r"scenario 'syn-7101-00018' \(rh_on=True\) "
+                                              r"solved to T_rh = 303\.150 K, T_cab = 30") as err:
+            solve_best(scn, cfg, ComfortSpec(psi_min=-2.0, psi_max=2.0))
+        assert isinstance(err.value.__cause__, ConfigError)
+        # the same configuration is usable at a narrower window
+        assert solve_best(scn, cfg, ComfortSpec(psi_min=-0.5, psi_max=0.5)).P_tot > 0.0
+
     def test_unknown_method(self, hp_cfg, winter_scn, window_spec):
         with pytest.raises(ConfigError):
             solve_best(winter_scn, hp_cfg, window_spec, method="magic")
@@ -311,6 +327,67 @@ class TestNewton:
         # comes with its residual, so the start plus one balance per iterate
         assert iters > 0
         assert len(calls) == iters + 1
+
+    @pytest.mark.parametrize("psi_tgt", [None, -1.0])
+    def test_singular_jacobian_fails_its_row_alone(self, hp_cfg, small_set, psi_tgt,
+                                                   monkeypatch):
+        # no input has met a singular J; a zeroed balance Jacobian makes one
+        models = [solver._BranchModel(s, hp_cfg, ComfortSpec(), False)
+                  for s in small_set.scenarios if s.N_pass > 0][:4]
+        bad = models[1].scn.id
+        original = solver._NewtonGroup._system
+
+        def system(group, pos, x, psi):
+            rows, scale, jac = original(group, pos, x, psi)
+            live = range(len(group.models)) if pos is None else pos
+            jac = jac.copy()
+            jac[[group.models[i].scn.id == bad for i in live]] = 0.0
+            return rows, scale, jac
+
+        monkeypatch.setattr(solver._NewtonGroup, "_system", system)
+        frozen_q = 0.0 if psi_tgt is None else None
+        requests = [solver._NewtonRequest(m, m.init_vector(), psi_tgt, frozen_q)
+                    for m in models]
+        stacked = solver._NewtonGroup(requests).run()
+        err = stacked[1]
+        assert isinstance(err, SolverError) and f"scenario {bad!r}" in str(err)
+        # it failed at its start, the first Newton step
+        assert err.last_x.tobytes() == requests[1].x0.tobytes()
+        for i in (0, 2, 3):
+            (x, iters, pmv), = solver._NewtonGroup([requests[i]]).run()
+            assert stacked[i][1] == iters > 0
+            assert stacked[i][0].tobytes() == x.tobytes()
+            assert stacked[i][2].tobytes() == pmv.tobytes()
+
+    def test_a_failing_row_ends_after_one_start(self, hp_cfg, window_spec, monkeypatch):
+        scn = Scenario(T_inf=c_to_k(-5.0), I_dni=0.0, I_dhi=0.0, beta=-0.1, N_pass=20,
+                       zeta_door=0.1, zeta_sh=0.4, month=1, id="cold")
+        counts = {"_system": 0, "_step": 0}
+
+        def counting(name):
+            original = getattr(solver._NewtonGroup, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver._NewtonGroup, name, wrapper)
+
+        for name in counts:
+            counting(name)
+        monkeypatch.setattr(solver._NewtonGroup, "converged",
+                            lambda group, pos, r, scale: np.zeros(pos.size, bool))
+        with pytest.raises(SolverError, match="scenario 'cold'") as failure:
+            solve_window_rootfind(scn, hp_cfg, window_spec, rh_on=False)
+        # the start, one full trial per Newton step, and the rejected trials
+        # of one line search, whose step halves until below LINESEARCH_MIN
+        halvings = math.ceil(math.log2(1.0 / solver.LINESEARCH_MIN))
+        assert counts["_step"] > 0
+        assert counts["_system"] <= counts["_step"] + 1 + halvings
+        # the passive solve failed: its three balance rows, at its last iterate
+        err = failure.value
+        assert err.last_x.shape == (4,) and err.last_residuals.shape == (3,)
+        assert np.all(np.isfinite(err.last_x)) and np.all(np.isfinite(err.last_residuals))
 
 
 class TestKernelCalls:
