@@ -427,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="concurrent scenario solves")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--solver", choices=["opt", "rootfind", "both"],
-                        default="rootfind")
+                        default="rootfind",
+                        help="solve: the route, root finding or SLSQP ('both' runs both "
+                             "and prints their deviation); sweep: the fronts are always "
+                             "root-found, and 'opt' and 'both' add the SLSQP cross-check "
+                             "on a 25-scenario sample")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

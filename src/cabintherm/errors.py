@@ -28,3 +28,8 @@ class SolverError(CabinThermError):
         super().__init__(message)
         self.last_x = last_x
         self.last_residuals = last_residuals
+
+
+class InadmissibleStateError(SolverError):
+    """A solve converged to a state the model does not admit: powered
+    radiant panels colder than the cabin air."""

@@ -28,14 +28,16 @@ Both branches solve the same four unknowns,
 data, and its electric power is read off the balance's panel row.
 
 Solves run in lockstep.  Every solve is written as *solve steps*: a
-generator that yields a Newton request ``(model, x0, psi_tgt, frozen_q)``
-whenever it needs a damped-Newton solve, is sent ``(x, iterations, pmv)``
-back, and returns its result.  ``pmv`` holds the unclamped PMV of the
+generator that yields a Newton request ``(model, x0, psi_tgt)`` whenever
+it needs a damped-Newton solve, is sent ``(x, iterations, pmv)`` back, and
+returns its result.  With ``psi_tgt`` the PMV row is appended and Q_hvac is
+an unknown; without it Q_hvac stays at ``x0[3]`` (0 for a passive solve, the
+decided heat for the SLSQP polish).  ``pmv`` holds the unclamped PMV of the
 solution's kernel points (one point when every passenger sees the same
 T_mr, one per passenger otherwise, none for an empty bus); it is all the
 exact comfort a solve checks or reports.  The scheduler :func:`_lockstep`
 advances many solves side by side.  Each round it runs all pending
-requests of one branch shape and comfort setting as one array Newton
+requests of one branch, PMV row and comfort setting as one array Newton
 (:class:`_NewtonGroup`): each of its evaluations makes one balance kernel
 call, one PMV kernel call (with a PMV row) and one stacked linear solve for
 every live row, and one more PMV kernel call answers the points of every
@@ -52,14 +54,14 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Generator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, TypeVar
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .comfort import ComfortSpec, clothing_insulation, mean_pmv, pmv_array, ppd as ppd_of
-from .errors import CabinThermError, ConfigError, EvaluationError, SolverError
+from .errors import (CabinThermError, ConfigError, EvaluationError, InadmissibleStateError,
+                     SolverError)
 from .model_core import (BalanceCoefficients, BusConfig, HeatFlows, KELVIN, Scenario,
                          ThermalState, assemble_heat_flows, balance_coefficients,
                          balance_residuals, max_abs_flow, reservoir_balance)
@@ -171,7 +173,6 @@ class _NewtonRequest(NamedTuple):
     model: "_BranchModel"
     x0: np.ndarray
     psi_tgt: float | None
-    frozen_q: float | None
 
 
 def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
@@ -185,8 +186,8 @@ def _lockstep(tasks: list[_Steps]) -> list:
     A task is a generator that yields :class:`_NewtonRequest` s and returns
     its result; each request is sent ``(x, iterations, pmv)`` back, ``pmv``
     the unclamped PMV of the solution's kernel points.  Each round groups
-    the pending requests by branch, PMV row, frozen Q_hvac and comfort
-    setting, and runs each group as one array Newton (:class:`_NewtonGroup`).
+    the pending requests by branch, PMV row and comfort setting, and runs
+    each group as one array Newton (:class:`_NewtonGroup`).
     A task that raises a :class:`CabinThermError`, or is thrown one by its
     request, stops with it; the others carry on.
     """
@@ -207,7 +208,7 @@ def _lockstep(tasks: list[_Steps]) -> list:
         batch, pending = pending, {}
         groups: dict[tuple, list[int]] = defaultdict(list)
         for i, req in batch.items():
-            groups[(req.model.rh_on, req.psi_tgt is not None, req.frozen_q is None,
+            groups[(req.model.rh_on, req.psi_tgt is not None,
                     _comfort_setting(req.model.spec))].append(i)
         for idx in groups.values():
             for i, val in zip(idx, _NewtonGroup([batch[i] for i in idx]).run()):
@@ -277,34 +278,31 @@ class _BranchModel:
 
     # -- damped Newton ------------------------------------------------------
 
-    def newton(self, x0: np.ndarray, psi_tgt: float | None,
-               frozen_q: float | None = None) -> _Steps[_Answer]:
+    def newton(self, x0: np.ndarray, psi_tgt: float | None) -> _Steps[_Answer]:
         """Damped Newton on the square system (solve steps); returns
         ``(x, iterations, pmv)``, ``pmv`` the unclamped PMV of the kernel
         points of the solution.
 
-        ``frozen_q`` removes Q_hvac from the unknowns and holds ``x[3]`` at
-        the given value (passive solves use 0); ``psi_tgt`` appends the PMV
-        row.  The solve is one :class:`_NewtonRequest`, run by
-        :func:`_lockstep` as a row of an array Newton (:class:`_NewtonGroup`).
+        ``psi_tgt`` appends the PMV row and makes Q_hvac an unknown; without
+        it ``x[3]`` stays at ``x0[3]``.  The solve is one
+        :class:`_NewtonRequest`, run by :func:`_lockstep` as a row of an
+        array Newton (:class:`_NewtonGroup`).
         """
-        return (yield _NewtonRequest(self, x0, psi_tgt, frozen_q))
+        return (yield _NewtonRequest(self, x0, psi_tgt))
 
     # -- branch-level solves (solve steps) ----------------------------------
 
     def passive(self) -> _Steps[_Answer]:
         """Zero-HVAC-heat solution (panels, when on, still at target)."""
         if self._passive is None:
-            self._passive = yield from self.newton(self.init_vector(), None, frozen_q=0.0)
+            self._passive = yield from self.newton(self.init_vector(), None)
         return self._passive
 
     def pinned(self, psi_tgt: float) -> _Steps[_Answer]:
-        """Solve with the mean PMV pinned to ``psi_tgt``."""
+        """Solve with the mean PMV pinned to ``psi_tgt``, from the branch's
+        last pinned solution, or from :meth:`init_vector` before the first."""
         x0 = self._last_pinned if self._last_pinned is not None else self.init_vector()
-        try:
-            answer = yield from self.newton(x0.copy(), psi_tgt)
-        except SolverError:
-            answer = yield from self.newton(self.init_vector(), psi_tgt)
+        answer = yield from self.newton(x0, psi_tgt)
         self._last_pinned = answer[0]
         return answer
 
@@ -444,40 +442,33 @@ class _StateComfort:
 # array Newton
 # ---------------------------------------------------------------------------
 
-class _Shape(NamedTuple):
-    """What the systems of one :class:`_NewtonGroup` share."""
-
-    use_psi: bool
-    frozen: bool
-    k: int                      # rows and unknowns of the square system
-    cols: slice                 # the unknowns' columns of x
-    weights: np.ndarray         # of the residual norm
-    row_tol: np.ndarray         # absolute tolerance of the PMV row
-    is_balance_row: np.ndarray
+# The weights of the residual norm.  x is [T_cab, T_si, T_so, Q_hvac]; the
+# rows are cabin air, inner and outer shell (the panel row only fixes P_rh),
+# counted in kW, then the PMV row, where 0.1 PMV weighs like 1 kW.  A system
+# without a PMV row takes the first three.
+_NORM_WEIGHTS = np.array([1e-3] * 3 + [10.0])
 
 
-@lru_cache(maxsize=None)
-def _shape(use_psi: bool, frozen: bool) -> _Shape:
-    # x is [T_cab, T_si, T_so, Q_hvac]; the rows are cabin air, inner and
-    # outer shell (the panel row only fixes P_rh), then the PMV row
-    k = 3 + use_psi
-    weights = [1e-3] * 3                    # balance rows counted in kW
-    tol = [0.0] * 3
-    if use_psi:
-        weights.append(10.0)                # 0.1 PMV weighs like 1 kW
-        tol.append(PSI_ROW_TOL)
-    return _Shape(use_psi, frozen, k, slice(0, 3) if frozen else slice(None),
-                  np.array(weights), np.array(tol), np.arange(k) < 3)
+def _on_bound(x: np.ndarray) -> str:
+    """The end of a failed row's message: the temperatures of its last
+    iterate ``x`` that sit on a bound of ``T_BOX`` (none: empty)."""
+    hits = [f"{name} = {t:.1f} K" for name, t in zip(("T_cab", "T_si", "T_so"), x[:3].tolist())
+            if t in T_BOX]
+    if not hits:
+        return ""
+    return (f": the last iterate has {' and '.join(hits)} on the iterate bound of "
+            f"T_BOX = {T_BOX} K, and the balance may have no root inside it")
 
 
 class _NewtonGroup:
     """Damped Newton on a stack of square systems of one shape.
 
     Every request of a group has the same branch (RH on or off), the same
-    unknowns (Q_hvac frozen or free), the same PMV row (present or not) and
-    the same comfort setting; scenarios, configurations and clothing may
-    differ row by row.  Either branch solves ``x = [T_cab, T_si, T_so,
-    Q_hvac]``; panels, when on, stay at their target temperature.  Each row
+    PMV row (present or not) and the same comfort setting; scenarios,
+    configurations and clothing may differ row by row.  Either branch
+    solves ``x = [T_cab, T_si, T_so, Q_hvac]``; panels, when on, stay at
+    their target temperature.  With the PMV row the system has ``k = 4``
+    unknowns; without it ``k = 3``, and Q_hvac stays at its start.  Each row
     runs the iteration of one scenario from one start, with a backtracking
     line search on the weighted residual norm, and fails when the search
     stalls, J is singular or ``MAX_NEWTON_ITER`` steps pass: the balance
@@ -499,14 +490,13 @@ class _NewtonGroup:
         first = requests[0]
         models = self.models = [req.model for req in requests]
         self.rh_on = first.model.rh_on
-        sh = self.shape = _shape(first.psi_tgt is not None, first.frozen_q is not None)
+        self.use_psi = first.psi_tgt is not None
+        self.k = 3 + self.use_psi       # rows and unknowns of the square system
         self.psi_tgts = [req.psi_tgt for req in requests]
         self.x0 = np.array([req.x0 for req in requests], dtype=float)
-        if sh.frozen:
-            self.x0[:, 3] = [req.frozen_q for req in requests]
         self.coef = np.array([m.coef for m in models])
         self.floor = np.array([m.flow_floor for m in models])
-        if sh.use_psi:
+        if self.use_psi:
             self.psi_tgt = np.array(self.psi_tgts)
         self.comfort = _StateComfort(models)
 
@@ -538,7 +528,7 @@ class _NewtonGroup:
         mags = [f["Q_door"], f["Q_h_si"], f["Q_k"], f["Q_h_so"], f["Q_r_so"], q_hvac]
         if self.rh_on:
             mags += [f["Q_r_rh"], f["Q_h_rh"], -bal[..., 3]]
-        rows = np.empty((x.shape[0], self.shape.k))
+        rows = np.empty((x.shape[0], self.k))
         rows[:, :3] = bal[..., :3]
         if psi is not None:
             rows[:, 3] = psi - pick(self.psi_tgt)
@@ -547,21 +537,22 @@ class _NewtonGroup:
 
     def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
-        balance rows relative to the flow magnitude ``scale``."""
-        sh = self.shape
-        lim = np.where(sh.is_balance_row, (BALANCE_RTOL * scale)[:, None], sh.row_tol)
-        return np.logical_and.reduce(np.abs(r) <= lim, axis=1)
+        balance rows relative to the flow magnitude ``scale``, the PMV row
+        to ``PSI_ROW_TOL``."""
+        ok = np.logical_and.reduce(np.abs(r[:, :3]) <= (BALANCE_RTOL * scale)[:, None], axis=1)
+        if self.use_psi:
+            ok &= np.abs(r[:, 3]) <= PSI_ROW_TOL
+        return ok
 
     def _step(self, bal_jac: np.ndarray, grad: np.ndarray, r: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray | None]:
         """Newton steps ``-J^-1 r`` from the balance Jacobians and PMV
         gradients, and the mask of rows whose J is singular (None when
         there is none)."""
-        sh = self.shape
-        n = len(bal_jac)
-        jac = np.zeros((n, sh.k, sh.k))
-        jac[:, :3] = bal_jac[:, :, sh.cols]
-        if sh.use_psi:
+        n, k = len(bal_jac), self.k
+        jac = np.zeros((n, k, k))
+        jac[:, :3] = bal_jac[:, :, :k]
+        if self.use_psi:
             jac[:, 3, :2] = grad
         try:
             return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], None
@@ -594,8 +585,7 @@ class _NewtonGroup:
         therefore always accepted.  Masks that would hold every live row
         are not formed.
         """
-        sh = self.shape
-        n, cols = len(self.models), sh.cols
+        n, k = len(self.models), self.k
         out: list = [None] * n
         pos = np.arange(n)              # the live rows, as request indices
         x = xt = self.x0.copy()
@@ -603,16 +593,16 @@ class _NewtonGroup:
         norm = np.full(n, np.nan)
         iters = np.zeros(n, int)
         step = np.ones(n)
-        dx = np.zeros((n, sh.k))
+        dx = np.zeros((n, k))
         while True:
             m = pos.size
             # ---- evaluate every live row at xt
             errors = {}
             psi, grad_t = None, np.empty((m, 0))
-            if sh.use_psi:
+            if self.use_psi:
                 psi, grad_t, errors, pmv_t = self.comfort.psi(pos, xt)
             r_t, scale_t, jac_t = self._system(None if m == n else pos, xt, psi)
-            w = r_t * sh.weights
+            w = r_t * _NORM_WEIGHTS[:k]
             norm_t = np.sqrt(np.add.reduce(w * w, axis=1))
             # ---- accept a start, or a trial step that lowers the norm
             acc = (norm_t < norm) | ~np.isfinite(norm)
@@ -666,7 +656,7 @@ class _NewtonGroup:
             for i in np.flatnonzero(ended):
                 out[pos[i]] = SolverError(
                     f"Newton did not converge for scenario {self.models[pos[i]].scn.id!r} "
-                    f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})",
+                    f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})" + _on_bound(x[i]),
                     last_x=x[i].copy(), last_residuals=r[i].copy())
                 done[i] = True
             n_done = np.count_nonzero(done)
@@ -674,17 +664,14 @@ class _NewtonGroup:
                 converged_now = [i for i in np.flatnonzero(done) if out[pos[i]] is None]
                 for i in converged_now:
                     out[pos[i]] = (x[i].copy(), int(iters[i]))
-                if sh.use_psi:
+                if self.use_psi:
                     for i, p in zip(converged_now, self.comfort.row_pmv(pos, pmv_t, converged_now)):
                         out[pos[i]] += (p,)
                 if n_done == m:
                     break
             # ---- the next points: trial steps
-            if cols == slice(None):
-                xt = x + step[:, None] * dx
-            else:
-                xt = x.copy()
-                xt[:, cols] += step[:, None] * dx
+            xt = x.copy()
+            xt[:, :k] += step[:, None] * dx
             np.minimum(np.maximum(xt[:, :3], T_BOX[0]), T_BOX[1], out=xt[:, :3])
             if n_done:
                 keep = ~done
@@ -717,7 +704,8 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
     their electric power: the panel row at zero panel power is minus it.
     Without panels ``T_rh`` reads as ``T_cab`` and ``P_rh`` as zero.  A
     state that :class:`ThermalState` rejects (powered panels colder than
-    the cabin air) raises a :class:`SolverError` that names the scenario.
+    the cabin air) raises an :class:`InadmissibleStateError` that names the
+    scenario.
     """
     x, iterations, pmv = answer
     t_cab, t_si, t_so, q_hvac = x.tolist()
@@ -731,7 +719,7 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
         state = ThermalState(T_cab=t_cab, T_rh=t_rh, T_si=t_si, T_so=t_so, Q_hvac=q_hvac,
                              P_rh=p_rh)
     except ConfigError as err:
-        raise SolverError(f"{err}: scenario {model.scn.id!r} (rh_on={model.rh_on}) solved to "
+        raise InadmissibleStateError(f"{err}: scenario {model.scn.id!r} (rh_on={model.rh_on}) solved to "
                           f"T_rh = {t_rh:.3f} K, T_cab = {t_cab:.3f} K", last_x=x) from err
     flows = assemble_heat_flows(state, model.coef, kernel_flows, model.cfg, model.rh_on)
     n = model.scn.N_pass
@@ -962,8 +950,7 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
 
     # polish the balance exactly with the decided HVAC heat
     q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-    x, iters_polish, pmv = yield from model.newton(np.append(z[:3], q_hvac), None,
-                                                   frozen_q=q_hvac)
+    x, iters_polish, pmv = yield from model.newton(np.append(z[:3], q_hvac), None)
     if use_lo or use_hi:
         psi_e = _mean_psi(pmv)
         if ((use_lo and psi_e < psi_min - _OPT_PSI_TOL)
@@ -1001,7 +988,10 @@ class ScenarioSweeper:
 
     Builds the RH-off branch and, when the bus has enabled panels, the
     RH-on branch of one scenario; :meth:`solve` solves both by ``method``
-    ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.
+    ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.  An
+    RH-on state with powered panels colder than the cabin air is no
+    candidate, and the RH-off result stands; a failed solve of either
+    branch raises.
     The branches keep their passive solutions, panel view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
     setup once.  The view weights come from the layout's slot table in the
@@ -1026,7 +1016,10 @@ class ScenarioSweeper:
         """Solve steps of :meth:`solve`."""
         best = None
         for model in self.models:
-            res = yield from _solve_branch(model, self.method, psi_min, psi_max)
+            try:
+                res = yield from _solve_branch(model, self.method, psi_min, psi_max)
+            except InadmissibleStateError:
+                continue        # only the RH-on branch, after RH off, gives one
             if best is None or res.P_tot < best.P_tot - 1e-9:
                 best = res
         return best

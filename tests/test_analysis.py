@@ -442,7 +442,7 @@ class TestLockstep:
             # ``early`` fails at the first window (passive), ``late`` only
             # when pinned at the second: the sweep meets ``early`` first
             ids = np.array([group.models[i].scn.id for i in pos])
-            never = (ids == early) | ((ids == late) & group.shape.use_psi)
+            never = (ids == early) | ((ids == late) & group.use_psi)
             return original(group, pos, r, scale) & ~never
 
         monkeypatch.setattr(solver._NewtonGroup, "converged", converged)

@@ -292,9 +292,11 @@ def wide_cases(draw):
 
 def test_no_failed_request_is_solved_from_a_shifted_start():
     # Newton gives a request one start: the balance has one root.  Every
-    # Newton request of this search that fails (passive, warm and cold
-    # pinned solves, the SLSQP polish) must fail from each shifted start
-    # too; an input that a shifted start solves would need restarts back
+    # Newton request of this search that fails (passive, pinned from the
+    # branch's last pinned state or from the cold start, the SLSQP polish)
+    # must fail from each shifted start and from the cold start too; an
+    # input that one of them solves would need restarts, or a pinned solve
+    # its cold retry, back
     original = _NewtonGroup.run
     failed = []
 
@@ -302,9 +304,7 @@ def test_no_failed_request_is_solved_from_a_shifted_start():
         out = original(group)
         for i, answer in enumerate(out):
             if isinstance(answer, SolverError):
-                x0 = group.x0[i]
-                failed.append(_NewtonRequest(group.models[i], x0, group.psi_tgts[i],
-                                             x0[3] if group.shape.frozen else None))
+                failed.append(_NewtonRequest(group.models[i], group.x0[i], group.psi_tgts[i]))
         return out
 
     @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -327,11 +327,18 @@ def test_no_failed_request_is_solved_from_a_shifted_start():
     # iterate clamp at 400 K
     assert {req.model.rh_on for req in failed} == {False, True}
     for req in failed:
+        # the cold start; without a PMV row Q_hvac is the request's own
+        cold = req.model.init_vector()
+        if req.psi_tgt is None:
+            cold[3] = req.x0[3]
+        starts = [cold]
         for shift in _RESTART_SHIFTS:
-            x0 = req.x0.copy()
-            x0[:3] += shift
+            starts.append(req.x0.copy())
+            starts[-1][:3] += shift
+        for x0 in starts:
             answer, = original(_NewtonGroup([req._replace(x0=x0)]))
-            assert isinstance(answer, SolverError), (req.model.scn, req.model.cfg, req.psi_tgt)
+            assert isinstance(answer, SolverError), (req.model.scn, req.model.cfg, req.psi_tgt,
+                                                     x0)
 
 
 def _passenger_faces(p):

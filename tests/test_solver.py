@@ -6,11 +6,11 @@ import pytest
 
 from cabintherm import analysis, model_core, solver
 from cabintherm.comfort import ComfortSpec, pmv
-from cabintherm.errors import ConfigError, SolverError
-from cabintherm.model_core import (Scenario, balance_residuals, c_to_k,
+from cabintherm.errors import ConfigError, InadmissibleStateError, SolverError
+from cabintherm.model_core import (BusConfig, Scenario, balance_residuals, c_to_k,
                                    compute_heat_flows, max_abs_flow)
 from cabintherm.radiant_geometry import mixed_radiant_temperature
-from cabintherm.scenario import synthesize_dataset
+from cabintherm.scenario import ScenarioSet, synthesize_dataset
 from cabintherm.solver import (default_layout, solve_best, solve_window_opt,
                                solve_window_rootfind)
 
@@ -53,7 +53,7 @@ class TestFixedPmv:
         from cabintherm.solver import _BranchModel, _NewtonGroup, _NewtonRequest
         for rh_on in (True, False):
             model = _BranchModel(winter_scn, ptc_rh_cfg, ComfortSpec(), rh_on)
-            group = _NewtonGroup([_NewtonRequest(model, model.init_vector(), -1.0, None)])
+            group = _NewtonGroup([_NewtonRequest(model, model.init_vector(), -1.0)])
             rows, _, bal_jac = group._system(None, group.x0, np.zeros(1))
             dx, singular = group._step(bal_jac, np.ones((1, 2)), rows)
             assert rows.shape == dx.shape == (1, 4)
@@ -221,20 +221,47 @@ class TestSolveBest:
         assert a.rh_used == b.rh_used
         assert abs(a.P_tot - b.P_tot) / max(a.P_tot, 1.0) <= 1e-4
 
+    # a June hour of synthesize_dataset(2000, 7101): with the panels held
+    # at 30 C, its RH-on branch at +-2 solves to a cabin warmer than its
+    # powered panels, which no ThermalState may hold
+    UNUSABLE_PANELS = Scenario(T_inf=293.08299999999997, I_dni=695.05, I_dhi=65.82,
+                               beta=0.9881460812846216, N_pass=15, zeta_door=0.1028,
+                               zeta_sh=0.25, month=6, id="syn-7101-00018")
+
     def test_unusable_panel_state_names_its_scenario(self, ptc_rh_cfg):
-        # a June hour of synthesize_dataset(2000, 7101): with the panels
-        # held at 30 C, the RH-on branch at +-2 solves to a cabin warmer
-        # than its powered panels, which no ThermalState may hold
-        scn = Scenario(T_inf=293.08299999999997, I_dni=695.05, I_dhi=65.82,
-                       beta=0.9881460812846216, N_pass=15, zeta_door=0.1028, zeta_sh=0.25,
-                       month=6, id="syn-7101-00018")
+        scn = self.UNUSABLE_PANELS
         cfg = replace(ptc_rh_cfg, T_rh_tgt=c_to_k(30.0))
-        with pytest.raises(SolverError, match=r"scenario 'syn-7101-00018' \(rh_on=True\) "
-                                              r"solved to T_rh = 303\.150 K, T_cab = 30") as err:
-            solve_best(scn, cfg, ComfortSpec(psi_min=-2.0, psi_max=2.0))
-        assert isinstance(err.value.__cause__, ConfigError)
+        for solve in (solve_window_rootfind, solve_window_opt):
+            with pytest.raises(SolverError, match=r"scenario 'syn-7101-00018' \(rh_on=True\) "
+                                                  r"solved to T_rh = 303\.150 K, T_cab = 30"
+                               ) as err:
+                solve(scn, cfg, ComfortSpec(psi_min=-2.0, psi_max=2.0), rh_on=True)
+            assert isinstance(err.value, InadmissibleStateError)
+            assert isinstance(err.value.__cause__, ConfigError)
         # the same configuration is usable at a narrower window
         assert solve_best(scn, cfg, ComfortSpec(psi_min=-0.5, psi_max=0.5)).P_tot > 0.0
+
+    @pytest.mark.parametrize("method", ["rootfind", "opt"])
+    def test_unusable_panel_state_leaves_the_rh_off_result(self, ptc_rh_cfg, winter_scn,
+                                                           method, monkeypatch):
+        scn = self.UNUSABLE_PANELS
+        cfg = replace(ptc_rh_cfg, T_rh_tgt=c_to_k(30.0))
+        spec = ComfortSpec(psi_min=-2.0, psi_max=2.0)
+        solve = solve_window_opt if method == "opt" else solve_window_rootfind
+        off = solve(scn, cfg, spec, rh_on=False)
+        assert off.P_tot == 0.0 and off.mode == "passive"
+        assert solve_best(scn, cfg, spec, method=method) == off
+        sset = ScenarioSet((winter_scn, scn))
+        assert analysis.solve_set(sset, cfg, spec, method=method) == [
+            solve_best(winter_scn, cfg, spec, method=method), off]
+        # a Newton failure of the RH-on branch still fails the scenario
+        original = solver._NewtonGroup.converged
+        monkeypatch.setattr(solver._NewtonGroup, "converged",
+                            lambda group, pos, r, scale: (original(group, pos, r, scale)
+                                                          & (not group.rh_on)))
+        with pytest.raises(SolverError, match=r"Newton did not converge for scenario "
+                                              r"'syn-7101-00018' \(rh_on=True"):
+            solve_best(scn, cfg, spec, method=method)
 
     def test_unknown_method(self, hp_cfg, winter_scn, window_spec):
         with pytest.raises(ConfigError):
@@ -321,12 +348,15 @@ class TestNewton:
 
         monkeypatch.setattr(solver, "reservoir_balance", counting)
         model = solver._BranchModel(winter_scn, hp_rh_cfg, ComfortSpec(), rh_on)
-        frozen_q = 0.0 if psi_tgt is None else None
-        _, iters, _ = solver._run(model.newton(model.init_vector(), psi_tgt, frozen_q))
+        x0 = model.init_vector()
+        x, iters, _ = solver._run(model.newton(x0, psi_tgt))
         # every step here is a full Newton step: the Jacobian of an iterate
         # comes with its residual, so the start plus one balance per iterate
         assert iters > 0
         assert len(calls) == iters + 1
+        # without a PMV row (a passive solve) Q_hvac stays at its start's 0
+        if psi_tgt is None:
+            assert x0[3] == 0.0 and x[3].tobytes() == x0[3].tobytes()
 
     @pytest.mark.parametrize("psi_tgt", [None, -1.0])
     def test_singular_jacobian_fails_its_row_alone(self, hp_cfg, small_set, psi_tgt,
@@ -345,8 +375,7 @@ class TestNewton:
             return rows, scale, jac
 
         monkeypatch.setattr(solver._NewtonGroup, "_system", system)
-        frozen_q = 0.0 if psi_tgt is None else None
-        requests = [solver._NewtonRequest(m, m.init_vector(), psi_tgt, frozen_q)
+        requests = [solver._NewtonRequest(m, m.init_vector(), psi_tgt)
                     for m in models]
         stacked = solver._NewtonGroup(requests).run()
         err = stacked[1]
@@ -388,6 +417,23 @@ class TestNewton:
         err = failure.value
         assert err.last_x.shape == (4,) and err.last_residuals.shape == (3,)
         assert np.all(np.isfinite(err.last_x)) and np.all(np.isfinite(err.last_residuals))
+        # its last iterate is inside T_BOX, so the message names no bound
+        assert "T_BOX" not in str(err)
+
+    def test_no_root_in_the_box_names_the_bound(self, window_spec):
+        # a sealed, poorly conducting bus in the summer sun: its passive
+        # cabin air would settle above the iterate bound
+        cfg = BusConfig(k_body=60.0)
+        scn = Scenario(T_inf=c_to_k(40.0), I_dni=800.0, I_dhi=150.0, beta=1.0, N_pass=60,
+                       zeta_door=0.0, zeta_sh=0.5, month=7, id="sealed")
+        with pytest.raises(SolverError, match=r"scenario 'sealed' \(rh_on=False, "
+                                              r"psi_tgt=None\): the last iterate has "
+                                              r"T_cab = 400\.0 K and T_si = 400\.0 K on the "
+                                              r"iterate bound of T_BOX = \(210\.0, 400\.0\) K"
+                           ) as failure:
+            solve_window_rootfind(scn, cfg, window_spec, rh_on=False)
+        x = failure.value.last_x
+        assert x[0] == x[1] == solver.T_BOX[1] and solver.T_BOX[0] < x[2] < solver.T_BOX[1]
 
 
 class TestKernelCalls:
@@ -422,11 +468,12 @@ class TestKernelCalls:
         polishes = []
         original = solver._BranchModel.newton
 
-        def counting(model, x0, psi_tgt, frozen_q=None):
-            # a polish holds the decided heat and has no PMV row
-            if frozen_q is not None and psi_tgt is None:
-                polishes.append(frozen_q)
-            return original(model, x0, psi_tgt, frozen_q)
+        def counting(model, x0, psi_tgt):
+            answer = yield from original(model, x0, psi_tgt)
+            # a polish has no PMV row and holds the decided heat of its start
+            if psi_tgt is None:
+                polishes.append((x0[3], answer[0][3]))
+            return answer
 
         monkeypatch.setattr(solver._BranchModel, "newton", counting)
         res = solve_window_opt(winter_scn, hp_cfg, window_spec, rh_on=False)
@@ -435,6 +482,9 @@ class TestKernelCalls:
         # calls are the PMV constraint's, value and gradient together
         answers = [size for size, grad in calls if not grad]
         assert len(polishes) == 1 and answers == [1]
+        (q_start, q_solved), = polishes
+        assert q_start > 0.0 and q_solved.tobytes() == q_start.tobytes()
+        assert res.state.Q_hvac == q_start
 
 
 class TestResultAssembly:
