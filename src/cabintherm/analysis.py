@@ -143,25 +143,25 @@ def aggregate_annual(results, sset: ScenarioSet) -> AnnualSummary:
 # ---------------------------------------------------------------------------
 
 # Scenarios solved side by side at most: the batch of a pool worker and the
-# slice of a serial run, so that the suspended solves stay small in memory
-# (unsliced, the 3 x 7500 concept comparison at jobs=1 peaked at 352 MB,
-# with 256-scenario slices at 138 MB).
+# slice of a serial run, so that a slice's branch models and answers stay
+# small in memory (unsliced, the 3 x 7500 concept comparison at jobs=1
+# peaked at 352 MB, with 256-scenario slices at 138 MB).
 _LOCKSTEP_SCENARIOS = 256
 
 
 def _solve_chunk(args):
     """results[scenario][concept][window] for one slice of scenarios.
 
-    Every (scenario, concept) pair of the slice is solved at one window at
-    a time in lockstep (:func:`solver.settle`), so a Newton round of the
-    slice is one array Newton per branch shape and one batched PMV kernel
-    call per evaluation.  The results are then taken from
-    :meth:`ScenarioSweeper.solve` in scenario-major order, so a failing
-    slice raises the error of its first failing scenario in dataset order,
-    and a scenario whose sweeper cannot be built raises only after the
-    scenarios before it.  View weights come from the process's store in
-    :mod:`solver`, which computes each layout's table once per process (in
-    a pool worker, once per worker), so a slice makes no
+    Every (scenario, concept) pair of the slice is solved one window at a
+    time, all pairs together, in the array phases of :func:`solver.settle`:
+    a Newton phase of the slice is one array Newton per branch and PMV
+    row, with one batched PMV kernel call per evaluation.  The results are
+    then taken from :meth:`ScenarioSweeper.solve` in scenario-major order,
+    so a failing slice raises the error of its first failing scenario in
+    dataset order, and a scenario whose sweeper cannot be built raises only
+    after the scenarios before it.  View weights come from the process's
+    store in :mod:`solver`, which computes each layout's table once per
+    process (in a pool worker, once per worker), so a slice makes no
     ``panel_view_weights`` call for a layout that an earlier slice of the
     process has seen.
     """

@@ -115,6 +115,8 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 def _cop_curve(raw, where: str) -> CopCurve:
     try:
+        if any(isinstance(v, bool) for pair in raw for v in pair):
+            raise TypeError("a boolean is no number")
         pts = tuple((float(d), float(c)) for d, c in raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: COP curve must be a list of [delta_T, cop] pairs")
@@ -122,12 +124,12 @@ def _cop_curve(raw, where: str) -> CopCurve:
 
 
 def _number(cfg: dict, section: str, key: str, kind: type = float):
-    """``kind(cfg[section][key])``; a value of the wrong type, or for an
-    ``int`` one that is not whole, raises :class:`ConfigError` naming its
-    key."""
+    """``kind(cfg[section][key])``; a value of the wrong type (a YAML
+    boolean among them), or for an ``int`` one that is not whole, raises
+    :class:`ConfigError` naming its key."""
     val = cfg[section][key]
     try:
-        out = kind(val)
+        out = None if isinstance(val, bool) else kind(val)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (kind is int and out != val):
@@ -167,7 +169,8 @@ def _build_comfort(cfg: dict) -> ComfortSpec:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float))
+    """A YAML integer or float; a boolean is no number."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _build_climate(cfg: dict) -> ClimateProfile:

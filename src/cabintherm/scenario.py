@@ -169,10 +169,11 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
 
     The header must carry either a ``beta_deg`` column or the
     timestamp/latitude/longitude triple.  Rows violating the scenario
-    invariants, and rows repeating an earlier row's id, abort the load with
-    their line numbers; the one tolerated inconsistency is nonzero
-    irradiance with the sun below the horizon, which is zeroed with a
-    warning.  A file that cannot be read is a :class:`DataError` too.
+    invariants, rows whose field count is not the header's, and rows
+    repeating an earlier row's id, abort the load with their line numbers;
+    the one tolerated inconsistency is nonzero irradiance with the sun
+    below the horizon, which is zeroed with a warning.  A file that cannot
+    be read is a :class:`DataError` too.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -200,6 +201,12 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
         errors = []
         line_of_id: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
+            # DictReader fills a short row's missing fields with None and
+            # files an overlong row's extra fields under the key None
+            if None in row or None in row.values():
+                errors.append(f"line {lineno}: {'more' if None in row else 'fewer'} fields "
+                              f"than the {len(reader.fieldnames)} of the header")
+                continue
             first = line_of_id.setdefault(row["id"], lineno)
             if first != lineno:
                 errors.append(f"line {lineno}: duplicate scenario id {row['id']!r} "

@@ -27,34 +27,34 @@ Both branches solve the same four unknowns,
 ``[T_cab, T_si, T_so, Q_hvac]``: a panel held at its target temperature is
 data, and its electric power is read off the balance's panel row.
 
-Solves run in lockstep.  Every solve is written as *solve steps*: a
-generator that yields a Newton request ``(model, x0, psi_tgt)`` whenever
-it needs a damped-Newton solve, is sent ``(x, iterations, pmv)`` back, and
-returns its result.  With ``psi_tgt`` the PMV row is appended and Q_hvac is
-an unknown; without it Q_hvac stays at ``x0[3]`` (0 for a passive solve, the
-decided heat for the SLSQP polish).  ``pmv`` holds the unclamped PMV of the
-solution's kernel points (one point when every passenger sees the same
-T_mr, one per passenger otherwise, none for an empty bus); it is all the
-exact comfort a solve checks or reports.  The scheduler :func:`_lockstep`
-advances many solves side by side.  Each round it runs all pending
-requests of one branch, PMV row and comfort setting as one array Newton
+Solves run in array phases over lists of branch models.  A Newton request
+is ``(model, x0, psi_tgt)`` (:meth:`_BranchModel.newton`): with ``psi_tgt``
+the PMV row is appended and Q_hvac is an unknown; without it Q_hvac stays
+at ``x0[3]`` (0 for a passive solve, the decided heat for the SLSQP
+polish).  Its answer is ``(x, iterations, pmv)``, ``pmv`` the unclamped PMV
+of the solution's kernel points (one point when every passenger sees the
+same T_mr, one per passenger otherwise, none for an empty bus); it is all
+the exact comfort a solve checks or reports.  Root finding is the passive
+solves (:func:`_passive`), then the pinned ones (:func:`_window`);
+optimization is the SLSQP runs, then their Newton polish (:func:`_opt`).
+Each Newton phase is one :func:`_newton` call, which runs the requests of
+one branch, PMV row and comfort setting as one array Newton
 (:class:`_NewtonGroup`): each of its evaluations makes one balance kernel
 call, one PMV kernel call (with a PMV row) and one stacked linear solve for
 every live row, and one more PMV kernel call answers the points of every
-solved row.  A single solve is the same scheduler with one task, and its
-Newton a stack of one row.  The arithmetic of each solve (Newton steps,
-line search, warm starts) stays its own and does not depend on what it
-runs beside: the kernels work row by row and point by point, so a value is
-the same bits in any batch.  :func:`settle` runs many sweepers
-(:class:`ScenarioSweeper`) window by window.
+solved row.  A single solve is the same phases on one model.  The
+arithmetic of each solve (Newton steps, line search, warm starts) stays its
+own and does not depend on what it runs beside: the kernels work row by row
+and point by point, so a value is the same bits in any batch.
+:func:`settle` runs the phases of many sweepers (:class:`ScenarioSweeper`)
+together, window by window.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import Generator
 from dataclasses import dataclass
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -85,9 +85,6 @@ MODE_PASSIVE = "passive"
 # solve route -> ``SolveResult.solver``
 SOLVER_NAMES = {"rootfind": "rootfind", "opt": "optimization"}
 
-_T = TypeVar("_T")
-# solve steps returning a _T: yield Newton requests, are sent their answers
-_Steps = Generator[tuple, object, _T]
 # a Newton answer: the solution x, its iterations and the unclamped PMV of
 # its kernel points
 _Answer = tuple[np.ndarray, int, np.ndarray]
@@ -164,70 +161,6 @@ _VIEW_WEIGHTS = ViewWeightsCache()
 
 
 # ---------------------------------------------------------------------------
-# lockstep scheduler
-# ---------------------------------------------------------------------------
-
-class _NewtonRequest(NamedTuple):
-    """A damped-Newton solve a task waits for (see :meth:`_BranchModel.newton`)."""
-
-    model: "_BranchModel"
-    x0: np.ndarray
-    psi_tgt: float | None
-
-
-def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
-    """The kernel arguments after the points: (v_cab, RH %, met)."""
-    return spec.v_cab, spec.phi_cab * 100.0, spec.met
-
-
-def _lockstep(tasks: list[_Steps]) -> list:
-    """Run solve steps side by side; per task its result or its error.
-
-    A task is a generator that yields :class:`_NewtonRequest` s and returns
-    its result; each request is sent ``(x, iterations, pmv)`` back, ``pmv``
-    the unclamped PMV of the solution's kernel points.  Each round groups
-    the pending requests by branch, PMV row and comfort setting, and runs
-    each group as one array Newton (:class:`_NewtonGroup`).
-    A task that raises a :class:`CabinThermError`, or is thrown one by its
-    request, stops with it; the others carry on.
-    """
-    out: list = [None] * len(tasks)
-    pending: dict[int, _NewtonRequest] = {}
-
-    def advance(i, resume, value):
-        try:
-            pending[i] = resume(value)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except CabinThermError as err:
-            out[i] = err
-
-    for i, task in enumerate(tasks):
-        advance(i, task.send, None)
-    while pending:
-        batch, pending = pending, {}
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for i, req in batch.items():
-            groups[(req.model.rh_on, req.psi_tgt is not None,
-                    _comfort_setting(req.model.spec))].append(i)
-        for idx in groups.values():
-            for i, val in zip(idx, _NewtonGroup([batch[i] for i in idx]).run()):
-                if isinstance(val, CabinThermError):
-                    advance(i, tasks[i].throw, val)
-                else:
-                    advance(i, tasks[i].send, val)
-    return out
-
-
-def _run(task: _Steps[_T]) -> _T:
-    """Result of one task of solve steps; raises its error."""
-    out = _lockstep([task])[0]
-    if isinstance(out, CabinThermError):
-        raise out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # per-scenario model with precomputed disturbances
 # ---------------------------------------------------------------------------
 
@@ -238,10 +171,11 @@ class _BranchModel:
     balance kernel's coefficients (solar gains and passenger heat among
     them), clothing insulation, and, with the panels on, per-passenger
     panel view weights, read off the layout's slot table in the process's
-    store (``_VIEW_WEIGHTS``).  The methods that need a Newton solve are solve
-    steps (generators for :func:`_lockstep`, see the module docstring);
-    each returns a Newton answer ``(x, iterations, pmv)``, which
-    :func:`_finalize` turns into the reported state.
+    store (``_VIEW_WEIGHTS``).  The array phases (see the module docstring)
+    answer many models at once, each with a Newton answer ``(x, iterations,
+    pmv)`` or its error; :func:`_finalize` turns an answer into the reported
+    state.  A model keeps its passive answer and the start of its next
+    pinned solve: its last pinned solution, the cold start before the first.
     """
 
     def __init__(self, scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
@@ -267,8 +201,8 @@ class _BranchModel:
         self.uniform_tmr = scn.N_pass == 0 or not np.any(self.b_weights > 0.0)
         # the balance's flow magnitude floor: 1 W and the state-independent gains
         self.flow_floor = max(1.0, abs(self.coef.Q_pass), self.coef.Q_sol_so)
-        self._passive: _Answer | None = None
-        self._last_pinned: np.ndarray | None = None
+        self._passive: _Answer | CabinThermError | None = None
+        self._pin_start = self.init_vector()
 
     # -- unknowns: [T_cab, T_si, T_so, Q_hvac] on either branch --------------
 
@@ -278,54 +212,24 @@ class _BranchModel:
 
     # -- damped Newton ------------------------------------------------------
 
-    def newton(self, x0: np.ndarray, psi_tgt: float | None) -> _Steps[_Answer]:
-        """Damped Newton on the square system (solve steps); returns
-        ``(x, iterations, pmv)``, ``pmv`` the unclamped PMV of the kernel
-        points of the solution.
+    def newton(self, x0: np.ndarray, psi_tgt: float | None) -> _NewtonRequest:
+        """The damped-Newton solve of the square system from ``x0``, as a
+        request for :func:`_newton`.
 
         ``psi_tgt`` appends the PMV row and makes Q_hvac an unknown; without
-        it ``x[3]`` stays at ``x0[3]``.  The solve is one
-        :class:`_NewtonRequest`, run by :func:`_lockstep` as a row of an
-        array Newton (:class:`_NewtonGroup`).
+        it ``x[3]`` stays at ``x0[3]``.
         """
-        return (yield _NewtonRequest(self, x0, psi_tgt))
-
-    # -- branch-level solves (solve steps) ----------------------------------
-
-    def passive(self) -> _Steps[_Answer]:
-        """Zero-HVAC-heat solution (panels, when on, still at target)."""
-        if self._passive is None:
-            self._passive = yield from self.newton(self.init_vector(), None)
-        return self._passive
-
-    def pinned(self, psi_tgt: float) -> _Steps[_Answer]:
-        """Solve with the mean PMV pinned to ``psi_tgt``, from the branch's
-        last pinned solution, or from :meth:`init_vector` before the first."""
-        x0 = self._last_pinned if self._last_pinned is not None else self.init_vector()
-        answer = yield from self.newton(x0, psi_tgt)
-        self._last_pinned = answer[0]
-        return answer
-
-    def window(self, psi_min: float, psi_max: float) -> _Steps[_Answer]:
-        """Passive-first window logic; pin to the violated limit if needed.
-
-        The vote saturates at +/-3, so a window bound at the end of the
-        scale never binds: the comparison uses the clamped passive PMV.
-        """
-        passive = yield from self.passive()
-        if self.scn.N_pass == 0:
-            return passive
-        psi_pass = min(3.0, max(-3.0, _mean_psi(passive[2])))
-        if psi_min - 1e-12 <= psi_pass <= psi_max + 1e-12:
-            return passive
-        tgt = psi_min if psi_pass < psi_min else psi_max
-        x, iters, pmv = yield from self.pinned(tgt)
-        return x, passive[1] + iters, pmv
+        return _NewtonRequest(self, x0, psi_tgt)
 
 
 # ---------------------------------------------------------------------------
 # the comfort of solve states
 # ---------------------------------------------------------------------------
+
+def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
+    """The kernel arguments after the points: (v_cab, RH %, met)."""
+    return spec.v_cab, spec.phi_cab * 100.0, spec.met
+
 
 class _StateComfort:
     """Exact comfort of the states ``(T_cab, T_si)`` of a list of branch
@@ -441,6 +345,14 @@ class _StateComfort:
 # ---------------------------------------------------------------------------
 # array Newton
 # ---------------------------------------------------------------------------
+
+class _NewtonRequest(NamedTuple):
+    """A damped-Newton solve (see :meth:`_BranchModel.newton`)."""
+
+    model: "_BranchModel"
+    x0: np.ndarray
+    psi_tgt: float | None
+
 
 # The weights of the residual norm.  x is [T_cab, T_si, T_so, Q_hvac]; the
 # rows are cabin air, inner and outer shell (the panel row only fixes P_rh),
@@ -686,6 +598,21 @@ class _NewtonGroup:
         return out
 
 
+def _newton(requests: list[_NewtonRequest]) -> list:
+    """Per request its Newton answer ``(x, iterations, pmv)`` or its error;
+    the requests of one branch, PMV row and comfort setting run as one
+    array Newton (:class:`_NewtonGroup`)."""
+    out: list = [None] * len(requests)
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for i, req in enumerate(requests):
+        groups[(req.model.rh_on, req.psi_tgt is not None,
+                _comfort_setting(req.model.spec))].append(i)
+    for idx in groups.values():
+        for i, answer in zip(idx, _NewtonGroup([requests[i] for i in idx]).run()):
+            out[i] = answer
+    return out
+
+
 # ---------------------------------------------------------------------------
 # result assembly
 # ---------------------------------------------------------------------------
@@ -754,30 +681,75 @@ def _finalize(model: _BranchModel, answer: _Answer, solver_name: str) -> SolveRe
     )
 
 
-def _solve_branch(model: _BranchModel, method: str, psi_min: float,
-                  psi_max: float) -> _Steps[SolveResult]:
-    """One RH branch at one PMV window by either route.  An empty bus has
-    no comfort constraint, so the optimization route returns the passive
-    solution without running the optimizer."""
-    if method == "rootfind":
-        answer = yield from model.window(psi_min, psi_max)
-    elif model.scn.N_pass == 0:
-        answer = yield from model.passive()
-    else:
-        answer = yield from _opt_solve_branch(model, psi_min, psi_max)
-    return _finalize(model, answer, SOLVER_NAMES[method])
+def _branch_results(models: list[_BranchModel], method: str, psi_min: float,
+                    psi_max: float) -> list:
+    """Per model its :class:`SolveResult` at one PMV window by ``method``
+    ("rootfind" or "opt"), or its error."""
+    answers = (_window if method == "rootfind" else _opt)(models, psi_min, psi_max)
+    out = []
+    for model, answer in zip(models, answers):
+        try:
+            out.append(answer if isinstance(answer, CabinThermError)
+                       else _finalize(model, answer, SOLVER_NAMES[method]))
+        except CabinThermError as err:
+            out.append(err)
+    return out
+
+
+def _result(out: SolveResult | CabinThermError) -> SolveResult:
+    """``out`` if it is a result; raises it if it is an error."""
+    if isinstance(out, CabinThermError):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public solves: root finding
 # ---------------------------------------------------------------------------
 
+def _passive(models: list[_BranchModel]) -> None:
+    """Solve the zero-HVAC-heat system (panels, when on, still at target)
+    of every model that has no passive answer yet, in one :func:`_newton`
+    call; each answer, or error, stays on its model."""
+    todo = [m for m in models if m._passive is None]
+    for model, answer in zip(todo, _newton([m.newton(m.init_vector(), None) for m in todo])):
+        model._passive = answer
+
+
+def _window(models: list[_BranchModel], psi_min: float, psi_max: float) -> list:
+    """Per model the Newton answer at one PMV window, or its error.
+
+    A model whose clamped passive PMV is outside the window is pinned to
+    the violated limit, from its last pinned solution or else from
+    :meth:`_BranchModel.init_vector`, all in one :func:`_newton` call; the
+    answer adds the passive iterations.  The vote saturates at +/-3, so a
+    window bound at the end of the scale never binds.
+    """
+    _passive(models)
+    out = [m._passive for m in models]
+    pinned = {}
+    for i, model in enumerate(models):
+        if isinstance(out[i], CabinThermError) or model.scn.N_pass == 0:
+            continue
+        psi_pass = min(3.0, max(-3.0, _mean_psi(out[i][2])))
+        if not psi_min - 1e-12 <= psi_pass <= psi_max + 1e-12:
+            tgt = psi_min if psi_pass < psi_min else psi_max
+            pinned[i] = model.newton(model._pin_start, tgt)
+    for i, answer in zip(pinned, _newton(list(pinned.values()))):
+        if not isinstance(answer, CabinThermError):
+            x, iters, pmv = answer
+            models[i]._pin_start = x
+            answer = x, out[i][1] + iters, pmv
+        out[i] = answer
+    return out
+
+
 def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                           rh_on: bool, layout: CabinLayout | None = None,
                           seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via the passive-first logic."""
-    return _run(_solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed),
-                              "rootfind", spec.psi_min, spec.psi_max))
+    model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
+    return _result(_branch_results([model], "rootfind", spec.psi_min, spec.psi_max)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -903,26 +875,14 @@ class _OptProgram:
         return g
 
 
-def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
-                      ) -> _Steps[_Answer]:
-    """SLSQP minimization of electric power for one RH branch of a bus with
-    passengers; returns the Newton answer of the polished state with the
-    SLSQP iterations added.
-
-    The program and its exact gradients are :class:`_OptProgram`'s; the
-    PMV window constrains the exact mean PMV.  One SLSQP run from the cold
-    start decides the HVAC heat, any heating/cooling overlap is cancelled,
-    and a Newton solve polishes the balance at that heat.  A run whose
-    equalities are violated by more than 1e-4 raises, and so does a
-    polished state whose exact mean PMV is outside the window by more than
-    ``_OPT_PSI_TOL``.
-    """
-    scn = model.scn
+def _slsqp(model: _BranchModel, psi_min: float, psi_max: float, use_lo: bool,
+           use_hi: bool):
+    """One SLSQP run of :class:`_OptProgram` from the cold start for one RH
+    branch of a bus with passengers, and the start of its Newton polish:
+    the decided temperatures and HVAC heat, any heating/cooling overlap
+    cancelled.  Only the PMV bounds ``use_lo`` and ``use_hi`` constrain.  A
+    run whose equalities are violated by more than 1e-4 raises."""
     prog = _OptProgram(model)
-    # the vote saturates at +/-3: a window bound on the end of the scale
-    # never binds and is dropped from the program
-    use_lo = psi_min > -3.0 + 1e-12
-    use_hi = psi_max < 3.0 - 1e-12
     cons = [{"type": "eq", "fun": prog.equalities, "jac": prog.equalities_jac}]
     if use_lo and use_hi and (psi_max - psi_min) < 1e-12:
         cons.append({"type": "eq", "fun": lambda z: prog.psi(z) - psi_min,
@@ -938,7 +898,7 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
                    options={"maxiter": 300, "ftol": 1e-12})
     if float(np.max(np.abs(prog.equalities(res.x)))) > 1e-4:
         raise SolverError(
-            f"optimization failed for scenario {scn.id!r} (rh_on={model.rh_on}): "
+            f"optimization failed for scenario {model.scn.id!r} (rh_on={model.rh_on}): "
             f"{res.message}", last_x=res.x)
     z = res.x.copy()
 
@@ -947,27 +907,53 @@ def _opt_solve_branch(model: _BranchModel, psi_min: float, psi_max: float
     if m > 0:
         z[prog.hp] -= m
         z[prog.ac] -= m
+    return res, np.append(z[:3], (z[prog.hp] - z[prog.ac]) * 1000.0)
 
-    # polish the balance exactly with the decided HVAC heat
-    q_hvac = (z[prog.hp] - z[prog.ac]) * 1000.0
-    x, iters_polish, pmv = yield from model.newton(np.append(z[:3], q_hvac), None)
-    if use_lo or use_hi:
-        psi_e = _mean_psi(pmv)
-        if ((use_lo and psi_e < psi_min - _OPT_PSI_TOL)
-                or (use_hi and psi_e > psi_max + _OPT_PSI_TOL)):
-            raise SolverError(
-                f"optimization missed the PMV window [{psi_min}, {psi_max}] for scenario "
-                f"{scn.id!r} (rh_on={model.rh_on}): exact mean PMV {psi_e:.9f}",
-                last_x=res.x)
-    return x, int(res.nit) + iters_polish, pmv
+
+def _opt(models: list[_BranchModel], psi_min: float, psi_max: float) -> list:
+    """Per model the Newton answer at one PMV window by minimization, with
+    the SLSQP iterations added, or its error.
+
+    One :func:`_newton` call polishes the balance of every SLSQP run
+    (:func:`_slsqp`) at its decided heat.  A polished state whose exact
+    mean PMV misses the window by more than ``_OPT_PSI_TOL`` fails.  An
+    empty bus has no comfort constraint and gets its passive answer.
+    """
+    # the vote saturates at +/-3: a window bound on the end of the scale
+    # never binds, and neither the program nor the check has it
+    use_lo = psi_min > -3.0 + 1e-12
+    use_hi = psi_max < 3.0 - 1e-12
+    _passive([m for m in models if not m.scn.N_pass])
+    out = [None if m.scn.N_pass else m._passive for m in models]
+    runs = {}
+    for i, model in enumerate(models):
+        if model.scn.N_pass:
+            try:
+                runs[i] = _slsqp(model, psi_min, psi_max, use_lo, use_hi)
+            except CabinThermError as err:
+                out[i] = err
+    polished = _newton([models[i].newton(x0, None) for i, (_, x0) in runs.items()])
+    for (i, (res, _)), answer in zip(runs.items(), polished):
+        if not isinstance(answer, CabinThermError):
+            x, iters_polish, pmv = answer
+            answer = x, int(res.nit) + iters_polish, pmv
+            psi_e = _mean_psi(pmv)
+            if ((use_lo and psi_e < psi_min - _OPT_PSI_TOL)
+                    or (use_hi and psi_e > psi_max + _OPT_PSI_TOL)):
+                answer = SolverError(
+                    f"optimization missed the PMV window [{psi_min}, {psi_max}] for scenario "
+                    f"{models[i].scn.id!r} (rh_on={models[i].rh_on}): exact mean PMV "
+                    f"{psi_e:.9f}", last_x=res.x)
+        out[i] = answer
+    return out
 
 
 def solve_window_opt(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
                      rh_on: bool, layout: CabinLayout | None = None,
                      seed: int = 0) -> SolveResult:
     """Minimum-power solve for the PMV window via constrained optimization."""
-    return _run(_solve_branch(_BranchModel(scn, cfg, spec, rh_on, layout, seed),
-                              "opt", spec.psi_min, spec.psi_max))
+    model = _BranchModel(scn, cfg, spec, rh_on, layout, seed)
+    return _result(_branch_results([model], "opt", spec.psi_min, spec.psi_max)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +976,8 @@ class ScenarioSweeper:
     RH-on branch of one scenario; :meth:`solve` solves both by ``method``
     ("rootfind" or "opt") and keeps the cheaper, ties going to RH off.  An
     RH-on state with powered panels colder than the cabin air is no
-    candidate, and the RH-off result stands; a failed solve of either
-    branch raises.
+    candidate, and the RH-off result stands; otherwise the first failed
+    branch, RH off first, raises its error.
     The branches keep their passive solutions, panel view weights and
     last pinned iterate across windows, so a sweep pays the scenario-level
     setup once.  The view weights come from the layout's slot table in the
@@ -1012,32 +998,44 @@ class ScenarioSweeper:
         # (window, result or error) solved by settle(), in window order
         self._settled: deque = deque()
 
-    def steps(self, psi_min: float, psi_max: float) -> _Steps[SolveResult]:
-        """Solve steps of :meth:`solve`."""
-        best = None
-        for model in self.models:
-            try:
-                res = yield from _solve_branch(model, self.method, psi_min, psi_max)
-            except InadmissibleStateError:
-                continue        # only the RH-on branch, after RH off, gives one
-            if best is None or res.P_tot < best.P_tot - 1e-9:
-                best = res
-        return best
-
     def solve(self, psi_min: float, psi_max: float) -> SolveResult:
         """The cheaper branch at one window: the next outcome :func:`settle`
         kept, when it is for this window, else solved now."""
         if self._settled and self._settled[0][0] == (psi_min, psi_max):
-            out = self._settled.popleft()[1]
-        else:
-            out = _lockstep([self.steps(psi_min, psi_max)])[0]
-        if isinstance(out, CabinThermError):
-            raise out
-        return out
+            return _result(self._settled.popleft()[1])
+        return _result(_best([self], psi_min, psi_max)[0])
+
+
+def _best(sweepers: list[ScenarioSweeper], psi_min: float, psi_max: float) -> list:
+    """Per sweeper its cheaper branch result at one PMV window, or an error.
+
+    The branch models of all sweepers of one method are solved together
+    (:func:`_branch_results`).  A sweeper gets the error of its first
+    failed branch in branch order (RH off first); otherwise it keeps the
+    cheaper result, ties going to RH off.  A branch whose state is
+    inadmissible (:class:`InadmissibleStateError`) is no candidate.
+    """
+    solved = {}
+    for method in SOLVER_NAMES:
+        models = [m for sw in sweepers if sw.method == method for m in sw.models]
+        solved[method] = iter(_branch_results(models, method, psi_min, psi_max))
+    out = []
+    for sw in sweepers:
+        best = None
+        for res in [next(solved[sw.method]) for _ in sw.models]:
+            if isinstance(res, InadmissibleStateError):
+                continue        # only the RH-on branch, after RH off, gives one
+            if isinstance(res, CabinThermError):
+                best = res
+                break
+            if best is None or res.P_tot < best.P_tot - 1e-9:
+                best = res
+        out.append(best)
+    return out
 
 
 def settle(sweepers: list[ScenarioSweeper], windows) -> None:
-    """Solve every sweeper at every window, in lockstep across sweepers.
+    """Solve every sweeper at every window, all sweepers' phases together.
 
     The windows go one position at a time, in their order (a repeated
     window is solved again, from the state the earlier one left).  Each
@@ -1047,5 +1045,5 @@ def settle(sweepers: list[ScenarioSweeper], windows) -> None:
     for lo, hi in windows:
         live = [sw for sw in sweepers
                 if not (sw._settled and isinstance(sw._settled[-1][1], CabinThermError))]
-        for sw, out in zip(live, _lockstep([sw.steps(lo, hi) for sw in live])):
+        for sw, out in zip(live, _best(live, lo, hi)):
             sw._settled.append(((lo, hi), out))

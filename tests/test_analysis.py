@@ -407,6 +407,28 @@ class TestLockstep:
                 assert comparable([swept[ci][0][scn_i]]) == comparable([first])
         assert any(r.rh_used for per_w in swept[1] for r in per_w)
 
+    @pytest.mark.parametrize("n_windows", [1, 3])
+    def test_one_newton_group_per_branch_and_pmv_row(self, hp_cfg, ptc_cfg, ptc_rh_cfg,
+                                                     hp_rh_cfg, n_windows, monkeypatch):
+        # the four configured concepts share one comfort setting, so a
+        # window needs at most one array Newton per (branch, PMV row): the
+        # passive solves at the first window, the pinned ones at each
+        runs = []
+        original = solver._NewtonGroup.run
+
+        def run(group):
+            runs.append((group.rh_on, group.use_psi))
+            return original(group)
+
+        monkeypatch.setattr(solver._NewtonGroup, "run", run)
+        concepts = [(c, None) for c in (ptc_cfg, hp_cfg, ptc_rh_cfg, hp_rh_cfg)]
+        windows = [(-0.5, 0.5), (-1.0, 1.0), (0.0, 0.0)][:n_windows]
+        analysis._run_windows(synthesize_dataset(200, seed=7101), concepts, ComfortSpec(),
+                              windows, seed=0)
+        assert len(runs) <= 2 + 2 * n_windows
+        assert runs[:2] == [(False, False), (True, False)]
+        assert set(runs[2:]) == {(False, True), (True, True)}
+
     def test_default_layout_built_once_per_concept(self, two_per_month, ptc_rh_cfg,
                                                    monkeypatch):
         # one default panel strip per concept, not one per panel branch

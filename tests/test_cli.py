@@ -328,6 +328,15 @@ class TestErrors:
                    "--out", str(tmp_path / "o"), "--jobs", "1"])
         assert rc == 3
 
+    def test_short_row_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("id,month,T_inf_C,I_dni,I_dhi,beta_deg,N_pass,zeta_door,zeta_sh\n"
+                        "short,6,22.5,600,90,40,25\n", encoding="utf-8")
+        rc = main(["monthly", "--scenarios", str(path),
+                   "--out", str(tmp_path / "o"), "--jobs", "1"])
+        assert rc == 3
+        assert "line 2: fewer fields than the 9 of the header" in capsys.readouterr().err
+
     def test_non_finite_scenario_value_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "inf.csv"
         path.write_text("id,month,T_inf_C,I_dni,I_dhi,beta_deg,N_pass,zeta_door,zeta_sh\n"

@@ -41,7 +41,13 @@ def test_hvac_and_panel_keys():
     ({"radiant_heaters": {"n_panels": 2.7}}, "radiant_heaters.n_panels must be a whole number"),
     ({"radiant_heaters": {"n_panels": float("inf")}}, "n_panels must be a whole number"),
     # any string switched the panels on
-    ({"radiant_heaters": {"enabled": "false"}}, "radiant_heaters.enabled must be true or false")])
+    ({"radiant_heaters": {"enabled": "false"}}, "radiant_heaters.enabled must be true or false"),
+    # a YAML boolean read as 1 or 0 (k_body = 1.0 W/K) or stayed True
+    ({"materials": {"k_body": True}}, r"materials.k_body must be a number, got True"),
+    ({"radiant_heaters": {"n_panels": True}}, "radiant_heaters.n_panels must be a whole number"),
+    ({"climate": {"passenger_max": True}}, r"climate.passenger_max must be a number, got True"),
+    ({"climate": {"p_clear": [0.3, False]}}, "climate.p_clear must be a list of numbers"),
+    ({"hvac": {"heating_cop": [[0.0, True]]}}, "hvac.heating_cop: COP curve must be a list")])
 def test_wrong_type_names_its_key(overrides, message):
     with pytest.raises(ConfigError, match=message):
         load_config(None, overrides)

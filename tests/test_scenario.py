@@ -90,6 +90,17 @@ class TestCsvLoading:
                                             r"\(first on line 3\)"):
             load_scenarios_csv(path)
 
+    @pytest.mark.parametrize("row, count", [
+        # a short row crashed the loader with float(None), a long one loaded
+        ("short,6,22.5,600,90,40,25,0.08", "fewer"),
+        ("long,6,22.5,600,90,40,25,0.08,0.25,7", "more")])
+    def test_row_with_the_wrong_field_count_rejected_with_line(self, tmp_path, row, count):
+        path = write(tmp_path, HEADER + "a,1,-5.0,0,0,-10,12,0.1,0.45\n" + row + "\n"
+                     + "bad,6,22.5,-600,90,40,25,0.08,0.25\n")
+        with pytest.raises(DataError, match=rf"2 invalid rows rejected: line 3: {count} "
+                                            r"fields than the 9 of the header; line 4"):
+            load_scenarios_csv(path)
+
     def test_non_numeric_field(self, tmp_path):
         path = write(tmp_path, HEADER + "a,1,cold,0,0,-10,12,0.1,0.45\n")
         with pytest.raises(DataError, match="non-numeric"):

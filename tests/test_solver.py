@@ -263,6 +263,27 @@ class TestSolveBest:
                                               r"'syn-7101-00018' \(rh_on=True"):
             solve_best(scn, cfg, spec, method=method)
 
+    @pytest.mark.parametrize("failing", [{False}, {False, True}])
+    @pytest.mark.parametrize("method", ["rootfind", "opt"])
+    def test_rh_off_failure_is_the_sweepers_error(self, ptc_rh_cfg, winter_scn, window_spec,
+                                                  failing, method, monkeypatch):
+        # both branches are solved side by side; the sweeper reports the
+        # first failed branch in branch order, RH off, also when RH on fails
+        original = solver._NewtonGroup.converged
+        monkeypatch.setattr(solver._NewtonGroup, "converged",
+                            lambda group, pos, r, scale: (original(group, pos, r, scale)
+                                                          & (group.rh_on not in failing)))
+        window = (window_spec.psi_min, window_spec.psi_max)
+        match = r"Newton did not converge for scenario 'winter' \(rh_on=False"
+        direct = solver.ScenarioSweeper(winter_scn, ptc_rh_cfg, window_spec, method=method)
+        assert [m.rh_on for m in direct.models] == [False, True]
+        with pytest.raises(SolverError, match=match):
+            direct.solve(*window)
+        settled = solver.ScenarioSweeper(winter_scn, ptc_rh_cfg, window_spec, method=method)
+        solver.settle([settled], [window])
+        with pytest.raises(SolverError, match=match):
+            settled.solve(*window)
+
     def test_unknown_method(self, hp_cfg, winter_scn, window_spec):
         with pytest.raises(ConfigError):
             solve_best(winter_scn, hp_cfg, window_spec, method="magic")
@@ -349,7 +370,7 @@ class TestNewton:
         monkeypatch.setattr(solver, "reservoir_balance", counting)
         model = solver._BranchModel(winter_scn, hp_rh_cfg, ComfortSpec(), rh_on)
         x0 = model.init_vector()
-        x, iters, _ = solver._run(model.newton(x0, psi_tgt))
+        (x, iters, _), = solver._newton([model.newton(x0, psi_tgt)])
         # every step here is a full Newton step: the Jacobian of an iterate
         # comes with its residual, so the start plus one balance per iterate
         assert iters > 0
@@ -466,16 +487,16 @@ class TestKernelCalls:
     def test_opt_one_call_per_polish(self, hp_cfg, winter_scn, window_spec, calls,
                                      monkeypatch):
         polishes = []
-        original = solver._BranchModel.newton
+        original = solver._newton
 
-        def counting(model, x0, psi_tgt):
-            answer = yield from original(model, x0, psi_tgt)
+        def counting(requests):
+            answers = original(requests)
             # a polish has no PMV row and holds the decided heat of its start
-            if psi_tgt is None:
-                polishes.append((x0[3], answer[0][3]))
-            return answer
+            polishes.extend((req.x0[3], answer[0][3]) for req, answer in zip(requests, answers)
+                            if req.psi_tgt is None)
+            return answers
 
-        monkeypatch.setattr(solver._BranchModel, "newton", counting)
+        monkeypatch.setattr(solver, "_newton", counting)
         res = solve_window_opt(winter_scn, hp_cfg, window_spec, rh_on=False)
         assert res.mode == "heating"
         # the polish answers the exact-PMV check and the report; the other
@@ -525,7 +546,7 @@ class TestResultAssembly:
                                         n_pass, counted):
         scn = replace(winter_scn, N_pass=n_pass)
         model = solver._BranchModel(scn, ptc_rh_cfg, window_spec, rh_on)
-        answer = solver._run(model.window(-0.5, 0.5))
+        answer, = solver._window([model], -0.5, 0.5)
         before = dict(counted)
         res = solver._finalize(model, answer, "rootfind")
         assert counted["reservoir_balance"] == before["reservoir_balance"] + 1
