@@ -170,7 +170,8 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
     The header must carry either a ``beta_deg`` column or the
     timestamp/latitude/longitude triple.  Rows violating the scenario
     invariants, rows whose field count is not the header's, and rows
-    repeating an earlier row's id, abort the load with their line numbers;
+    repeating an earlier row's id, abort the load with the first physical
+    line of each (a quoted field may span lines);
     the one tolerated inconsistency is nonzero irradiance with the sun
     below the horizon, which is zeroed with a warning.  A file that cannot
     be read is a :class:`DataError` too.
@@ -183,10 +184,11 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
     except UnicodeDecodeError:
         raise DataError(f"cannot read scenario file {path}: not UTF-8 text") from None
     with io.StringIO(text) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        fields = set(reader.fieldnames)
+        fields = set(header)
         base = set(CSV_COLUMNS) - {"beta_deg"}
         if "beta_deg" in fields:
             missing = (base | {"beta_deg"}) - fields
@@ -200,17 +202,23 @@ def load_scenarios_csv(path: str) -> ScenarioSet:
         scenarios = []
         errors = []
         line_of_id: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            # DictReader fills a short row's missing fields with None and
-            # files an overlong row's extra fields under the key None
-            if None in row or None in row.values():
-                errors.append(f"line {lineno}: {'more' if None in row else 'fewer'} fields "
-                              f"than the {len(reader.fieldnames)} of the header")
+        # a record starts on the line after the last one of the record
+        # before it: a quoted field may hold a newline
+        first = reader.line_num + 1
+        for values in reader:
+            lineno, first = first, reader.line_num + 1
+            if not values:
+                continue        # a blank line
+            if len(values) != len(header):
+                errors.append(f"line {lineno}: "
+                              f"{'more' if len(values) > len(header) else 'fewer'} fields "
+                              f"than the {len(header)} of the header")
                 continue
-            first = line_of_id.setdefault(row["id"], lineno)
-            if first != lineno:
+            row = dict(zip(header, values))
+            first_of_id = line_of_id.setdefault(row["id"], lineno)
+            if first_of_id != lineno:
                 errors.append(f"line {lineno}: duplicate scenario id {row['id']!r} "
-                              f"(first on line {first})")
+                              f"(first on line {first_of_id})")
                 continue
             try:
                 scenarios.append(_parse_row(row, lineno, "beta_deg" in fields))
@@ -308,8 +316,11 @@ class ClimateProfile:
         if not 0.0 <= self.door_max_fraction <= 1.0:
             raise ConfigError(f"door_max_fraction must be in [0, 1], "
                               f"got {self.door_max_fraction}")
-        if not self.passenger_max >= 0:
-            raise ConfigError(f"passenger_max must be non-negative, got {self.passenger_max}")
+        # a fraction would silently cap every scenario at its whole part
+        if not (isinstance(self.passenger_max, int) and not isinstance(self.passenger_max, bool)
+                and self.passenger_max >= 0):
+            raise ConfigError(f"passenger_max must be a whole non-negative number, "
+                              f"got {self.passenger_max!r}")
         # the ephemeris of solar_altitude covers 1950-2100
         if not (isinstance(self.year, int) and 1950 <= self.year <= 2100):
             raise ConfigError(f"year must be a whole year in 1950-2100, got {self.year!r}")

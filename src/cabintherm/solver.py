@@ -42,16 +42,21 @@ one branch, PMV row and comfort setting as one array Newton
 (:class:`_NewtonGroup`): each of its evaluations makes one balance kernel
 call, one PMV kernel call (with a PMV row) and one stacked linear solve for
 every live row, and one more PMV kernel call answers the points of every
-solved row.  A single solve is the same phases on one model.  The
-arithmetic of each solve (Newton steps, line search, warm starts) stays its
-own and does not depend on what it runs beside: the kernels work row by row
-and point by point, so a value is the same bits in any batch.
+solved row.  A single solve is the same phases on one model, and a group
+of one request runs the same iteration in Python floats: the balance
+kernel takes floats, a one-point PMV takes the kernel's float path and a
+lone LAPACK solve gives its row's bits of the stacked one.  A stack of two
+or more rows runs the masked loop, the reference.  The arithmetic of each
+solve (Newton steps, line search, warm starts) stays its own and does not
+depend on what it runs beside: the kernels work row by row and point by
+point, so a value is the same bits in any batch.
 :func:`settle` runs the phases of many sweepers (:class:`ScenarioSweeper`)
 together, window by window.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -231,6 +236,9 @@ def _comfort_setting(spec: ComfortSpec) -> tuple[float, float, float]:
     return spec.v_cab, spec.phi_cab * 100.0, spec.met
 
 
+_ONE_ROW = np.zeros(1, dtype=int)   # the rows of a one-model _StateComfort
+
+
 class _StateComfort:
     """Exact comfort of the states ``(T_cab, T_si)`` of a list of branch
     models with one comfort setting, for both solve routes: the PMV row of
@@ -239,8 +247,10 @@ class _StateComfort:
     A state's kernel points are none for an empty bus, one when every
     passenger sees the same T_mr (the inner shell's temperature), else one
     per passenger at that passenger's mean radiant temperature.  Every
-    method takes ``pos``, the indices of the models whose states it gets,
-    and evaluates all their points in one :func:`pmv_array` call.
+    method but :meth:`one` takes ``pos``, the indices of the models whose
+    states it gets, and evaluates all their points in one :func:`pmv_array`
+    call; :meth:`one` evaluates the one state of a one-model evaluator in
+    floats, for the lone solves.
     """
 
     def __init__(self, models: list[_BranchModel]):
@@ -303,8 +313,43 @@ class _StateComfort:
                 except EvaluationError as err:
                     n = self.points(pos[s:s + 1], *temps[s:s + 1].T)[0][0].size
                     outs.append([np.full(n, np.nan)] * (1 + 2 * grad))
-                    errors[s] = EvaluationError(f"{err} (scenario {self.models[pos[s]].scn.id!r})")
+                    errors[s] = self._named(err, pos[s])
             return [np.concatenate(c) for c in zip(*outs)], errors
+
+    def _named(self, err: EvaluationError, i: int) -> EvaluationError:
+        """The kernel error ``err`` of model ``i``'s state, naming its scenario."""
+        return EvaluationError(f"{err} (scenario {self.models[i].scn.id!r})")
+
+    def one(self, t_cab: float, t_si: float, grad: bool = False):
+        """The comfort of the state (t_cab, t_si) of a one-model evaluator:
+        the unclamped PMV of its kernel points, and with ``grad`` ``(psi,
+        d_cab, d_si, pmv)``, first the mean PMV and its partial derivatives
+        in T_cab and T_si as floats.  A state of one point is one
+        :func:`pmv_array` call on 0-d inputs, which runs the float path of
+        :func:`comfort._pmv_point`; a state of per-passenger points (or of
+        none) is the one row of :meth:`psi` or :meth:`kernel`, so its mean
+        keeps their reduction.  Both give a state's bits in any batch.  A
+        kernel error raises, naming the scenario."""
+        if self.all_uniform:
+            try:
+                out = pmv_array(t_cab - KELVIN, t_si - KELVIN, self.r_clo[0], *self.setting,
+                                grad=grad)
+            except EvaluationError as err:
+                raise self._named(err, 0) from None
+            if not grad:
+                return np.array([out])
+            psi, d_cab, d_si = map(float, out)
+            return psi, d_cab, d_si, np.array([psi])
+        temps = np.array([[t_cab, t_si]])
+        if grad:
+            psi, g, errors, vals = self.psi(_ONE_ROW, temps)
+        elif self.n_pts[0]:
+            (vals,), errors = self.kernel(_ONE_ROW, temps)
+        else:
+            return np.zeros(0)
+        if errors:
+            raise errors[0]
+        return (float(psi[0]), float(g[0, 0]), float(g[0, 1]), vals) if grad else vals
 
     def psi(self, pos, x) -> tuple[np.ndarray, np.ndarray, dict, np.ndarray]:
         """Mean PMV at ``x`` of the rows ``pos``, its gradient in (T_cab,
@@ -361,10 +406,10 @@ class _NewtonRequest(NamedTuple):
 _NORM_WEIGHTS = np.array([1e-3] * 3 + [10.0])
 
 
-def _on_bound(x: np.ndarray) -> str:
+def _on_bound(x: list) -> str:
     """The end of a failed row's message: the temperatures of its last
     iterate ``x`` that sit on a bound of ``T_BOX`` (none: empty)."""
-    hits = [f"{name} = {t:.1f} K" for name, t in zip(("T_cab", "T_si", "T_so"), x[:3].tolist())
+    hits = [f"{name} = {t:.1f} K" for name, t in zip(("T_cab", "T_si", "T_so"), x[:3])
             if t in T_BOX]
     if not hits:
         return ""
@@ -390,12 +435,16 @@ class _NewtonGroup:
     masks, so it takes the same iterates alone as in any stack.  The PMV
     row's gradient is exact at every iterate: the kernel's own partial
     derivatives (``pmv_array(..., grad=True)``), chained through each
-    passenger's mean radiant temperature.  Every evaluation, for all live
-    rows at once, makes one :func:`reservoir_balance` call, one
-    :func:`pmv_array` call (with a PMV row) and one stacked
-    ``np.linalg.solve``.  The PMV row and the answers of :meth:`run` both
-    read one :class:`_StateComfort` of the group's models, so a state's
-    kernel points are the same for both.
+    passenger's mean radiant temperature.  Every evaluation of a stack,
+    for all live rows at once, makes one :func:`reservoir_balance` call,
+    one :func:`pmv_array` call (with a PMV row) and one stacked
+    ``np.linalg.solve``.  A group of one row (each Newton phase of a lone
+    solve) runs the same iteration in Python floats
+    (:meth:`_run_one`), without masks or one-element arrays; stacks of two
+    or more run the masked loop, the reference, and both give a row the
+    same bits.  The PMV row and the answers of :meth:`run` both read one
+    :class:`_StateComfort` of the group's models, so a state's kernel
+    points are the same for both.
     """
 
     def __init__(self, requests: list[_NewtonRequest]):
@@ -447,10 +496,15 @@ class _NewtonGroup:
         scale = np.maximum(pick(self.floor), np.abs(mags).max(axis=0))
         return rows, scale, jac.reshape(x.shape[0], *jac.shape[-2:])[:, :3]
 
-    def converged(self, pos: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    def converged(self, pos: np.ndarray, r, scale):
         """Per row: residuals ``r`` of the rows ``pos`` within tolerance, the
         balance rows relative to the flow magnitude ``scale``, the PMV row
-        to ``PSI_ROW_TOL``."""
+        to ``PSI_ROW_TOL``.  The one row of :meth:`_run_one` comes as a list
+        of floats and a float, ``pos`` as ``_ONE_ROW``, and gets a bool."""
+        if isinstance(r, list):
+            tol = BALANCE_RTOL * scale
+            return (abs(r[0]) <= tol and abs(r[1]) <= tol and abs(r[2]) <= tol
+                    and (not self.use_psi or abs(r[3]) <= PSI_ROW_TOL))
         ok = np.logical_and.reduce(np.abs(r[:, :3]) <= (BALANCE_RTOL * scale)[:, None], axis=1)
         if self.use_psi:
             ok &= np.abs(r[:, 3]) <= PSI_ROW_TOL
@@ -478,6 +532,98 @@ class _NewtonGroup:
                     singular[i] = True
             return dx, singular
 
+    def _failure(self, i: int, x: list, r: list) -> SolverError:
+        """The error of request ``i`` that ended at the accepted iterate ``x``
+        with residuals ``r``."""
+        return SolverError(
+            f"Newton did not converge for scenario {self.models[i].scn.id!r} "
+            f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[i]})" + _on_bound(x),
+            last_x=np.array(x), last_residuals=np.array(r))
+
+    # -- one row in floats --------------------------------------------------------
+
+    def _system_one(self, x: list, psi: float | None) -> tuple[list, float, np.ndarray]:
+        """:meth:`_system` of the one row at ``x`` in floats: its residual
+        rows, their flow magnitude and its balance Jacobian (rows by 4)."""
+        model = self.models[0]
+        t_cab, t_si, t_so, q_hvac = x
+        f, bal, jac = reservoir_balance(t_cab, model.cfg.T_rh_tgt, t_si, t_so, q_hvac, 0.0,
+                                        model.coef, self.rh_on)
+        rows = bal.tolist()
+        mags = [f["Q_door"], f["Q_h_si"], f["Q_k"], f["Q_h_so"], f["Q_r_so"], q_hvac]
+        if self.rh_on:
+            mags += [f["Q_r_rh"], f["Q_h_rh"], -rows.pop()]
+        if psi is not None:
+            rows.append(psi - self.psi_tgts[0])
+        scale = max(model.flow_floor, *map(abs, mags))
+        if any(map(math.isnan, mags)):
+            scale = math.nan    # as np.max and np.maximum give
+        return rows, scale, jac
+
+    def _step_one(self, bal_jac: np.ndarray, grad: tuple | None, r: list) -> list | None:
+        """:meth:`_step` of the one row: its Newton step ``-J^-1 r`` by LAPACK
+        on the one matrix (the bits of its row of the stacked solve), None
+        when J is singular."""
+        k = self.k
+        jac = np.zeros((k, k))
+        jac[:3] = bal_jac[:3, :k]
+        if self.use_psi:
+            jac[3, :2] = grad
+        try:
+            return np.linalg.solve(jac, [-v for v in r]).tolist()
+        except np.linalg.LinAlgError:
+            return None
+
+    def _run_one(self) -> list:
+        """:meth:`run` of a group of one row, in Python floats.
+
+        It is the masked loop's iteration step for step: the start is
+        accepted, a trial only when it lowers the weighted norm (its terms
+        summed left to right, as ``np.add.reduce`` sums a row of three or
+        four), the same convergence test (:meth:`converged`), Newton step,
+        halving line search, ``T_BOX`` clamp (``min(max(v, lo), hi)`` keeps
+        a NaN, as ``np.minimum``/``np.maximum`` do) and failures.  So its
+        answer, or error, is the bits the row has in any stack.
+        """
+        use_psi, weights, (lo, hi) = self.use_psi, _NORM_WEIGHTS[:self.k].tolist(), T_BOX
+        x = xt = self.x0[0].tolist()
+        norm, iters, step = math.nan, 0, 1.0
+        while True:
+            psi = grad = None
+            if use_psi:
+                try:
+                    psi, d_cab, d_si, pmv = self.comfort.one(xt[0], xt[1], grad=True)
+                except EvaluationError as err:
+                    return [err]
+                grad = d_cab, d_si
+            r_t, scale_t, jac_t = self._system_one(xt, psi)
+            norm_t = 0.0
+            for v, wt in zip(r_t, weights):
+                v *= wt
+                norm_t += v * v
+            norm_t = math.sqrt(norm_t)
+            if norm_t < norm or not math.isfinite(norm):
+                x, r, scale, norm = xt, r_t, scale_t, norm_t
+                if self.converged(_ONE_ROW, r, scale):
+                    break
+                dx = None if iters >= MAX_NEWTON_ITER else self._step_one(jac_t, grad, r)
+                if dx is None:
+                    return [self._failure(0, x, r)]
+                iters += 1
+                step = 1.0
+            else:
+                step *= LINESEARCH_FACTOR
+                if step < LINESEARCH_MIN:
+                    return [self._failure(0, x, r)]
+            xt = [min(max(x[j] + step * dx[j], lo), hi) for j in range(3)]
+            xt.append(x[3] + step * dx[3] if use_psi else x[3])
+        if not use_psi:
+            try:
+                pmv = self.comfort.one(x[0], x[1])
+            except EvaluationError as err:
+                return [err]
+        return [(np.array(x), iters, pmv)]
+
     # -- the iteration ----------------------------------------------------------
 
     def run(self) -> list:
@@ -495,8 +641,10 @@ class _NewtonGroup:
         without a PMV row); ``iters`` the Newton steps taken; ``norm`` the
         weighted residual norm of ``x``, NaN before the start, which is
         therefore always accepted.  Masks that would hold every live row
-        are not formed.
+        are not formed.  A group of one row runs :meth:`_run_one`.
         """
+        if len(self.models) == 1:
+            return self._run_one()
         n, k = len(self.models), self.k
         out: list = [None] * n
         pos = np.arange(n)              # the live rows, as request indices
@@ -566,10 +714,7 @@ class _NewtonGroup:
             if failed is not None:
                 ended &= ~failed
             for i in np.flatnonzero(ended):
-                out[pos[i]] = SolverError(
-                    f"Newton did not converge for scenario {self.models[pos[i]].scn.id!r} "
-                    f"(rh_on={self.rh_on}, psi_tgt={self.psi_tgts[pos[i]]})" + _on_bound(x[i]),
-                    last_x=x[i].copy(), last_residuals=r[i].copy())
+                out[pos[i]] = self._failure(pos[i], x[i].tolist(), r[i].tolist())
                 done[i] = True
             n_done = np.count_nonzero(done)
             if n_done:
@@ -757,7 +902,6 @@ def solve_window_rootfind(scn: Scenario, cfg: BusConfig, spec: ComfortSpec,
 # ---------------------------------------------------------------------------
 
 _OPT_PSI_TOL = 1e-7
-_ONE_ROW = np.zeros(1, dtype=int)   # the rows of a one-model _StateComfort
 
 
 class _OptProgram:
@@ -771,8 +915,8 @@ class _OptProgram:
     with its exact gradient: the objective through :meth:`CopCurve.slope`
     and the panel row's Jacobian, the balance equalities through the
     Jacobian rows of :func:`model_core.reservoir_balance`, and the exact
-    mean PMV through :class:`_StateComfort`, the evaluator of Newton's PMV
-    row.
+    mean PMV through :meth:`_StateComfort.one`, the float comfort of a
+    lone Newton's PMV row.
 
     The balance and the mean PMV are each evaluated once per distinct
     ``z``, when a function first needs them; every function and gradient
@@ -819,12 +963,10 @@ class _OptProgram:
         the program's :class:`_StateComfort` at the state ``z[:2]``."""
         memo = self._at(z)
         if "comfort" not in memo:
-            psi, grad, errors, _ = self.comfort.psi(_ONE_ROW, z[None, :2])
-            if errors:
-                raise errors[0]
+            psi, d_cab, d_si, _ = self.comfort.one(*z[:2].tolist(), grad=True)
             g = np.zeros(self.nvar)
-            g[:2] = grad[0]     # z starts [T_cab, T_si]
-            memo["comfort"] = float(psi[0]), g
+            g[0], g[1] = d_cab, d_si    # z starts [T_cab, T_si]
+            memo["comfort"] = psi, g
         return memo["comfort"]
 
     def psi(self, z) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from cabintherm import analysis, solver
 from cabintherm.comfort import ComfortSpec
+from cabintherm.errors import SolverError
 from cabintherm.model_core import (BusConfig, CopCurve, Scenario, balance_coefficients,
                                    c_to_k, reservoir_balance)
 from cabintherm.scenario import synthesize_dataset
@@ -107,6 +108,23 @@ def kernel_flows(cfg, T_inf, T_cab=None, T_rh=None, T_si=None, T_so=None, zeta_d
     flows = reservoir_balance(t_cab, t_rh, t_si, t_so, 0.0, 0.0,
                               balance_coefficients(scn, cfg), True)[0]
     return {name: float(q) for name, q in flows.items()}
+
+
+def assert_same_answer(a, b):
+    """Two Newton answers ``(x, iterations, pmv)`` of the same bits, or two
+    errors of the same type and message (and, for a :class:`SolverError`,
+    the same ``last_x`` and ``last_residuals`` bits)."""
+    assert type(a) is type(b)
+    if isinstance(a, Exception):
+        assert str(a) == str(b)
+        if isinstance(a, SolverError):
+            for name in ("last_x", "last_residuals"):
+                got, want = getattr(a, name), getattr(b, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    for got, want in zip(a[::2], b[::2]):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert type(a[1]) is int and a[1] == b[1]
 
 
 def mc_view_factor(a, b, n=1_000_000, seed=0):

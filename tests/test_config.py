@@ -47,7 +47,10 @@ def test_hvac_and_panel_keys():
     ({"radiant_heaters": {"n_panels": True}}, "radiant_heaters.n_panels must be a whole number"),
     ({"climate": {"passenger_max": True}}, r"climate.passenger_max must be a number, got True"),
     ({"climate": {"p_clear": [0.3, False]}}, "climate.p_clear must be a list of numbers"),
-    ({"hvac": {"heating_cop": [[0.0, True]]}}, "hvac.heating_cop: COP curve must be a list")])
+    ({"hvac": {"heating_cop": [[0.0, True]]}}, "hvac.heating_cop: COP curve must be a list"),
+    # a fraction capped every scenario at its whole part
+    ({"climate": {"passenger_max": 2.5}}, r"passenger_max must be a whole non-negative number, "
+                                          r"got 2\.5")])
 def test_wrong_type_names_its_key(overrides, message):
     with pytest.raises(ConfigError, match=message):
         load_config(None, overrides)

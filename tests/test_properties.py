@@ -26,6 +26,7 @@ from cabintherm.radiant_geometry import (PASSENGER_HEIGHT, CabinLayout, Passenge
 from cabintherm.solver import (T_BOX, _BranchModel, _NewtonGroup, _NewtonRequest, _OptProgram,
                                _branch_results, ScenarioSweeper, default_layout,
                                solve_best, solve_window_opt, solve_window_rootfind)
+from conftest import assert_same_answer
 from flow_reference import (conduction_shell, convective_cabin_to_shell,
                             convective_rh_to_cabin, convective_shell_to_ambient,
                             door_loss, radiative_loss_outer, radiative_rh_to_shell)
@@ -337,6 +338,67 @@ def test_no_failed_request_is_solved_from_a_shifted_start():
             answer, = original(_NewtonGroup([req._replace(x0=x0)]))
             assert isinstance(answer, SolverError), (req.model.scn, req.model.cfg, req.psi_tgt,
                                                      x0)
+
+
+@st.composite
+def newton_requests(draw, rh_on: bool, use_psi: bool):
+    """A Newton request of one branch and PMV row: a scenario (with
+    passengers when it has a PMV row) and configuration of
+    :func:`scenarios` and :func:`configs` or of the wider envelope of
+    :func:`wide_cases`, where some requests fail, from a start up to 15 K
+    off the cold one (and, without a PMV row, a held heat input), to a
+    target on the whole PMV scale."""
+    cases = st.one_of(st.tuples(scenarios(), configs(rh=rh_on)),
+                      wide_cases().filter(lambda case: case[1].rh_enabled == rh_on))
+    scn, cfg = draw(cases.filter(lambda case: case[0].N_pass > 0) if use_psi else cases)
+    model = _BranchModel(scn, cfg, ComfortSpec(), rh_on)
+    x0 = model.init_vector()
+    x0[:3] += draw(st.lists(st.floats(-15.0, 15.0), min_size=3, max_size=3))
+    if use_psi:
+        return model.newton(x0, draw(st.floats(-3.0, 3.0)))
+    x0[3] = draw(st.one_of(st.just(0.0), st.floats(-20_000.0, 20_000.0)))
+    return model.newton(x0, None)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(data=st.data(), rh_on=st.booleans(), use_psi=st.booleans())
+def test_a_lone_request_is_its_row_of_any_stack(data, rh_on, use_psi):
+    # a group of one row runs in Python floats, a stack the masked loop:
+    # each request gets the same answer bits, or the same error, from both
+    requests = data.draw(st.lists(newton_requests(rh_on, use_psi), min_size=2, max_size=5))
+    order = data.draw(st.permutations(range(len(requests))))
+    stacked = _NewtonGroup([requests[i] for i in order]).run()
+    for i, answer in zip(order, stacked):
+        assert_same_answer(_NewtonGroup([requests[i]]).run()[0], answer)
+
+
+def test_numpy_sums_and_solves_as_the_float_newton_needs():
+    # the one-row Newton (``_NewtonGroup._run_one``) has the masked loop's
+    # bits only while numpy sums a row of three or four squares left to
+    # right and solves one matrix as it solves that matrix in a stack; a
+    # numpy that changes either fails here
+    rng = np.random.default_rng(2303)
+    for k in (3, 4):
+        # terms over twelve decades, so the order of the sum shows
+        w = rng.standard_normal((5000, k)) * 10.0 ** rng.integers(-6, 6, (5000, k))
+        sq = w * w
+        stacked = np.add.reduce(sq, axis=1)
+        right_first = 0
+        for i, terms in enumerate(sq.tolist()):
+            total = 0.0
+            for t in terms:
+                total += t
+            assert _bits(total) == _bits(stacked[i]) == _bits(np.add.reduce(sq[i:i + 1], axis=1))
+            backward = terms[-1]
+            for t in terms[-2::-1]:
+                backward = t + backward
+            right_first += _bits(backward) != _bits(total)
+        assert right_first > 0
+        jac = rng.standard_normal((2000, k, k))
+        r = rng.standard_normal((2000, k))
+        steps = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
+        for i in range(2000):
+            assert _bits(np.linalg.solve(jac[i], [-v for v in r[i].tolist()])) == _bits(steps[i])
 
 
 def _passenger_faces(p):

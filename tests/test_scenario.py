@@ -101,6 +101,24 @@ class TestCsvLoading:
                                             r"fields than the 9 of the header; line 4"):
             load_scenarios_csv(path)
 
+    def test_errors_name_the_first_line_of_their_record(self, tmp_path):
+        # a quoted id spans lines 2-3; the records after it start on 4 and 5
+        path = write(tmp_path, HEADER
+                     + '"a\nb",1,-5.0,0,0,-10,12,0.1,0.45\n'
+                     + "bad,6,22.5,-600,90,40,25,0.08,0.25\n"
+                     + "short,6,22.5,600,90,40,25,0.08\n"
+                     + '"a\nb",2,-5.0,0,0,-10,12,0.1,0.45\n')
+        with pytest.raises(DataError, match=r"3 invalid rows rejected: line 4: irradiances "
+                                            r".*; line 5: fewer fields .*; line 6: duplicate "
+                                            r"scenario id 'a\\nb' \(first on line 2\)"):
+            load_scenarios_csv(path)
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        path = write(tmp_path, HEADER + "a,1,-5.0,0,0,-10,12,0.1,0.45\n\n"
+                     + "bad,6,22.5,-600,90,40,25,0.08,0.25\n")
+        with pytest.raises(DataError, match="line 4: "):
+            load_scenarios_csv(path)
+
     def test_non_numeric_field(self, tmp_path):
         path = write(tmp_path, HEADER + "a,1,cold,0,0,-10,12,0.1,0.45\n")
         with pytest.raises(DataError, match="non-numeric"):
@@ -229,6 +247,7 @@ class TestScenarioSet:
     @pytest.mark.parametrize("field, value", [
         ("service_hour_start", 24), ("service_hour_end", 5.5), ("door_beta_a", 0.0),
         ("door_beta_b", -1.0), ("door_max_fraction", 1.5), ("passenger_max", -1),
+        ("passenger_max", 2.5), ("passenger_max", 60.0), ("passenger_max", True),
         ("year", 10000), ("year", 1900), ("p_clear", (0.3,) * 11 + (1.2,)),
         ("passenger_lambda_by_hour", (2.0,) * 5 + (-1.0,) + (2.0,) * 18)])
     def test_climate_profile_rejects_what_generation_cannot_use(self, field, value):

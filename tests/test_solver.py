@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from cabintherm import analysis, model_core, solver
-from cabintherm.comfort import ComfortSpec, pmv
-from cabintherm.errors import ConfigError, InadmissibleStateError, SolverError
+from cabintherm.comfort import ComfortSpec, clothing_insulation, pmv
+from cabintherm.errors import (CabinThermError, ConfigError, EvaluationError,
+                               InadmissibleStateError, SolverError)
 from cabintherm.model_core import (BusConfig, Scenario, balance_residuals, c_to_k,
                                    compute_heat_flows, max_abs_flow)
 from cabintherm.radiant_geometry import mixed_radiant_temperature
 from cabintherm.scenario import ScenarioSet, synthesize_dataset
 from cabintherm.solver import (default_layout, solve_best, solve_window_opt,
                                solve_window_rootfind)
+from conftest import assert_same_answer
 
 
 def assert_balanced(res, scn, cfg):
@@ -414,17 +416,19 @@ class TestNewton:
                        zeta_door=0.1, zeta_sh=0.4, month=1, id="cold")
         counts = {"_system": 0, "_step": 0}
 
-        def counting(name):
+        def counting(name, key):
             original = getattr(solver._NewtonGroup, name)
 
             def wrapper(*args):
-                counts[name] += 1
+                counts[key] += 1
                 return original(*args)
 
             monkeypatch.setattr(solver._NewtonGroup, name, wrapper)
 
-        for name in counts:
-            counting(name)
+        # a lone solve runs the float twins of the stacked methods
+        for key in list(counts):
+            counting(key, key)
+            counting(key + "_one", key)
         monkeypatch.setattr(solver._NewtonGroup, "converged",
                             lambda group, pos, r, scale: np.zeros(pos.size, bool))
         with pytest.raises(SolverError, match="scenario 'cold'") as failure:
@@ -440,6 +444,76 @@ class TestNewton:
         assert np.all(np.isfinite(err.last_x)) and np.all(np.isfinite(err.last_residuals))
         # its last iterate is inside T_BOX, so the message names no bound
         assert "T_BOX" not in str(err)
+
+    @pytest.mark.parametrize("rh_on", [False, True])
+    @pytest.mark.parametrize("psi_tgt", [None, -0.5])
+    @pytest.mark.parametrize("fault", ["stall", "max_iter", "singular", "kernel"])
+    def test_a_failure_is_the_same_alone_and_stacked(self, hp_rh_cfg, winter_scn, summer_scn,
+                                                     rh_on, psi_tgt, fault, monkeypatch):
+        # a group of one row runs in floats, a stack of two the masked
+        # loop: a fault forced into the winter row fails it alike in both
+        models = [solver._BranchModel(s, hp_rh_cfg, ComfortSpec(), rh_on)
+                  for s in (winter_scn, summer_scn)]
+        bad = models[0]
+        group = solver._NewtonGroup
+        system, system_one = group._system, group._system_one
+
+        def faulty(fix):
+            # ``fix(group, i, x, rows, jac)`` reworks the residual rows and
+            # balance Jacobian of request ``i`` at ``x``, stacked and alone
+            def in_stack(grp, pos, x, psi):
+                rows, scale, jac = system(grp, pos, x, psi)
+                rows, jac = rows.copy(), jac.copy()
+                for j, i in enumerate(range(len(grp.models)) if pos is None else pos):
+                    if grp.models[i] is bad:
+                        rows[j], jac[j] = fix(grp, i, x[j], rows[j], jac[j])
+                return rows, scale, jac
+
+            def alone(grp, x, psi):
+                rows, scale, jac = system_one(grp, x, psi)
+                if grp.models[0] is bad:
+                    rows, jac = fix(grp, 0, np.array(x), np.array(rows), jac)
+                    rows = rows.tolist()
+                return rows, scale, jac
+
+            monkeypatch.setattr(group, "_system", in_stack)
+            monkeypatch.setattr(group, "_system_one", alone)
+
+        if fault == "stall":
+            # away from its start the row's residuals grow: no trial lowers its norm
+            faulty(lambda grp, i, x, rows, jac: (
+                rows * 1e3 if x.tobytes() != grp.x0[i].tobytes() else rows, jac))
+        elif fault == "singular":
+            faulty(lambda grp, i, x, rows, jac: (rows, jac * 0.0))
+        elif fault == "max_iter":
+            original = group.converged
+            monkeypatch.setattr(group, "converged", lambda grp, pos, r, scale: (
+                original(grp, pos, r, scale) & np.array([grp.models[i] is not bad for i in pos])))
+            monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 2)
+        else:
+            bad_clo = clothing_insulation(bad.scn.T_inf)
+            kernel = solver.pmv_array
+
+            def failing(ta, tr, clo, *args, **kwargs):
+                if np.any(np.asarray(clo) == bad_clo):
+                    raise EvaluationError("clothing surface temperature iteration did not converge")
+                return kernel(ta, tr, clo, *args, **kwargs)
+
+            monkeypatch.setattr(solver, "pmv_array", failing)
+        requests = [m.newton(m.init_vector(), psi_tgt) for m in models]
+        stacked = group(requests).run()
+        for req, answer in zip(requests, stacked):
+            assert_same_answer(group([req]).run()[0], answer)
+        err = stacked[0]
+        assert isinstance(err, EvaluationError if fault == "kernel" else SolverError)
+        assert "scenario 'winter'" in str(err)
+        if fault in ("stall", "singular"):
+            # its first Newton step ended it
+            assert err.last_x.tobytes() == requests[0].x0.tobytes()
+        elif fault == "max_iter":
+            assert err.last_x.tobytes() != requests[0].x0.tobytes()
+        if fault != "max_iter":
+            assert not isinstance(stacked[1], CabinThermError)
 
     def test_no_root_in_the_box_names_the_bound(self, window_spec):
         # a sealed, poorly conducting bus in the summer sun: its passive
